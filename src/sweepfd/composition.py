@@ -192,7 +192,7 @@ def step_multi_product(f: Field1D, spec: SchemeSpec, params: StepParams) -> None
         sub = params.scaled(1.0 / k)
         for _ in range(k):
             step_t2(term, spec, sub)
-        acc += float(c) * term.values
+        np.add(acc, np.multiply(float(c), term.values, out=term.values), out=acc)
     f.values[:] = acc
 
 

@@ -55,7 +55,7 @@ class Field1D:
         return self.x0 + self.dx * np.arange(self.values.size)
 
     def copy(self) -> "Field1D":
-        return Field1D(self.values.copy(), self.dx, self.x0, self.boundary)
+        return Field1D(self.values, self.dx, self.x0, self.boundary)  # __post_init__ copies
 
 
 def gaussian_profile(n: int, x0: float, dx: float, center: float, sigma: float,

@@ -62,37 +62,46 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
     The second touch of each sample is equivalent to the one-sided
     recurrence u_j' = beta u'_{j-1} + gamma u_j + lam u_{j+1} (ascending)
     away from the wrap pair, which is why the pass below can batch the
-    first touches into a single linear recurrence (the starred chain)
-    and still reproduce the pair arithmetic sample for sample.
+    first touches into a single linear recurrence (the starred chain).
+    The second touches are then written in place into the recurrence
+    output and into f.values, so lfilter's output is the only N-sized
+    allocation; every sample still gets the pair arithmetic
+    a*star_j + l*u_{j+1} (ascending) or b*u_{j-1} + a*star_j (descending)
+    in that order, so the result is bit-identical to it.
     """
     _require_periodic(f)
     v = f.values
     n = v.size
     a, b, l = u.alpha, u.beta, u.lam
-    star = np.empty(n)
-    out = np.empty(n)
     if direction.is_ascending:
         # first touches: star_0 = a u0 + l u1 from pair (0,1); star_1 = b u0 + a u1;
-        # star_j = b star_{j-1} + a u_j afterwards
-        star[0] = a * v[0] + l * v[1]
-        star[1] = b * v[0] + a * v[1]
-        if n > 2:
-            star[2:] = lfilter([a], [1.0, -b], v[2:], zi=np.array([b * star[1]]))[0]
-        # second touches
-        out[1:n - 1] = a * star[1:n - 1] + l * v[2:]
-        out[n - 1] = a * star[n - 1] + l * star[0]   # wrap pair (N-1,0)
-        out[0] = b * star[n - 1] + a * star[0]
+        # star_j = b star_{j-1} + a u_j afterwards, held in star[j - 2]
+        s0 = a * v[0] + l * v[1]
+        s1 = b * v[0] + a * v[1]
+        star = lfilter([a], [1.0, -b], v[2:], zi=np.array([b * s1]))[0]
+        v[0] = b * star[-1] + a * s0
+        v[1] = a * s1 + l * v[2]
+        # second touches of samples 2..N-2: a*star_j + l*u_{j+1}, summed into star
+        np.multiply(a, star, out=star)
+        np.multiply(l, v[3:], out=v[3:])
+        np.add(star[:-1], v[3:], out=star[:-1])
+        v[2:n - 1] = star[:-1]
+        v[n - 1] = star[-1] + l * s0                 # wrap pair (N-1,0)
     else:
-        # wrap pair (N-1,0) goes first
-        star[0] = b * v[n - 1] + a * v[0]
-        star[n - 1] = a * v[n - 1] + l * v[0]
-        if n > 2:
-            star[n - 2:0:-1] = lfilter([a], [1.0, -l], v[n - 2:0:-1],
-                                       zi=np.array([l * star[n - 1]]))[0]
-        out[2:] = b * v[1:n - 1] + a * star[2:]
-        out[1] = b * star[0] + a * star[1]           # final pair (0,1)
-        out[0] = a * star[0] + l * star[1]
-    v[:] = out
+        # wrap pair (N-1,0) goes first; star_j for j = N-2..1 is held in star[N-2-j]
+        s0 = b * v[n - 1] + a * v[0]
+        sn = a * v[n - 1] + l * v[0]
+        star = lfilter([a], [1.0, -l], v[n - 2:0:-1], zi=np.array([l * sn]))[0]
+        s1 = star[-1]
+        v[n - 1] = b * v[n - 2] + a * sn
+        # second touches of samples 2..N-2: b*u_{j-1} + a*star_j, summed into star
+        rest = star[-2::-1]                          # star_2..star_{N-2}
+        np.multiply(a, star, out=star)
+        np.multiply(b, v[1:n - 2], out=v[1:n - 2])
+        np.add(v[1:n - 2], rest, out=rest)
+        v[2:n - 1] = rest
+        v[1] = b * s0 + a * s1                       # final pair (0,1)
+        v[0] = a * s0 + l * s1
 
 
 def saulyev_sweep_fixed(f: Field1D, gamma: float, beta: float, lam: float,

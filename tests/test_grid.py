@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from sweepfd import (
+    Equation,
     Field1D,
     ModifiedNormTag,
+    StepParams,
     abs_moment,
     abs_weighted_mean,
+    apply_scheme,
     gaussian_profile,
     modified_norm,
     norm,
+    resolve_preset,
     sextic_profile,
 )
 from sweepfd.errors import (
     DegenerateFieldError,
+    NumericsError,
     ParameterError,
     SingularCoefficientError,
     SizeError,
@@ -37,6 +42,27 @@ class TestField1D:
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ParameterError):
             Field1D([0.0, math.inf, 0.0], dx=0.1)
+
+    def test_copy_does_not_alias(self):
+        f = Field1D([1.0, 2.0, 3.0], dx=0.1, x0=-1.0)
+        g = f.copy()
+        assert g.values is not f.values
+        assert not np.shares_memory(g.values, f.values)
+        g.values[0] = 9.0
+        assert f.values[0] == 1.0
+        assert (g.dx, g.x0, g.boundary) == (f.dx, f.x0, f.boundary)
+
+    def test_copy_rejects_samples_made_non_finite_after_construction(self):
+        f = Field1D(np.ones(5), dx=0.1)
+        f.values[2] = math.nan
+        with pytest.raises(ParameterError):
+            f.copy()
+
+    def test_t4_step_on_non_finite_field_raises(self):
+        f = Field1D(np.ones(16), dx=0.1)
+        f.values[3] = math.nan
+        with pytest.raises(NumericsError):
+            apply_scheme(f, resolve_preset("t4", Equation.DIFFUSION), StepParams(r=0.5))
 
     def test_coordinates(self):
         f = Field1D(np.zeros(4), dx=0.5, x0=-1.0)

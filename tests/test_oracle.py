@@ -22,6 +22,14 @@ from sweepfd.errors import BoundaryKindError, ParameterError
 from sweepfd.oracle import advection_generator, diffusion_generator
 
 
+def _direct_dft(values, sign):
+    """O(N^2) discrete Fourier sum with exponent sign*2*pi*i*k*j/N (small-N oracle)."""
+    n = values.size
+    j = np.arange(n)
+    return np.array([np.sum(values * np.exp(sign * 2j * math.pi * k * j / n))
+                     for k in range(n)])
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_generators_reproduce_eigenvalues(self, n):
@@ -89,6 +97,17 @@ class TestExactEvolve:
         f = Field1D(np.ones(8), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
         with pytest.raises(BoundaryKindError):
             exact_evolve(f, 0.5, 0.0, 0.1)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 64, 120, 255, 256, 257])
+    def test_matches_direct_fourier_sum(self, n):
+        rng = np.random.default_rng(n)
+        f = Field1D(rng.normal(size=n), dx=0.2)
+        dt, D, v = 0.3, 0.05, 0.7
+        spectrum = CirculantSpectrum.build(n, f.dx, D, v)
+        modes = _direct_dft(f.values, -1.0) * np.exp(dt * spectrum.eigenvalues)
+        expected = _direct_dft(modes, +1.0).real / n
+        out = exact_evolve(f, D, v, dt)
+        assert np.max(np.abs(out.values - expected)) <= 1e-12
 
 
 class TestObservedOrder:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sweepfd import (
     BoundaryKind,
@@ -102,6 +103,70 @@ class TestMatrixOracle:
             sweep_as_matrix(PairUpdate(1.0, 0.0, 0.0), ASC, 2)
         with pytest.raises(SizeError):
             sweep_as_matrix(PairUpdate(1.0, 0.0, 0.0), ASC, 100)
+
+
+def _reference_sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
+    """Straightforward sweep built from N-sized temporaries (bit-identity oracle)."""
+    v = f.values
+    n = v.size
+    a, b, l = u.alpha, u.beta, u.lam
+    star = np.empty(n)
+    out = np.empty(n)
+    if direction.is_ascending:
+        star[0] = a * v[0] + l * v[1]
+        star[1] = b * v[0] + a * v[1]
+        star[2:] = lfilter([a], [1.0, -b], v[2:], zi=np.array([b * star[1]]))[0]
+        out[1:n - 1] = a * star[1:n - 1] + l * v[2:]
+        out[n - 1] = a * star[n - 1] + l * star[0]
+        out[0] = b * star[n - 1] + a * star[0]
+    else:
+        star[0] = b * v[n - 1] + a * v[0]
+        star[n - 1] = a * v[n - 1] + l * v[0]
+        star[n - 2:0:-1] = lfilter([a], [1.0, -l], v[n - 2:0:-1],
+                                   zi=np.array([l * star[n - 1]]))[0]
+        out[2:] = b * v[1:n - 1] + a * star[2:]
+        out[1] = b * star[0] + a * star[1]
+        out[0] = a * star[0] + l * star[1]
+    v[:] = out
+
+
+class TestInPlaceKernel:
+    """The in-place sweep must reproduce the pair arithmetic bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(u, direction, values):
+        f, ref = Field1D(values, dx=1.0), Field1D(values, dx=1.0)
+        storage = f.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            sweep(f, u, direction)
+            _reference_sweep(ref, u, direction)
+        assert f.values is storage
+        assert np.array_equal(f.values, ref.values, equal_nan=True)
+        assert np.array_equal(np.signbit(f.values), np.signbit(ref.values))
+        return f.values
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 64, 1000])
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_matches_reference_bit_for_bit(self, n, direction):
+        rng = np.random.default_rng(7 * n + direction.is_ascending)
+        for _ in range(20):
+            values = rng.normal(size=n)
+            values[rng.integers(0, n, 2)] = 0.0
+            values[rng.integers(0, n, 1)] = -0.0
+            self.assert_bit_identical(random_update(rng), direction, values)
+            signed_zeros = rng.choice([0.0, -0.0], size=n)
+            self.assert_bit_identical(random_update(rng), direction, signed_zeros)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 64, 1000])
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_overflow_to_inf_matches_reference(self, n, direction):
+        rng = np.random.default_rng(11 * n + direction.is_ascending)
+        for _ in range(5):
+            u = PairUpdate(*(rng.choice([-1.0, 1.0], size=3) * rng.uniform(2.0, 40.0, size=3)))
+            values = rng.normal(size=n) * 1e300
+            values[rng.integers(0, n)] = 1e308
+            swept = self.assert_bit_identical(u, direction, values)
+            assert not np.all(np.isfinite(swept))
 
 
 class TestSaulyevFormEquivalence:
