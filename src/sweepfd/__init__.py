@@ -1,9 +1,10 @@
 """Sequential-sweep finite differences for 1D transport equations.
 
 Unconditionally stable explicit solvers for the diffusion, advection
-and advection-diffusion equations on periodic (or fixed-end) grids,
-built from exponentially-split 2x2 pair updates, plus the spectral
-analysis and circulant oracles used to verify them.
+and advection-diffusion equations on periodic grids, built from
+exponentially-split 2x2 pair updates, plus the spectral analysis and
+circulant oracles used to verify them.  Fixed ends appear only in the
+saulyev_sweep_fixed test oracle.
 """
 
 from .coefficients import (
@@ -33,20 +34,17 @@ from .composition import (
     Comparator,
     Equation,
     MultiProduct,
+    Program,
     Scheme,
     SchemeSpec,
     SingleProduct,
     StepParams,
     apply_scheme,
-    apply_spec,
+    compile_scheme,
     euler_step,
     lax_wendroff_step,
     preset_names,
     resolve_preset,
-    step_ad_sequential,
-    step_multi_product,
-    step_single_product,
-    step_t2,
     validate_order_conditions,
 )
 from .grid import (
@@ -69,7 +67,6 @@ from .oracle import (
 )
 from .spectral import (
     AmplificationSample,
-    comparator_amplification,
     exact_amplification,
     exact_phase,
     numeric_amplification,

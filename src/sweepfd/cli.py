@@ -8,6 +8,7 @@ in the README is a single command.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import composition, grid, oracle, spectral
 from .composition import Equation, Scheme, StepParams
-from .errors import NumericsError
+from .errors import NonFiniteResultError, NumericsError
 from .grid import Field1D
 
 USAGE_EXIT = 2
@@ -147,7 +148,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numbers(text: str, option: str) -> List[float]:
+    """The finite numbers of a comma-separated list option."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} takes comma-separated numbers, got '{text}'") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{option} values must be finite, got '{text}'")
+    return values
+
+
+def _finite(value: float, scheme: Scheme, step: int) -> float:
+    """value, checked before it is written: a non-finite one is a numerical failure."""
+    if not math.isfinite(value):
+        raise NonFiniteResultError(
+            f"{scheme.name} produced a non-finite value ({value}) at step {step}")
+    return value
+
+
 def _resolve_setup(args: argparse.Namespace) -> Setup:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value}")
     equation = Equation(args.equation)
     names = [s for s in args.scheme.split(",") if s.strip()]
     if not names:
@@ -157,7 +180,7 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         try:
             schemes.append(composition.resolve_preset(name, equation))
         except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(exc.args[0]) from exc
     if args.nx < 3:
         raise UsageError("--nx must be at least 3")
     if args.xmax <= args.xmin:
@@ -210,7 +233,7 @@ def cmd_ampfactor(setup: Setup, ntheta: int) -> None:
 def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
     times = []
     if checkpoints:
-        times = sorted(float(t) for t in checkpoints.split(","))
+        times = sorted(_numbers(checkpoints, "--checkpoints"))
     marks = [round(t / setup.dt) for t in times]
     if any(m < 0 or m > setup.steps for m in marks):
         raise UsageError("checkpoints must lie inside the run")
@@ -226,16 +249,18 @@ def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
                 t = step * setup.dt
                 columns.append(f"{scheme.name}_t{t:g}")
                 data.append(f.values.copy())
-                norm_notes.append(f"# norm {scheme.name} t={fmt(t)}: {fmt(grid.norm(f))}")
+                norm = _finite(grid.norm(f), scheme, step)
+                norm_notes.append(f"# norm {scheme.name} t={fmt(t)}: {fmt(norm)}")
         columns.append(f"{scheme.name}_final")
         data.append(f.values.copy())
-        norm_notes.append(f"# norm {scheme.name} final={fmt(grid.norm(f))}")
+        norm = _finite(grid.norm(f), scheme, setup.steps)
+        norm_notes.append(f"# norm {scheme.name} final={fmt(norm)}")
     rows = list(zip(*data))
     write_csv(setup.out, setup.header("run") + norm_notes, columns, rows)
 
 
 def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
-    dts_in = [float(t) for t in dts_arg.split(",")]
+    dts_in = _numbers(dts_arg, "--dts")
     if len(dts_in) < 2 or any(b >= a for a, b in zip(dts_in, dts_in[1:])):
         raise UsageError("--dts needs at least two strictly decreasing values")
     total_time = setup.steps * setup.dt
@@ -257,7 +282,7 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
             f = initial.copy()
             for _ in range(steps):
                 composition.apply_scheme(f, scheme, params)
-            table[scheme.name].append(measure(f))
+            table[scheme.name].append(_finite(measure(f), scheme, steps))
     rows = [[dt] + [table[s.name][i] for s in setup.schemes]
             for i, (dt, _) in enumerate(dts_used)]
     footer = []
@@ -281,9 +306,9 @@ def cmd_norms(setup: Setup) -> None:
     for scheme in setup.schemes:
         f = initial.copy()
         trace = []
-        for _ in range(setup.steps):
+        for step in range(1, setup.steps + 1):
             composition.apply_scheme(f, scheme, setup.params)
-            trace.append((grid.norm(f) - reference) / reference)
+            trace.append(_finite((grid.norm(f) - reference) / reference, scheme, step))
         traces.append(trace)
     rows = [[(i + 1) * setup.dt] + [tr[i] for tr in traces] for i in range(setup.steps)]
     write_csv(setup.out, setup.header("norms"), columns, rows)

@@ -158,7 +158,8 @@ def _cosh_from_square(psi_squared: float) -> float:
     return math.cos(math.sqrt(-psi_squared))
 
 
-def _split_update(r: float, eta: float) -> PairUpdate:
+def split_update(r: float, eta: float) -> PairUpdate:
+    """Split-derived update at (r, eta), defined for either sign of r."""
     damp = math.exp(-r)
     half_eta = 0.5 * eta
     psi_squared = r * r - half_eta * half_eta
@@ -176,7 +177,7 @@ def advdiff_coeffs_split(p: AdvDiffParams) -> PairUpdate:
     """
     if p.r < 0.0:
         raise StabilityError("advection-diffusion updates require r >= 0")
-    return _split_update(p.r, p.eta)
+    return split_update(p.r, p.eta)
 
 
 def _alpha_from(gamma: float, beta: float, lam: float) -> float:
@@ -187,7 +188,8 @@ def _alpha_from(gamma: float, beta: float, lam: float) -> float:
     return math.sqrt(disc)
 
 
-def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
+def rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
+    """Generalized Roberts-Weiss update at (r, eta), defined for either sign of r."""
     if direction.is_ascending:
         denom = 2.0 + eta * (3.0 + eta)
         if denom <= 0.0:
@@ -214,10 +216,11 @@ def advdiff_coeffs_rw(p: AdvDiffParams, direction: SweepDirection) -> PairUpdate
     """
     if p.r < 0.0:
         raise StabilityError("advection-diffusion updates require r >= 0")
-    return _rw_update(p.r, p.eta, direction)
+    return rw_update(p.r, p.eta, direction)
 
 
-def _ad2c_update(r: float, eta: float) -> PairUpdate:
+def ad2c_update(r: float, eta: float) -> PairUpdate:
+    """Matched AD2C half-sweep update at (r, eta), defined for either sign of r."""
     s = matched_cn_s(eta)
     s_sq = s * s
     w = (1.0 - s_sq) ** 2 / (1.0 + 3.0 * s_sq)
@@ -237,4 +240,4 @@ def advdiff_coeffs_ad2c(p: AdvDiffParams, half: bool = False) -> PairUpdate:
     if p.r < 0.0:
         raise StabilityError("advection-diffusion updates require r >= 0")
     r_eff, eta_eff = (0.5 * p.r, 0.5 * p.eta) if half else (p.r, p.eta)
-    return _ad2c_update(r_eff, eta_eff)
+    return ad2c_update(r_eff, eta_eff)

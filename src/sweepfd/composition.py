@@ -7,10 +7,15 @@ substep with a_i < 0 is unstable) or from a multi-product expansion
 sum_k c_k T2^k(dt/k), which trades exact structure preservation for
 positive substeps.  Euler and Lax-Wendroff are kept as explicit
 reference steppers for figure reproduction only.
+
+compile_scheme turns a scheme and its step parameters into one Program,
+a weighted sum of products of sweeps; stepping, the closed-form
+amplification factor and the numeric readout all interpret it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -120,107 +125,31 @@ class SchemeSpec:
 # ---------------------------------------------------------------------------
 # pair-update resolution
 
-def full_update(equation: Equation, variant: Variant, params: StepParams,
-                direction: SweepDirection) -> PairUpdate:
-    """Coefficients for a single full-parameter sweep (first-order schemes)."""
-    if equation is Equation.DIFFUSION:
-        return coef.diffusion_coeffs(coef.DiffusionParams(params.r, variant), half=False)
-    if equation is Equation.ADVECTION:
-        return coef.advection_coeffs(coef.AdvectionParams(params.eta, variant), direction)
-    p = coef.AdvDiffParams(params.r, params.eta, variant)
-    if variant is coef.AdvDiffVariant.SPLIT_DERIVED:
-        return coef.advdiff_coeffs_split(p)
-    if variant is coef.AdvDiffVariant.GENERALIZED_RW:
-        return coef.advdiff_coeffs_rw(p, direction)
-    return coef.advdiff_coeffs_ad2c(p, half=False)
-
-
-def half_update(equation: Equation, variant: Variant, params: StepParams,
-                direction: SweepDirection, signed: bool = False) -> PairUpdate:
-    """Coefficients for one half-sweep of the symmetric step at (r, eta).
+def _pair_update(equation: Equation, variant: Variant, params: StepParams,
+                 direction: SweepDirection, half: bool, signed: bool = False) -> PairUpdate:
+    """Coefficients of a full sweep, or of one half-sweep of the symmetric step, at (r, eta).
 
     The matched-CN and AD2C coefficient formulas already describe a half
     sweep of the full step, so they are evaluated at the full parameters;
-    every other variant is evaluated at half parameters.  signed=True
-    admits r < 0 for the advection-diffusion variants, needed inside
-    warned negative-coefficient compositions; diffusion never does.
+    every other variant halves them.  signed=True admits r < 0 for the
+    advection-diffusion variants, needed inside warned negative-coefficient
+    compositions; diffusion never does.
     """
     if equation is Equation.DIFFUSION:
-        return coef.diffusion_coeffs(coef.DiffusionParams(params.r, variant), half=True)
+        return coef.diffusion_coeffs(coef.DiffusionParams(params.r, variant), half=half)
     if equation is Equation.ADVECTION:
-        divisor = 1 if variant is coef.AdvectionVariant.MATCHED_CN else 2
+        divisor = 2 if half and variant is not coef.AdvectionVariant.MATCHED_CN else 1
         return coef.advection_coeffs(coef.AdvectionParams(params.eta, variant),
                                      direction, half_divisor=divisor)
-    if not signed:
-        if variant is coef.AdvDiffVariant.MATCHED_AD2C:
-            return coef.advdiff_coeffs_ad2c(
-                coef.AdvDiffParams(params.r, params.eta, variant), half=False)
-        return full_update(equation, variant, params.scaled(0.5), direction)
-    if variant is coef.AdvDiffVariant.MATCHED_AD2C:
-        return coef._ad2c_update(params.r, params.eta)
+    if half and variant is not coef.AdvDiffVariant.MATCHED_AD2C:
+        params = params.scaled(0.5)
+    if params.r < 0.0 and not signed:
+        raise StabilityError("advection-diffusion updates require r >= 0")
+    if variant is coef.AdvDiffVariant.SPLIT_DERIVED:
+        return coef.split_update(params.r, params.eta)
     if variant is coef.AdvDiffVariant.GENERALIZED_RW:
-        return coef._rw_update(0.5 * params.r, 0.5 * params.eta, direction)
-    return coef._split_update(0.5 * params.r, 0.5 * params.eta)
-
-
-# ---------------------------------------------------------------------------
-# steppers
-
-def step_t2(f: Field1D, spec: SchemeSpec, params: StepParams,
-            signed: bool = False) -> None:
-    """Symmetric step: ascending half-sweep first, then descending."""
-    asc = half_update(spec.equation, spec.variant, params, SweepDirection.ASCENDING, signed)
-    desc = half_update(spec.equation, spec.variant, params, SweepDirection.DESCENDING, signed)
-    sweep(f, asc, SweepDirection.ASCENDING)
-    sweep(f, desc, SweepDirection.DESCENDING)
-
-
-def step_single_product(f: Field1D, spec: SchemeSpec, params: StepParams) -> None:
-    if not isinstance(spec.plan, SingleProduct):
-        raise ParameterError("spec does not carry a single-product plan")
-    signed = spec.equation is Equation.ADV_DIFF
-    for a in reversed(spec.plan.coefficients):
-        step_t2(f, spec, params.scaled(a), signed=signed)
-
-
-def step_multi_product(f: Field1D, spec: SchemeSpec, params: StepParams) -> None:
-    if not isinstance(spec.plan, MultiProduct):
-        raise ParameterError("spec does not carry a multi-product plan")
-    acc = np.zeros_like(f.values)
-    for c, k in spec.plan.terms:
-        term = f.copy()
-        sub = params.scaled(1.0 / k)
-        for _ in range(k):
-            step_t2(term, spec, sub)
-        np.add(acc, np.multiply(float(c), term.values, out=term.values), out=acc)
-    f.values[:] = acc
-
-
-def apply_spec(f: Field1D, spec: SchemeSpec, params: StepParams) -> None:
-    """One full step of the scheme described by spec."""
-    if isinstance(spec.plan, SingleProduct):
-        step_single_product(f, spec, params)
-    elif isinstance(spec.plan, MultiProduct):
-        step_multi_product(f, spec, params)
-    elif spec.base is BaseStep.T2:
-        step_t2(f, spec, params)
-    elif spec.base is BaseStep.SWEEP_1A:
-        sweep(f, full_update(spec.equation, spec.variant, params, SweepDirection.ASCENDING),
-              SweepDirection.ASCENDING)
-    else:
-        sweep(f, full_update(spec.equation, spec.variant, params, SweepDirection.DESCENDING),
-              SweepDirection.DESCENDING)
-
-
-def step_ad_sequential(f: Field1D, adv_spec: SchemeSpec, diff_spec: SchemeSpec,
-                       params: StepParams) -> None:
-    """Advance advection and diffusion with separate schemes, diffusion first.
-
-    With constant coefficients the two generators commute, so the order
-    is a pure reproducibility convention.
-    """
-    apply_spec(f, diff_spec, params)
-    apply_spec(f, adv_spec, params)
+        return coef.rw_update(params.r, params.eta, direction)
+    return coef.ad2c_update(params.r, params.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +197,96 @@ class Scheme:
             raise ParameterError("a scheme needs exactly one of spec/comparator/sequential")
         if self.substeps < 1:
             raise ParameterError("substeps must be >= 1")
+        if any(isinstance(s.plan, MultiProduct) for s in self.sequential or ()):
+            raise ParameterError("a sequential scheme cannot hold a multi-product spec")
 
 
-def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
+# ---------------------------------------------------------------------------
+# sweep programs
+
+Steppable = Union[Scheme, SchemeSpec]
+Op = Tuple[Union[PairUpdate, Comparator], Union[SweepDirection, StepParams]]
+Stage = Tuple[Op, ...]
+Term = Tuple[float, int, Tuple[Stage, ...]]   # (weight, power, stages)
+
+PROGRAM_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True)
+class Program:
+    """One step compiled to sweeps: substeps x sum_t weight_t (stage_1 ... stage_m)^power_t.
+
+    Stages, and the ops inside a stage, run in order.  A sweep op is
+    (PairUpdate, SweepDirection), a comparator op (Comparator, StepParams).
+    A program with one term has weight 1 and runs in place.
+    """
+
+    substeps: int
+    terms: Tuple[Term, ...]
+
+
+def _t2_stage(spec: SchemeSpec, params: StepParams, signed: bool = False) -> Stage:
+    """Symmetric step: ascending half-sweep first, then descending."""
+    return tuple((_pair_update(spec.equation, spec.variant, params, d, True, signed), d)
+                 for d in (SweepDirection.ASCENDING, SweepDirection.DESCENDING))
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
+    """The sweep program of one step of scheme (a named scheme or a bare spec) at params.
+
+    Every coefficient is resolved here, so construction errors are raised
+    before a field is touched; stepping, closed-form factors and the
+    numeric readout all interpret the returned program.
+    """
+    if isinstance(scheme, SchemeSpec):
+        scheme = Scheme("spec", scheme.equation, scheme)
     sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
-    for _ in range(scheme.substeps):
-        if scheme.comparator is Comparator.EULER:
-            euler_step(f, sub)
-        elif scheme.comparator is Comparator.LAX_WENDROFF:
-            lax_wendroff_step(f, sub)
-        elif scheme.comparator is Comparator.CRANK_NICOLSON:
-            raise ParameterError("the implicit comparator has no explicit stepper")
-        elif scheme.sequential is not None:
-            diff_spec, adv_spec = scheme.sequential
-            step_ad_sequential(f, adv_spec, diff_spec, sub)
+    if scheme.comparator is not None:
+        return Program(scheme.substeps, ((1.0, 1, (((scheme.comparator, sub),),)),))
+    spec = scheme.spec
+    if spec is not None and isinstance(spec.plan, MultiProduct):   # sum_k c_k T2^k(dt/k)
+        terms = tuple((float(c), k, (_t2_stage(spec, sub.scaled(1.0 / k)),))
+                      for c, k in spec.plan.terms)
+        return Program(scheme.substeps, terms)
+    stages = []
+    # a sequential scheme runs diffusion first: with constant coefficients the
+    # two generators commute, so the order is a pure reproducibility convention
+    for spec in scheme.sequential or (spec,):
+        if isinstance(spec.plan, SingleProduct):   # T2(a_1 dt) ... T2(a_m dt), right to left
+            stages += [_t2_stage(spec, sub.scaled(a), signed=True)
+                       for a in reversed(spec.plan.coefficients)]
+        elif spec.base is BaseStep.T2:
+            stages.append(_t2_stage(spec, sub))
         else:
-            apply_spec(f, scheme.spec, sub)
+            d = (SweepDirection.ASCENDING if spec.base is BaseStep.SWEEP_1A
+                 else SweepDirection.DESCENDING)
+            stages.append(((_pair_update(spec.equation, spec.variant, sub, d, False), d),))
+    return Program(scheme.substeps, ((1.0, 1, tuple(stages)),))
+
+
+def apply_scheme(f: Field1D, scheme: Steppable, params: StepParams) -> None:
+    """Advance f in place by one step of scheme, running its compiled sweep program."""
+    program = compile_scheme(scheme, params)
+    weighted = len(program.terms) > 1
+    for _ in range(program.substeps):
+        acc = np.zeros_like(f.values) if weighted else None
+        for weight, power, stages in program.terms:
+            term = f.copy() if weighted else f
+            for stage in stages * power:
+                for head, arg in stage:
+                    if isinstance(head, PairUpdate):
+                        sweep(term, head, arg)
+                    elif head is Comparator.EULER:
+                        euler_step(term, arg)
+                    elif head is Comparator.LAX_WENDROFF:
+                        lax_wendroff_step(term, arg)
+                    else:
+                        raise ParameterError("the implicit comparator has no explicit stepper")
+            if weighted:
+                np.add(acc, np.multiply(weight, term.values, out=term.values), out=acc)
+        if weighted:
+            f.values[:] = acc
 
 
 def nominal_order(scheme: Scheme) -> Tuple[int, int]:
@@ -444,7 +447,7 @@ _PRESETS = {
     },
 }
 
-_SUBSTEP_RE = re.compile(r"^(\d+)x(.+)$")
+_SUBSTEP_RE = re.compile(r"^([1-9]\d*)x(.+)$")
 
 
 def preset_names(equation: Equation) -> Tuple[str, ...]:

@@ -39,3 +39,7 @@ class SpatialAmplificationError(NumericsError):
 
 class InvalidCoefficientError(NumericsError):
     """Constructed update coefficients violate their defining constraints."""
+
+
+class NonFiniteResultError(NumericsError):
+    """A scheme's output became non-finite (inf or nan)."""

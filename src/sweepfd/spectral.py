@@ -12,23 +12,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import coefficients as coef
 from .composition import (
-    BaseStep,
     Comparator,
     Equation,
-    MultiProduct,
-    Scheme,
-    SchemeSpec,
-    SingleProduct,
+    Program,
+    Steppable,
     StepParams,
     apply_scheme,
-    full_update,
-    half_update,
+    compile_scheme,
 )
 from .errors import ParameterError
 from .grid import Field1D
@@ -37,7 +35,6 @@ from .sweep import PairUpdate, SweepDirection
 PHASE_RESOLUTION = math.pi / 1024.0
 
 Thetas = Union[float, np.ndarray]
-Steppable = Union[Scheme, SchemeSpec]
 
 
 @dataclass(frozen=True)
@@ -92,14 +89,6 @@ def sweep_factor(update: PairUpdate, direction: SweepDirection, theta: Thetas):
     return (gamma + update.beta / z) / (1.0 - update.lam * z)
 
 
-def t2_factor(equation: Equation, variant, params: StepParams, theta: Thetas,
-              signed: bool = False):
-    asc = half_update(equation, variant, params, SweepDirection.ASCENDING, signed)
-    desc = half_update(equation, variant, params, SweepDirection.DESCENDING, signed)
-    return sweep_factor(asc, SweepDirection.ASCENDING, theta) \
-        * sweep_factor(desc, SweepDirection.DESCENDING, theta)
-
-
 def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas):
     """Rational symmetric-step factor, defined for either sign of r.
 
@@ -111,53 +100,35 @@ def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas)
         * sweep_factor(update, SweepDirection.DESCENDING, theta)
 
 
-def spec_factor(spec: SchemeSpec, params: StepParams, theta: Thetas):
-    if isinstance(spec.plan, SingleProduct):
-        signed = spec.equation is Equation.ADV_DIFF
-        out = np.ones_like(np.asarray(theta, dtype=complex))
-        for a in spec.plan.coefficients:
-            out = out * t2_factor(spec.equation, spec.variant, params.scaled(a), theta,
-                                  signed=signed)
-        return out
-    if isinstance(spec.plan, MultiProduct):
-        out = np.zeros_like(np.asarray(theta, dtype=complex))
-        for c, k in spec.plan.terms:
-            out = out + float(c) * t2_factor(spec.equation, spec.variant,
-                                             params.scaled(1.0 / k), theta) ** k
-        return out
-    if spec.base is BaseStep.T2:
-        return t2_factor(spec.equation, spec.variant, params, theta)
-    direction = (SweepDirection.ASCENDING if spec.base is BaseStep.SWEEP_1A
-                 else SweepDirection.DESCENDING)
-    return sweep_factor(full_update(spec.equation, spec.variant, params, direction),
-                        direction, theta)
-
-
-def comparator_factor(name: Union[Comparator, str], params: StepParams, theta: Thetas):
-    comp = Comparator(name) if isinstance(name, str) else name
+def comparator_factor(comparator: Comparator, params: StepParams, theta: Thetas):
     s2 = np.sin(0.5 * np.asarray(theta)) ** 2
-    if comp is Comparator.EULER:
+    if comparator is Comparator.EULER:
         return (1.0 - 4.0 * params.r * s2) + 0j
-    if comp is Comparator.CRANK_NICOLSON:
+    if comparator is Comparator.CRANK_NICOLSON:
         return (1.0 - 2.0 * params.r * s2) / (1.0 + 2.0 * params.r * s2) + 0j
     return 1.0 - 1j * params.eta * np.sin(theta) - 2.0 * params.eta ** 2 * s2
 
 
 def scheme_factor(scheme: Steppable, params: StepParams, theta: Thetas):
-    """Closed-form factor of any named scheme, spec, comparator or composite."""
-    if isinstance(scheme, SchemeSpec):
-        return spec_factor(scheme, params, theta)
-    if scheme.substeps > 1:
-        inner = Scheme(scheme.name, scheme.equation, scheme.spec, scheme.comparator,
-                       scheme.sequential)
-        return scheme_factor(inner, params.scaled(1.0 / scheme.substeps), theta) \
-            ** scheme.substeps
-    if scheme.comparator is not None:
-        return comparator_factor(scheme.comparator, params, theta)
-    if scheme.sequential is not None:
-        diff_spec, adv_spec = scheme.sequential
-        return spec_factor(diff_spec, params, theta) * spec_factor(adv_spec, params, theta)
-    return spec_factor(scheme.spec, params, theta)
+    """Closed-form factor of any named scheme or spec, read off its sweep program.
+
+    Op factors multiply within a stage, stage products multiply, each
+    term's product is raised to its power, the terms add with their
+    weights (a single term unweighted) and the sum is raised to substeps.
+    """
+    def op_factor(op):
+        head, arg = op
+        if isinstance(head, Comparator):
+            return comparator_factor(head, arg, theta)
+        return sweep_factor(head, arg, theta)
+
+    program = compile_scheme(scheme, params)
+    terms = []
+    for weight, power, stages in program.terms:
+        product = reduce(mul, (reduce(mul, map(op_factor, stage)) for stage in stages))
+        terms.append((weight, product ** power))
+    g = terms[0][1] if len(terms) == 1 else sum(weight * term for weight, term in terms)
+    return g ** program.substeps
 
 
 def exact_amplification(equation: Equation, params: StepParams, theta: float) -> AmplificationSample:
@@ -166,11 +137,6 @@ def exact_amplification(equation: Equation, params: StepParams, theta: float) ->
 
 def scheme_amplification(scheme: Steppable, params: StepParams, theta: float) -> AmplificationSample:
     return AmplificationSample(float(theta), complex(scheme_factor(scheme, params, theta)))
-
-
-def comparator_amplification(name: Union[Comparator, str], params: StepParams,
-                             theta: float) -> AmplificationSample:
-    return AmplificationSample(float(theta), complex(comparator_factor(name, params, theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +175,15 @@ def phase_angle(scheme: Steppable, params: StepParams, theta: float) -> float:
 # ---------------------------------------------------------------------------
 # numeric cross-check and small-theta limits
 
-def _readout_index(scheme: Steppable, n: int) -> int:
-    """Interior sample where the sweep transients have decayed most."""
-    spec = scheme if isinstance(scheme, SchemeSpec) else scheme.spec
-    if spec is not None and spec.plan is None:
-        if spec.base is BaseStep.SWEEP_1A:
-            return n - 2
-        if spec.base is BaseStep.SWEEP_1B:
-            return 2
+def _readout_index(program: Program, n: int) -> int:
+    """Interior sample where the sweep transients have decayed most.
+
+    A step of one sweep leaves its transient at the seam it starts from,
+    so the readout sits at the far end; any other program reads mid-grid.
+    """
+    ops = [op for _, _, stages in program.terms for stage in stages for op in stage]
+    if program.substeps == 1 and len(ops) == 1 and not isinstance(ops[0][0], Comparator):
+        return n - 2 if ops[0][1].is_ascending else 2
     return n // 2
 
 
@@ -234,10 +201,9 @@ def numeric_amplification(scheme: Steppable, params: StepParams, theta: float,
     j = np.arange(n)
     re = Field1D(np.cos(theta * j), dx=1.0)
     im = Field1D(np.sin(theta * j), dx=1.0)
-    stepper = scheme if isinstance(scheme, Scheme) else Scheme("spec", scheme.equation, scheme)
-    apply_scheme(re, stepper, params)
-    apply_scheme(im, stepper, params)
-    idx = _readout_index(scheme, n)
+    apply_scheme(re, scheme, params)
+    apply_scheme(im, scheme, params)
+    idx = _readout_index(compile_scheme(scheme, params), n)
     g = (re.values[idx] + 1j * im.values[idx]) / cmath.exp(1j * theta * idx)
     return AmplificationSample(float(theta), complex(g))
 

@@ -1,5 +1,7 @@
 """Command line drivers: CSV shape, determinism, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,17 @@ from sweepfd.cli import main
 
 def run_cli(args):
     return main(args)
+
+
+def run_clean(args, capsys):
+    """Run the CLI; no RuntimeWarning may be raised and no traceback printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, err
 
 
 def read_csv(path):
@@ -53,6 +66,12 @@ class TestAmpfactor:
     def test_unknown_scheme_is_usage_error(self, capsys):
         assert run_cli(["ampfactor", "--scheme", "bogus"]) == 2
         assert "available" in capsys.readouterr().err
+
+    def test_zero_substeps_is_unknown_scheme(self, capsys):
+        # '0xd2' used to run d2 once
+        code, err = run_clean(["ampfactor", "--scheme", "0xd2"], capsys)
+        assert code == 2
+        assert "usage error: unknown diffusion scheme '0xd2'" in err
 
 
 class TestRun:
@@ -172,3 +191,46 @@ class TestPhase:
                       "--vel", "1"])
         assert rc == 1
         assert "numerical error" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("args", [
+        ["run", "--checkpoints", "abc"],
+        ["run", "--checkpoints", "0.5,nan"],
+        ["converge", "--dts", "0.1,abc"],
+        ["converge", "--dts", "inf,0.1"],
+    ])
+    def test_unparsable_list_is_usage_error(self, args, capsys):
+        code, err = run_clean(args, capsys)
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("option", ["--xmin", "--xmax", "--dcoef", "--vel", "--dt",
+                                        "--tfinal", "--center", "--sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_option_is_usage_error(self, option, value, capsys):
+        code, err = run_clean(["ampfactor", "--scheme", "d2s", f"{option}={value}"], capsys)
+        assert code == 2
+        assert err.startswith(f"usage error: {option} must be finite")
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("args,scheme", [
+        (["run", "--equation", "diffusion", "--scheme", "euler", "--dt", "1",
+          "--steps", "400"], "euler"),
+        (["norms", "--equation", "advection", "--scheme", "lw", "--dt", "1",
+          "--steps", "300"], "lw"),
+        (["converge", "--equation", "diffusion", "--scheme", "d2s,euler", "--dt", "1",
+          "--steps", "400", "--dts", "1,0.5"], "euler"),
+    ])
+    def test_blow_up_exits_one_without_writing(self, args, scheme, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # numpy overflow warnings while blowing up
+            code = main(args + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"numerical error: {scheme} produced a non-finite" in err
+        assert " at step " in err
+        assert not out.exists()

@@ -18,21 +18,25 @@ from sweepfd import (
     Equation,
     Field1D,
     MultiProduct,
+    PairUpdate,
     SchemeSpec,
     SingleProduct,
     StepParams,
     apply_scheme,
+    compile_scheme,
     gaussian_profile,
     norm,
     preset_names,
     resolve_preset,
-    step_multi_product,
-    step_single_product,
-    step_t2,
     validate_order_conditions,
 )
 from sweepfd.composition import nominal_order
-from sweepfd.errors import InvalidCoefficientError, ParameterError, StabilityError
+from sweepfd.errors import (
+    InvalidCoefficientError,
+    ParameterError,
+    SpatialAmplificationError,
+    StabilityError,
+)
 
 
 def d2s_spec(plan=None):
@@ -130,14 +134,14 @@ class TestT2Step:
     def test_zero_parameters_identity(self):
         f = Field1D(np.linspace(1, 2, 16), dx=1.0)
         before = f.values.copy()
-        step_t2(f, d2s_spec(), StepParams(r=0.0))
+        apply_scheme(f, d2s_spec(), StepParams(r=0.0))
         assert np.allclose(f.values, before, atol=1e-15)
 
     def test_norm_conserved(self):
         f = gaussian_profile(50, -5.0, 0.2, 0.0, 0.7)
         before = norm(f)
         for _ in range(10):
-            step_t2(f, d2s_spec(), StepParams(r=1.3))
+            apply_scheme(f, d2s_spec(), StepParams(r=1.3))
         assert norm(f) == pytest.approx(before, rel=1e-13)
 
     def test_single_coefficient_plan_equals_t2(self):
@@ -145,8 +149,8 @@ class TestT2Step:
         values = rng.normal(size=24)
         f1 = Field1D(values.copy(), dx=1.0)
         f2 = Field1D(values.copy(), dx=1.0)
-        step_t2(f1, a2c_spec(), StepParams(eta=0.6))
-        step_single_product(f2, a2c_spec(SingleProduct((1.0,))), StepParams(eta=0.6))
+        apply_scheme(f1, a2c_spec(), StepParams(eta=0.6))
+        apply_scheme(f2, a2c_spec(SingleProduct((1.0,))), StepParams(eta=0.6))
         assert np.array_equal(f1.values, f2.values)
 
     def test_single_term_multi_product_equals_t2(self):
@@ -154,8 +158,8 @@ class TestT2Step:
         values = rng.normal(size=24)
         f1 = Field1D(values.copy(), dx=1.0)
         f2 = Field1D(values.copy(), dx=1.0)
-        step_t2(f1, d2s_spec(), StepParams(r=0.8))
-        step_multi_product(f2, d2s_spec(MultiProduct(((Fraction(1), 1),))), StepParams(r=0.8))
+        apply_scheme(f1, d2s_spec(), StepParams(r=0.8))
+        apply_scheme(f2, d2s_spec(MultiProduct(((Fraction(1), 1),))), StepParams(r=0.8))
         assert np.allclose(f1.values, f2.values, atol=1e-15)
 
 
@@ -166,13 +170,13 @@ class TestMpeBehaviour:
         f.values[32] = 1.0
         spec = d2s_spec(MultiProduct(MPE_T4))
         for _ in range(2):
-            step_multi_product(f, spec, StepParams(r=2.0))
+            apply_scheme(f, spec, StepParams(r=2.0))
         assert f.values.min() < 0.0
 
     def test_mpe_norm_conserved(self):
         f = gaussian_profile(60, -6.0, 0.2, 0.0, 0.5)
         before = norm(f)
-        step_multi_product(f, d2s_spec(MultiProduct(MPE_T6)), StepParams(r=2.0))
+        apply_scheme(f, d2s_spec(MultiProduct(MPE_T6)), StepParams(r=2.0))
         assert norm(f) == pytest.approx(before, rel=1e-13)
 
 
@@ -223,6 +227,56 @@ class TestPresets:
         f = gaussian_profile(16, -4.0, 0.5, 0.0, 1.0)
         with pytest.raises(ParameterError):
             apply_scheme(f, scheme, StepParams(r=0.5))
+
+
+def structural_sweeps(scheme):
+    """Sweeps per step from the plan: 1 per single sweep, 2 per T2, 2m per
+    m-fraction product, 2*sum(k) per multi-product, 0 for a comparator."""
+    if scheme.comparator is not None:
+        return 0
+    total = 0
+    for spec in scheme.sequential or (scheme.spec,):
+        if isinstance(spec.plan, MultiProduct):
+            total += 2 * sum(k for _, k in spec.plan.terms)
+        elif isinstance(spec.plan, SingleProduct):
+            total += 2 * len(spec.plan.coefficients)
+        else:
+            total += 2 if spec.base is BaseStep.T2 else 1
+    return scheme.substeps * total
+
+
+EVERY_PRESET = [(eq, prefix + name) for eq in Equation for name in preset_names(eq)
+                for prefix in ("", "2x")]
+
+
+@pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+class TestCompiledPrograms:
+    PARAMS = StepParams(r=0.05, eta=0.4)
+
+    @pytest.mark.parametrize("equation,name", EVERY_PRESET)
+    def test_sweep_op_count_matches_plan(self, equation, name):
+        scheme = resolve_preset(name, equation)
+        program = compile_scheme(scheme, self.PARAMS)
+        sweeps = sum(power * sum(isinstance(op[0], PairUpdate) for stage in stages for op in stage)
+                     for _, power, stages in program.terms)
+        assert program.substeps * sweeps == structural_sweeps(scheme)
+
+    def test_program_is_memoised(self):
+        scheme = resolve_preset("y6", Equation.ADVECTION)
+        assert compile_scheme(scheme, StepParams(eta=0.8)) is compile_scheme(
+            resolve_preset("y6", Equation.ADVECTION), StepParams(eta=0.8))
+
+    def test_coefficient_error_leaves_field_untouched(self):
+        # at eta = 1.4 the outer Forest-Ruth stages are valid Roberts-Weiss steps, but
+        # the middle one (a = -1.70) needs an ascending sweep at a/2 eta <= -1: the
+        # program fails to compile before the first stage has run
+        spec = SchemeSpec(Equation.ADVECTION, AdvectionVariant.ROBERTS_WEISS, BaseStep.T2,
+                          SingleProduct(FOREST_RUTH))
+        f = gaussian_profile(40, 0.0, 0.25, 5.0, 0.8)
+        before = f.values.copy()
+        with pytest.raises(SpatialAmplificationError, match="eta > -1"):
+            apply_scheme(f, spec, StepParams(eta=1.4))
+        assert np.array_equal(f.values, before)
 
 
 class TestLargeStepDiffusion:

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from sweepfd import (
+    Comparator,
     DiffusionVariant,
     Equation,
     StepParams,
-    comparator_amplification,
     exact_amplification,
     exact_phase,
     numeric_amplification,
     phase_angle,
     phase_curve,
+    preset_names,
     resolve_preset,
     scheme_amplification,
     scheme_factor,
@@ -120,23 +121,32 @@ class TestSchemeAmplification:
                 assert np.max(np.abs(g)) <= 1.0 + 1e-13, (name, r)
 
 
+COMPARATORS = {"euler": ("euler", Equation.DIFFUSION), "crank-nicolson": ("cn", Equation.DIFFUSION),
+               "lax-wendroff": ("lw", Equation.ADVECTION)}
+
+
+def comparator(name):
+    return preset(*COMPARATORS[name])
+
+
 class TestComparators:
     def test_theta_zero(self):
         p = StepParams(r=1.0, eta=0.8)
         for name in ("euler", "crank-nicolson", "lax-wendroff"):
-            assert comparator_amplification(name, p, 0.0).g == pytest.approx(1.0, abs=1e-15)
+            assert scheme_amplification(comparator(name), p, 0.0).g \
+                == pytest.approx(1.0, abs=1e-15)
 
     def test_euler_at_cfl_boundary(self):
-        g = comparator_amplification("euler", StepParams(r=0.5), math.pi).g
+        g = scheme_amplification(comparator("euler"), StepParams(r=0.5), math.pi).g
         assert g == pytest.approx(-1.0, rel=1e-15)
 
     def test_crank_nicolson_value(self):
-        g = comparator_amplification("crank-nicolson", StepParams(r=2.0), math.pi).g
+        g = scheme_amplification(comparator("crank-nicolson"), StepParams(r=2.0), math.pi).g
         assert g == pytest.approx(-3.0 / 5.0, rel=1e-14)
 
     def test_lax_wendroff_exact_transport_limit(self):
         for theta in (0.3, 1.5, 2.8):
-            g = comparator_amplification("lax-wendroff", StepParams(eta=1.0), theta).g
+            g = scheme_amplification(comparator("lax-wendroff"), StepParams(eta=1.0), theta).g
             assert abs(g) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -302,6 +312,24 @@ class TestNumericAmplification:
         num = numeric_amplification(scheme, params, theta, 256)
         ana = scheme_amplification(scheme, params, theta)
         assert num.g == pytest.approx(ana.g, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+    @pytest.mark.parametrize("eq,name", [(eq, prefix + name) for eq in Equation
+                                         for name in preset_names(eq) for prefix in ("", "2x")])
+    def test_every_preset_matches_closed_form(self, eq, name):
+        # the parameters and lattice modes of acceptance criterion 5
+        params = {Equation.DIFFUSION: StepParams(r=0.5), Equation.ADVECTION: StepParams(eta=0.8),
+                  Equation.ADV_DIFF: StepParams(r=0.5, eta=0.6)}[eq]
+        scheme = preset(name, eq)
+        for m in (3, 21):
+            theta = 2 * math.pi * m / 256
+            closed = scheme_factor(scheme, params, theta)
+            if scheme.comparator is Comparator.CRANK_NICOLSON:   # no explicit stepper
+                with pytest.raises(ParameterError):
+                    numeric_amplification(scheme, params, theta, 256)
+                continue
+            num = numeric_amplification(scheme, params, theta, 256)
+            assert abs(num.g - closed) <= 1e-12
 
     def test_non_lattice_mode_rejected(self):
         with pytest.raises(ParameterError):
