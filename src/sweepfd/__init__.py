@@ -8,20 +8,12 @@ saulyev_sweep_fixed test oracle.
 """
 
 from .coefficients import (
-    AdvDiffParams,
     AdvDiffVariant,
-    AdvectionParams,
     AdvectionVariant,
-    DiffusionParams,
     DiffusionVariant,
-    advdiff_coeffs_ad2c,
-    advdiff_coeffs_rw,
-    advdiff_coeffs_split,
-    advection_coeffs,
-    diffusion_coeffs,
     diffusion_gamma,
     matched_cn_s,
-    pair_from_gamma,
+    pair_update,
 )
 from .composition import (
     FOREST_RUTH,

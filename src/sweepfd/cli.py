@@ -18,7 +18,7 @@ import numpy as np
 
 from . import composition, grid, oracle, spectral
 from .composition import Equation, Scheme, StepParams
-from .errors import NonFiniteResultError, NumericsError
+from .errors import DegenerateFieldError, NonFiniteResultError, NumericsError
 from .grid import Field1D
 
 USAGE_EXIT = 2
@@ -167,6 +167,16 @@ def _finite(value: float, scheme: Scheme, step: int) -> float:
     return value
 
 
+def _finite_curve(values: np.ndarray, name: str, thetas: np.ndarray) -> np.ndarray:
+    """values at thetas, checked before they are written, as _finite checks one value."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise NonFiniteResultError(
+            f"{name} produced a non-finite value ({values[i]}) at theta={fmt(thetas[i])}")
+    return values
+
+
 def _resolve_setup(args: argparse.Namespace) -> Setup:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -215,11 +225,13 @@ def cmd_ampfactor(setup: Setup, ntheta: int) -> None:
         raise UsageError("--ntheta must be at least 2")
     thetas = np.linspace(0.0, np.pi, ntheta)
     columns = ["theta", "exact_re", "exact_im", "exact_abs", "exact_phase"]
-    factors = [spectral.exact_factor(setup.equation, setup.params, thetas)]
-    for scheme in setup.schemes:
-        columns += [f"{scheme.name}_re", f"{scheme.name}_im",
-                    f"{scheme.name}_abs", f"{scheme.name}_phase"]
-        factors.append(spectral.scheme_factor(scheme, setup.params, thetas))
+    with np.errstate(all="ignore"):   # overflow surfaces as a non-finite factor below
+        factors = [spectral.exact_factor(setup.equation, setup.params, thetas)]
+        for scheme in setup.schemes:
+            columns += [f"{scheme.name}_re", f"{scheme.name}_im",
+                        f"{scheme.name}_abs", f"{scheme.name}_phase"]
+            factors.append(_finite_curve(spectral.scheme_factor(scheme, setup.params, thetas),
+                                         scheme.name, thetas))
     rows = []
     for i, theta in enumerate(thetas):
         row = [theta]
@@ -301,6 +313,8 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
 def cmd_norms(setup: Setup) -> None:
     initial = setup.field()
     reference = grid.norm(initial)
+    if reference == 0.0:
+        raise DegenerateFieldError("relative norm errors of a zero-norm initial profile")
     columns = ["t"] + [s.name for s in setup.schemes]
     traces = []
     for scheme in setup.schemes:
@@ -322,8 +336,9 @@ def cmd_phase(setup: Setup, ntheta: int) -> None:
     thetas = np.linspace(0.0, np.pi, ntheta)
     reference = spectral.exact_phase(setup.params.eta, thetas)
     columns = ["theta"] + [s.name for s in setup.schemes]
-    curves = [spectral.phase_curve(s, setup.params, thetas) - reference
-              for s in setup.schemes]
+    with np.errstate(all="ignore"):   # overflow surfaces as a non-finite phase below
+        curves = [_finite_curve(spectral.phase_curve(s, setup.params, thetas) - reference,
+                                s.name, thetas) for s in setup.schemes]
     rows = [[thetas[i]] + [c[i] for c in curves] for i in range(ntheta)]
     write_csv(setup.out, setup.header("phase"), columns, rows)
 

@@ -2,23 +2,18 @@
 
 Diffusion updates damp a neighbour pair with determinant gamma in (0,1]
 (or Saul'yev's rational gamma in (-1,1]); advection updates rotate the
-pair (determinant 1); advection-diffusion updates combine both.  All
-constructors return a PairUpdate ready for the sweep engine and reject
-parameters that are provably unstable or spatially amplifying.
+pair (determinant 1); advection-diffusion updates combine both.
+pair_update resolves any variant's update for either sign of r and
+rejects coefficients its formula cannot build, such as |s| >= 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import Union
 
-from .errors import (
-    InvalidCoefficientError,
-    ParameterError,
-    SpatialAmplificationError,
-    StabilityError,
-)
+from .errors import InvalidCoefficientError, ParameterError, SpatialAmplificationError
 from .sweep import PairUpdate, SweepDirection
 
 
@@ -40,25 +35,6 @@ class AdvDiffVariant(Enum):
     MATCHED_AD2C = "matched-ad2c"
 
 
-@dataclass(frozen=True)
-class DiffusionParams:
-    r: float
-    variant: DiffusionVariant = DiffusionVariant.EXPONENTIAL
-
-
-@dataclass(frozen=True)
-class AdvectionParams:
-    eta: float
-    variant: AdvectionVariant = AdvectionVariant.TRIG
-
-
-@dataclass(frozen=True)
-class AdvDiffParams:
-    r: float
-    eta: float
-    variant: AdvDiffVariant = AdvDiffVariant.MATCHED_AD2C
-
-
 # ---------------------------------------------------------------------------
 # diffusion
 
@@ -67,23 +43,6 @@ def diffusion_gamma(variant: DiffusionVariant, r: float) -> float:
     if variant is DiffusionVariant.EXPONENTIAL:
         return math.exp(-2.0 * r)
     return (1.0 - r) / (1.0 + r)
-
-
-def pair_from_gamma(gamma: float) -> PairUpdate:
-    """Norm-conserving diffusion update: alpha = (1+gamma)/2, beta = lam = (1-gamma)/2."""
-    alpha = 0.5 * (1.0 + gamma)
-    beta = 0.5 * (1.0 - gamma)
-    return PairUpdate(alpha, beta, beta)
-
-
-def diffusion_coeffs(p: DiffusionParams, half: bool = False) -> PairUpdate:
-    """Full-sweep (half=False) or half-sweep (half=True, r -> r/2) update."""
-    if not math.isfinite(p.r):
-        raise ParameterError(f"r must be finite, got {p.r}")
-    if p.r < 0.0:
-        raise StabilityError("diffusion sweeps are unconditionally unstable for r < 0")
-    r_eff = 0.5 * p.r if half else p.r
-    return pair_from_gamma(diffusion_gamma(p.variant, r_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +78,6 @@ def advection_s(variant: AdvectionVariant, eta: float, direction: SweepDirection
     return matched_cn_s(eta)
 
 
-def advection_coeffs(p: AdvectionParams, direction: SweepDirection,
-                     half_divisor: int = 1) -> PairUpdate:
-    """Rotation-like update (alpha, s, -s) with alpha = sqrt(1 - s^2).
-
-    half_divisor rescales eta for substeps (2 for the halves of a
-    symmetric step); the matched-CN coefficient already describes a half
-    sweep of the full step and is used with half_divisor = 1 there.
-    """
-    if not math.isfinite(p.eta):
-        raise ParameterError(f"eta must be finite, got {p.eta}")
-    eta_eff = p.eta / half_divisor
-    s = advection_s(p.variant, eta_eff, direction)
-    if abs(s) >= 1.0:
-        detail = "; s = 1 is pathological" if p.variant is AdvectionVariant.SAULYEV else ""
-        raise SpatialAmplificationError(
-            f"|s| = {abs(s)} >= 1 amplifies along the sweep{detail}")
-    return PairUpdate(math.sqrt(1.0 - s * s), s, -s)
-
-
 # ---------------------------------------------------------------------------
 # advection-diffusion
 
@@ -158,8 +98,12 @@ def _cosh_from_square(psi_squared: float) -> float:
     return math.cos(math.sqrt(-psi_squared))
 
 
-def split_update(r: float, eta: float) -> PairUpdate:
-    """Split-derived update at (r, eta), defined for either sign of r."""
+def _split_update(r: float, eta: float) -> PairUpdate:
+    """Exponential of the combined 2x2 generator (not norm-conserving).
+
+    alpha = e^-r cosh(psi), beta/lam = e^-r (r +- eta/2) sinh(psi)/psi with
+    psi^2 = r^2 - (eta/2)^2; determinant stays exactly e^-2r.
+    """
     damp = math.exp(-r)
     half_eta = 0.5 * eta
     psi_squared = r * r - half_eta * half_eta
@@ -167,17 +111,6 @@ def split_update(r: float, eta: float) -> PairUpdate:
     return PairUpdate(damp * _cosh_from_square(psi_squared),
                       damp * (r + half_eta) * shc,
                       damp * (r - half_eta) * shc)
-
-
-def advdiff_coeffs_split(p: AdvDiffParams) -> PairUpdate:
-    """Exponential of the combined 2x2 generator (not norm-conserving).
-
-    alpha = e^-r cosh(psi), beta/lam = e^-r (r +- eta/2) sinh(psi)/psi with
-    psi^2 = r^2 - (eta/2)^2; determinant stays exactly e^-2r.
-    """
-    if p.r < 0.0:
-        raise StabilityError("advection-diffusion updates require r >= 0")
-    return split_update(p.r, p.eta)
 
 
 def _alpha_from(gamma: float, beta: float, lam: float) -> float:
@@ -188,8 +121,12 @@ def _alpha_from(gamma: float, beta: float, lam: float) -> float:
     return math.sqrt(disc)
 
 
-def rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
-    """Generalized Roberts-Weiss update at (r, eta), defined for either sign of r."""
+def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
+    """First-order norm-condition update matching the exact exponent to O(theta^2).
+
+    The boundary weight alpha/(1-beta) (ascending) equals sqrt(1+eta)
+    exactly, so the modified norm matches the pure-advection one.
+    """
     if direction.is_ascending:
         denom = 2.0 + eta * (3.0 + eta)
         if denom <= 0.0:
@@ -208,19 +145,12 @@ def rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
     return PairUpdate(_alpha_from(gamma, beta, lam), beta, lam)
 
 
-def advdiff_coeffs_rw(p: AdvDiffParams, direction: SweepDirection) -> PairUpdate:
-    """First-order norm-condition update matching the exact exponent to O(theta^2).
+def _ad2c_update(r: float, eta: float) -> PairUpdate:
+    """Half-sweep update of the second-order combined scheme at (r, eta).
 
-    The boundary weight alpha/(1-beta) (ascending) equals sqrt(1+eta)
-    exactly, so the modified norm matches the pure-advection one.
+    Reduces to the matched-CN advection update at r = 0 and to the
+    Saul'yev-matched half-sweep diffusion update at eta = 0.
     """
-    if p.r < 0.0:
-        raise StabilityError("advection-diffusion updates require r >= 0")
-    return rw_update(p.r, p.eta, direction)
-
-
-def ad2c_update(r: float, eta: float) -> PairUpdate:
-    """Matched AD2C half-sweep update at (r, eta), defined for either sign of r."""
     s = matched_cn_s(eta)
     s_sq = s * s
     w = (1.0 - s_sq) ** 2 / (1.0 + 3.0 * s_sq)
@@ -230,14 +160,37 @@ def ad2c_update(r: float, eta: float) -> PairUpdate:
     return PairUpdate(_alpha_from(gamma, beta, lam), beta, lam)
 
 
-def advdiff_coeffs_ad2c(p: AdvDiffParams, half: bool = False) -> PairUpdate:
-    """Half-sweep update of the second-order combined scheme at (r, eta).
+# ---------------------------------------------------------------------------
+# the resolver
 
-    Reduces to the matched-CN advection update at r = 0 and to the
-    Saul'yev-matched half-sweep diffusion update at eta = 0.  half=True
-    rescales both parameters by 2 for nested substeps.
+Variant = Union[DiffusionVariant, AdvectionVariant, AdvDiffVariant]
+
+
+def pair_update(variant: Variant, r: float, eta: float, direction: SweepDirection,
+                half: bool = False) -> PairUpdate:
+    """Update of one sweep of variant at r = dt*D/dx^2, eta = v*dt/dx.
+
+    half=True gives one half-sweep of the symmetric step: (r, eta) are
+    halved unless the variant's formula already describes a half sweep
+    (matched CN, matched AD2C).  Diffusion variants read only r and
+    advection variants only eta.
     """
-    if p.r < 0.0:
-        raise StabilityError("advection-diffusion updates require r >= 0")
-    r_eff, eta_eff = (0.5 * p.r, 0.5 * p.eta) if half else (p.r, p.eta)
-    return ad2c_update(r_eff, eta_eff)
+    if not (math.isfinite(r) and math.isfinite(eta)):
+        raise ParameterError(f"r and eta must be finite, got r = {r}, eta = {eta}")
+    if half and variant not in (AdvectionVariant.MATCHED_CN, AdvDiffVariant.MATCHED_AD2C):
+        r, eta = 0.5 * r, 0.5 * eta
+    if isinstance(variant, DiffusionVariant):   # norm-conserving: beta = lam = (1-gamma)/2
+        gamma = diffusion_gamma(variant, r)
+        return PairUpdate(0.5 * (1.0 + gamma), 0.5 * (1.0 - gamma), 0.5 * (1.0 - gamma))
+    if isinstance(variant, AdvectionVariant):
+        s = advection_s(variant, eta, direction)
+        if abs(s) >= 1.0:
+            detail = "; s = 1 is pathological" if variant is AdvectionVariant.SAULYEV else ""
+            raise SpatialAmplificationError(
+                f"|s| = {abs(s)} >= 1 amplifies along the sweep{detail}")
+        return PairUpdate(math.sqrt(1.0 - s * s), s, -s)
+    if variant is AdvDiffVariant.SPLIT_DERIVED:
+        return _split_update(r, eta)
+    if variant is AdvDiffVariant.GENERALIZED_RW:
+        return _rw_update(r, eta, direction)
+    return _ad2c_update(r, eta)

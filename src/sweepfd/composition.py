@@ -46,7 +46,9 @@ class BaseStep(Enum):
     T2 = "t2"         # ascending then descending half-sweep
 
 
-Variant = Union[coef.DiffusionVariant, coef.AdvectionVariant, coef.AdvDiffVariant, None]
+_FAMILIES = {Equation.DIFFUSION: coef.DiffusionVariant,
+             Equation.ADVECTION: coef.AdvectionVariant,
+             Equation.ADV_DIFF: coef.AdvDiffVariant}
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,15 @@ class SchemeSpec:
     """Equation family + coefficient variant + base step + composition plan."""
 
     equation: Equation
-    variant: Variant
+    variant: coef.Variant
     base: BaseStep
     plan: Plan = None
 
     def __post_init__(self):
+        family = _FAMILIES[self.equation]
+        if not isinstance(self.variant, family):
+            raise ParameterError(
+                f"{self.equation.value} schemes take a {family.__name__}, got {self.variant}")
         if self.plan is not None and self.base is not BaseStep.T2:
             raise ParameterError("composition plans require the symmetric T2 base")
         if isinstance(self.plan, SingleProduct):
@@ -120,36 +126,6 @@ class SchemeSpec:
                 warnings.warn(
                     "negative substeps diffuse backwards; stable only for small r",
                     RuntimeWarning, stacklevel=2)
-
-
-# ---------------------------------------------------------------------------
-# pair-update resolution
-
-def _pair_update(equation: Equation, variant: Variant, params: StepParams,
-                 direction: SweepDirection, half: bool, signed: bool = False) -> PairUpdate:
-    """Coefficients of a full sweep, or of one half-sweep of the symmetric step, at (r, eta).
-
-    The matched-CN and AD2C coefficient formulas already describe a half
-    sweep of the full step, so they are evaluated at the full parameters;
-    every other variant halves them.  signed=True admits r < 0 for the
-    advection-diffusion variants, needed inside warned negative-coefficient
-    compositions; diffusion never does.
-    """
-    if equation is Equation.DIFFUSION:
-        return coef.diffusion_coeffs(coef.DiffusionParams(params.r, variant), half=half)
-    if equation is Equation.ADVECTION:
-        divisor = 2 if half and variant is not coef.AdvectionVariant.MATCHED_CN else 1
-        return coef.advection_coeffs(coef.AdvectionParams(params.eta, variant),
-                                     direction, half_divisor=divisor)
-    if half and variant is not coef.AdvDiffVariant.MATCHED_AD2C:
-        params = params.scaled(0.5)
-    if params.r < 0.0 and not signed:
-        raise StabilityError("advection-diffusion updates require r >= 0")
-    if variant is coef.AdvDiffVariant.SPLIT_DERIVED:
-        return coef.split_update(params.r, params.eta)
-    if variant is coef.AdvDiffVariant.GENERALIZED_RW:
-        return coef.rw_update(params.r, params.eta, direction)
-    return coef.ad2c_update(params.r, params.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +201,9 @@ class Program:
     terms: Tuple[Term, ...]
 
 
-def _t2_stage(spec: SchemeSpec, params: StepParams, signed: bool = False) -> Stage:
+def _t2_stage(spec: SchemeSpec, params: StepParams) -> Stage:
     """Symmetric step: ascending half-sweep first, then descending."""
-    return tuple((_pair_update(spec.equation, spec.variant, params, d, True, signed), d)
+    return tuple((coef.pair_update(spec.variant, params.r, params.eta, d, half=True), d)
                  for d in (SweepDirection.ASCENDING, SweepDirection.DESCENDING))
 
 
@@ -237,10 +213,13 @@ def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
 
     Every coefficient is resolved here, so construction errors are raised
     before a field is touched; stepping, closed-form factors and the
-    numeric readout all interpret the returned program.
+    numeric readout all interpret the returned program.  r < 0 is
+    rejected for every scheme that diffuses.
     """
     if isinstance(scheme, SchemeSpec):
         scheme = Scheme("spec", scheme.equation, scheme)
+    if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
+        raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
     sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
     if scheme.comparator is not None:
         return Program(scheme.substeps, ((1.0, 1, (((scheme.comparator, sub),),)),))
@@ -254,14 +233,14 @@ def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
     # two generators commute, so the order is a pure reproducibility convention
     for spec in scheme.sequential or (spec,):
         if isinstance(spec.plan, SingleProduct):   # T2(a_1 dt) ... T2(a_m dt), right to left
-            stages += [_t2_stage(spec, sub.scaled(a), signed=True)
+            stages += [_t2_stage(spec, sub.scaled(a))
                        for a in reversed(spec.plan.coefficients)]
         elif spec.base is BaseStep.T2:
             stages.append(_t2_stage(spec, sub))
         else:
             d = (SweepDirection.ASCENDING if spec.base is BaseStep.SWEEP_1A
                  else SweepDirection.DESCENDING)
-            stages.append(((_pair_update(spec.equation, spec.variant, sub, d, False), d),))
+            stages.append(((coef.pair_update(spec.variant, sub.r, sub.eta, d), d),))
     return Program(scheme.substeps, ((1.0, 1, tuple(stages)),))
 
 

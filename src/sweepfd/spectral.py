@@ -95,9 +95,9 @@ def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas)
     Stepping with r < 0 is rejected, but the closed form itself obeys
     g2(-r) g2(r) = 1, which is what makes the exponent odd in r.
     """
-    update = coef.pair_from_gamma(coef.diffusion_gamma(variant, 0.5 * r))
-    return sweep_factor(update, SweepDirection.ASCENDING, theta) \
-        * sweep_factor(update, SweepDirection.DESCENDING, theta)
+    asc, desc = SweepDirection.ASCENDING, SweepDirection.DESCENDING
+    return sweep_factor(coef.pair_update(variant, r, 0.0, asc, half=True), asc, theta) \
+        * sweep_factor(coef.pair_update(variant, r, 0.0, desc, half=True), desc, theta)
 
 
 def comparator_factor(comparator: Comparator, params: StepParams, theta: Thetas):

@@ -17,11 +17,8 @@ from sweepfd import (
     MPE_T8,
     SUZUKI4,
     YOSHIDA6,
-    AdvDiffParams,
     AdvDiffVariant,
-    AdvectionParams,
     AdvectionVariant,
-    DiffusionParams,
     DiffusionVariant,
     Equation,
     Field1D,
@@ -31,16 +28,14 @@ from sweepfd import (
     SweepDirection,
     abs_moment,
     abs_weighted_mean,
-    advdiff_coeffs_rw,
-    advection_coeffs,
     apply_scheme,
-    diffusion_coeffs,
     exact_evolve,
     fit_power_law,
     gaussian_profile,
     modified_norm,
     norm,
     numeric_amplification,
+    pair_update,
     phase_angle,
     resolve_preset,
     scheme_amplification,
@@ -305,7 +300,7 @@ def test_criterion_6_conservation():
 
     for variant in DiffusionVariant:
         for r in (0.1, 0.5, 2.0, 10.0):
-            update = diffusion_coeffs(DiffusionParams(r, variant))
+            update = pair_update(variant, r, 0.0, ASC)
             f = Field1D(rng.normal(size=101), dx=1.0)
             scale = np.abs(f.values).sum()
             before = norm(f)
@@ -317,7 +312,7 @@ def test_criterion_6_conservation():
     for variant in (AdvectionVariant.TRIG, AdvectionVariant.SAULYEV):
         for eta, direction, ascending in ((0.8, ASC, True), (0.8, DESC, False),
                                           (1.5, ASC, True)):
-            update = advection_coeffs(AdvectionParams(eta, variant), direction)
+            update = pair_update(variant, 0.0, eta, direction)
             tag = ModifiedNormTag.advection(update.beta, ascending=ascending)
             f = Field1D(rng.normal(size=101), dx=1.0)
             before = modified_norm(f, tag)
@@ -327,8 +322,7 @@ def test_criterion_6_conservation():
                   f"advection {variant.value} eta={eta} {direction.value} drifts")
 
     for eta, direction, ascending in ((0.8, ASC, True), (0.8, DESC, False)):
-        update = advection_coeffs(AdvectionParams(eta, AdvectionVariant.ROBERTS_WEISS),
-                                  direction)
+        update = pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, eta, direction)
         tag = ModifiedNormTag.roberts_weiss(eta, ascending=ascending)
         f = Field1D(rng.normal(size=101), dx=1.0)
         before = modified_norm(f, tag)
@@ -338,11 +332,11 @@ def test_criterion_6_conservation():
 
     for r in (0.066, 0.5, 2.0):
         for eta in (0.0, 0.33, 0.66, 0.9):
-            asc = advdiff_coeffs_rw(AdvDiffParams(r, eta, AdvDiffVariant.GENERALIZED_RW), ASC)
+            asc = pair_update(AdvDiffVariant.GENERALIZED_RW, r, eta, ASC)
             check(failures,
                   abs(asc.alpha / (1 - asc.beta) - math.sqrt(1 + eta)) <= 1e-12,
                   f"alpha/(1-beta) != sqrt(1+eta) at r={r} eta={eta}")
-            desc = advdiff_coeffs_rw(AdvDiffParams(r, eta, AdvDiffVariant.GENERALIZED_RW), DESC)
+            desc = pair_update(AdvDiffVariant.GENERALIZED_RW, r, eta, DESC)
             check(failures,
                   abs(desc.alpha / (1 - desc.lam) - math.sqrt(1 - eta)) <= 1e-12,
                   f"alpha/(1-lam) != sqrt(1-eta) at r={r} eta={eta}")

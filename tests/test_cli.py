@@ -171,6 +171,15 @@ class TestNorms:
         assert np.max(np.abs(rw)) > 1e-5
         assert abs(rw[-1]) < 1e-6
 
+    def test_zero_norm_profile_is_numerics_error(self, tmp_path, capsys):
+        # every Gaussian sample underflows to 0: the relative error has no reference
+        out = tmp_path / "norms.csv"
+        code, err = run_clean(["norms", "--scheme", "d2s", "--sigma", "1e-3", "--center", "0.05",
+                               "--steps", "2", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("numerical error:")
+        assert not out.exists()
+
 
 class TestPhase:
     def test_exact_schemes_have_zero_error_at_origin(self, tmp_path):
@@ -233,4 +242,34 @@ class TestNonFiniteOutput:
         assert "Traceback" not in err
         assert f"numerical error: {scheme} produced a non-finite" in err
         assert " at step " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,scheme", [
+        (["ampfactor", "--scheme", "12xeuler,d2s", "--dt", "1e100", "--ntheta", "3"], "12xeuler"),
+        (["phase", "--scheme", "12xlw", "--dt", "1e100", "--ntheta", "3"], "12xlw"),
+    ])
+    def test_non_finite_factor_exits_one_without_writing(self, args, scheme, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, err = run_clean(args + ["--out", str(out)], capsys)
+        assert code == 1
+        assert f"numerical error: {scheme} produced a non-finite" in err
+        assert " at theta=" in err
+        assert not out.exists()
+
+
+class TestNegativeDiffusion:
+    def test_advdiff_fr_exits_one_without_writing(self, tmp_path, capsys):
+        # fr's negative-fraction stages admit r < 0 inside the step; a negative
+        # diffusivity used to slip through them and run anti-diffusion
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--equation", "advdiff", "--scheme", "fr", "--dcoef", "-0.05",
+                         "--steps", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("numerical error:")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        # the only warning is the one every advdiff fr run gives for its negative substeps
+        assert all("negative substeps" in str(w.message) for w in caught)
         assert not out.exists()

@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 
 from sweepfd import (
-    AdvDiffParams,
     AdvDiffVariant,
-    AdvectionParams,
     AdvectionVariant,
-    DiffusionParams,
+    BaseStep,
     DiffusionVariant,
+    Equation,
+    SchemeSpec,
+    StepParams,
     SweepDirection,
-    advdiff_coeffs_ad2c,
-    advdiff_coeffs_rw,
-    advdiff_coeffs_split,
-    advection_coeffs,
-    diffusion_coeffs,
+    compile_scheme,
     diffusion_gamma,
     matched_cn_s,
+    pair_update,
 )
 from sweepfd.coefficients import sinhc
 from sweepfd.errors import ParameterError, SpatialAmplificationError, StabilityError
@@ -31,29 +29,30 @@ DESC = SweepDirection.DESCENDING
 class TestDiffusionCoeffs:
     def test_zero_step_is_identity(self):
         for variant in DiffusionVariant:
-            u = diffusion_coeffs(DiffusionParams(0.0, variant))
+            u = pair_update(variant, 0.0, 0.0, ASC)
             assert (u.alpha, u.beta, u.gamma) == (1.0, 0.0, 1.0)
 
     def test_exponential_at_half(self):
-        u = diffusion_coeffs(DiffusionParams(0.5, DiffusionVariant.EXPONENTIAL))
+        u = pair_update(DiffusionVariant.EXPONENTIAL, 0.5, 0.0, ASC)
         assert u.gamma == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert u.alpha == pytest.approx(0.6839397205857212, abs=1e-12)
         assert u.beta == pytest.approx(0.3160602794142788, abs=1e-12)
         assert u.lam == u.beta
 
     def test_saulyev_matched_at_half(self):
-        u = diffusion_coeffs(DiffusionParams(0.5, DiffusionVariant.SAULYEV_MATCHED))
+        u = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.5, 0.0, ASC)
         assert u.gamma == pytest.approx(1 / 3, rel=1e-15)
         assert u.beta == pytest.approx(1 / 3, rel=1e-15)
 
     def test_half_flag_halves_r(self):
-        full = diffusion_coeffs(DiffusionParams(1.0, DiffusionVariant.SAULYEV_MATCHED), half=True)
-        direct = diffusion_coeffs(DiffusionParams(0.5, DiffusionVariant.SAULYEV_MATCHED))
+        full = pair_update(DiffusionVariant.SAULYEV_MATCHED, 1.0, 0.0, ASC, half=True)
+        direct = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.5, 0.0, ASC)
         assert full == direct
 
     def test_negative_r_rejected(self):
         with pytest.raises(StabilityError):
-            diffusion_coeffs(DiffusionParams(-0.1, DiffusionVariant.EXPONENTIAL))
+            compile_scheme(SchemeSpec(Equation.DIFFUSION, DiffusionVariant.EXPONENTIAL,
+                                      BaseStep.SWEEP_1A), StepParams(r=-0.1))
 
     def test_monotone_damping(self):
         rs = np.linspace(0.0, 20.0, 81)
@@ -68,54 +67,54 @@ class TestDiffusionCoeffs:
 class TestAdvectionCoeffs:
     @pytest.mark.parametrize("variant", list(AdvectionVariant))
     def test_zero_eta_is_identity(self, variant):
-        u = advection_coeffs(AdvectionParams(0.0, variant), ASC)
+        u = pair_update(variant, 0.0, 0.0, ASC)
         assert (u.alpha, u.beta, u.lam) == (1.0, 0.0, 0.0)
 
     def test_variant_formulas(self):
         eta = 0.8
-        trig = advection_coeffs(AdvectionParams(eta, AdvectionVariant.TRIG), ASC)
+        trig = pair_update(AdvectionVariant.TRIG, 0.0, eta, ASC)
         assert trig.beta == pytest.approx(math.sin(0.4), rel=1e-15)
-        saul = advection_coeffs(AdvectionParams(eta, AdvectionVariant.SAULYEV), ASC)
+        saul = pair_update(AdvectionVariant.SAULYEV, 0.0, eta, ASC)
         assert saul.beta == pytest.approx(0.4, rel=1e-15)
-        rw = advection_coeffs(AdvectionParams(eta, AdvectionVariant.ROBERTS_WEISS), ASC)
+        rw = pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, eta, ASC)
         assert rw.beta == pytest.approx(0.8 / 2.8, rel=1e-12)
 
     def test_structure(self):
         for variant in AdvectionVariant:
-            u = advection_coeffs(AdvectionParams(0.9, variant), ASC)
+            u = pair_update(variant, 0.0, 0.9, ASC)
             assert u.lam == -u.beta
             assert u.alpha ** 2 + u.beta ** 2 == pytest.approx(1.0, abs=1e-14)
             assert u.gamma == pytest.approx(1.0, abs=1e-14)
 
     def test_half_divisor(self):
-        half = advection_coeffs(AdvectionParams(0.8, AdvectionVariant.TRIG), ASC, half_divisor=2)
+        half = pair_update(AdvectionVariant.TRIG, 0.0, 0.8, ASC, half=True)
         assert half.beta == pytest.approx(math.sin(0.2), rel=1e-15)
 
     def test_matched_cn_at_two(self):
-        u = advection_coeffs(AdvectionParams(2.0, AdvectionVariant.MATCHED_CN), ASC)
+        u = pair_update(AdvectionVariant.MATCHED_CN, 0.0, 2.0, ASC)
         assert u.beta == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
     def test_roberts_weiss_direction_dependence(self):
         eta = 0.5
-        asc = advection_coeffs(AdvectionParams(eta, AdvectionVariant.ROBERTS_WEISS), ASC)
-        desc = advection_coeffs(AdvectionParams(eta, AdvectionVariant.ROBERTS_WEISS), DESC)
+        asc = pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, eta, ASC)
+        desc = pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, eta, DESC)
         assert asc.beta == pytest.approx(eta / 2.5, rel=1e-15)
         assert desc.beta == pytest.approx(eta / 1.5, rel=1e-15)
 
     def test_spatial_amplification_rejected(self):
         with pytest.raises(SpatialAmplificationError):
-            advection_coeffs(AdvectionParams(2.0, AdvectionVariant.SAULYEV), ASC)
+            pair_update(AdvectionVariant.SAULYEV, 0.0, 2.0, ASC)
         with pytest.raises(SpatialAmplificationError):
             # s = 1 exactly: pathological
-            advection_coeffs(AdvectionParams(2.0 - 1e-18, AdvectionVariant.SAULYEV), ASC)
+            pair_update(AdvectionVariant.SAULYEV, 0.0, 2.0 - 1e-18, ASC)
         with pytest.raises(SpatialAmplificationError):
-            advection_coeffs(AdvectionParams(1.0, AdvectionVariant.ROBERTS_WEISS), DESC)
+            pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, 1.0, DESC)
         with pytest.raises(SpatialAmplificationError):
-            advection_coeffs(AdvectionParams(1.5, AdvectionVariant.ROBERTS_WEISS), DESC)
+            pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, 1.5, DESC)
 
     def test_trig_always_constructible(self):
         # |s| = |sin| < 1 except at odd multiples of pi
-        u = advection_coeffs(AdvectionParams(8.0, AdvectionVariant.TRIG), ASC)
+        u = pair_update(AdvectionVariant.TRIG, 0.0, 8.0, ASC)
         assert abs(u.beta) < 1.0
 
 
@@ -147,8 +146,8 @@ class TestMatchedCnS:
 
 class TestSplitDerived:
     def test_reduces_to_exponential_diffusion(self):
-        u = advdiff_coeffs_split(AdvDiffParams(0.6, 0.0, AdvDiffVariant.SPLIT_DERIVED))
-        ref = diffusion_coeffs(DiffusionParams(0.6, DiffusionVariant.EXPONENTIAL))
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, 0.6, 0.0, ASC)
+        ref = pair_update(DiffusionVariant.EXPONENTIAL, 0.6, 0.0, ASC)
         assert u.alpha == pytest.approx(ref.alpha, rel=1e-14)
         assert u.beta == pytest.approx(ref.beta, rel=1e-14)
         assert u.lam == pytest.approx(ref.lam, rel=1e-14)
@@ -156,7 +155,7 @@ class TestSplitDerived:
     def test_reference_point(self):
         # r = 0.5, eta = 0.6: psi = 0.4, alpha = e^-0.5 cosh(0.4),
         # beta/lam = e^-0.5 (0.5 +- 0.3) sinh(0.4)/0.4
-        u = advdiff_coeffs_split(AdvDiffParams(0.5, 0.6, AdvDiffVariant.SPLIT_DERIVED))
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, 0.5, 0.6, ASC)
         damp = math.exp(-0.5)
         shc = math.sinh(0.4) / 0.4
         assert u.alpha == pytest.approx(damp * math.cosh(0.4), rel=1e-14)
@@ -168,7 +167,7 @@ class TestSplitDerived:
         assert u.gamma == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_norm_condition_violated(self):
-        u = advdiff_coeffs_split(AdvDiffParams(0.5, 0.6, AdvDiffVariant.SPLIT_DERIVED))
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, 0.5, 0.6, ASC)
         assert abs(u.beta + u.gamma + u.lam - 1.0) > 1e-3
 
     @pytest.mark.parametrize("r", [0.0, 0.1, 1.0, 5.0])
@@ -176,7 +175,7 @@ class TestSplitDerived:
     def test_determinant_identity_both_branches(self, r, frac):
         # frac > 1 exercises the oscillatory branch psi^2 < 0
         eta = 2.0 * r * frac
-        u = advdiff_coeffs_split(AdvDiffParams(r, eta, AdvDiffVariant.SPLIT_DERIVED))
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, r, eta, ASC)
         assert u.gamma == pytest.approx(math.exp(-2.0 * r), rel=1e-12, abs=1e-12)
 
     def test_sinhc_branches_are_smooth(self):
@@ -190,55 +189,73 @@ class TestSplitDerived:
 
 class TestGeneralizedRW:
     def test_identity_at_origin(self):
-        u = advdiff_coeffs_rw(AdvDiffParams(0.0, 0.0, AdvDiffVariant.GENERALIZED_RW), ASC)
+        u = pair_update(AdvDiffVariant.GENERALIZED_RW, 0.0, 0.0, ASC)
         assert (u.alpha, u.beta, u.lam) == (1.0, 0.0, 0.0)
 
     def test_eta_zero_recovers_saulyev_diffusion(self):
-        u = advdiff_coeffs_rw(AdvDiffParams(0.7, 0.0, AdvDiffVariant.GENERALIZED_RW), ASC)
-        ref = diffusion_coeffs(DiffusionParams(0.7, DiffusionVariant.SAULYEV_MATCHED))
+        u = pair_update(AdvDiffVariant.GENERALIZED_RW, 0.7, 0.0, ASC)
+        ref = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.7, 0.0, ASC)
         assert u.gamma == pytest.approx(ref.gamma, rel=1e-14)
         assert u.beta == pytest.approx(ref.beta, rel=1e-14)
 
     @pytest.mark.parametrize("r", [0.066, 0.66])
     @pytest.mark.parametrize("eta", [0.0, 0.2, 0.66, 0.9])
     def test_boundary_weight_identities(self, r, eta):
-        asc = advdiff_coeffs_rw(AdvDiffParams(r, eta, AdvDiffVariant.GENERALIZED_RW), ASC)
+        asc = pair_update(AdvDiffVariant.GENERALIZED_RW, r, eta, ASC)
         assert asc.alpha / (1.0 - asc.beta) == pytest.approx(math.sqrt(1.0 + eta), abs=1e-12)
-        desc = advdiff_coeffs_rw(AdvDiffParams(r, eta, AdvDiffVariant.GENERALIZED_RW), DESC)
+        desc = pair_update(AdvDiffVariant.GENERALIZED_RW, r, eta, DESC)
         assert desc.alpha / (1.0 - desc.lam) == pytest.approx(math.sqrt(1.0 - eta), abs=1e-12)
 
     def test_norm_condition_holds(self):
-        u = advdiff_coeffs_rw(AdvDiffParams(0.4, 0.6, AdvDiffVariant.GENERALIZED_RW), ASC)
+        u = pair_update(AdvDiffVariant.GENERALIZED_RW, 0.4, 0.6, ASC)
         assert u.beta + u.gamma + u.lam == pytest.approx(1.0, abs=1e-14)
 
     def test_descending_window_rejected(self):
         with pytest.raises(ParameterError):
-            advdiff_coeffs_rw(AdvDiffParams(0.1, 1.5, AdvDiffVariant.GENERALIZED_RW), DESC)
+            pair_update(AdvDiffVariant.GENERALIZED_RW, 0.1, 1.5, DESC)
 
     def test_negative_r_rejected(self):
         with pytest.raises(StabilityError):
-            advdiff_coeffs_rw(AdvDiffParams(-0.1, 0.5, AdvDiffVariant.GENERALIZED_RW), ASC)
+            compile_scheme(SchemeSpec(Equation.ADV_DIFF, AdvDiffVariant.GENERALIZED_RW,
+                                      BaseStep.SWEEP_1A), StepParams(r=-0.1, eta=0.5))
 
 
 class TestAd2c:
     def test_r_zero_recovers_matched_cn(self):
-        u = advdiff_coeffs_ad2c(AdvDiffParams(0.0, 0.7, AdvDiffVariant.MATCHED_AD2C))
-        ref = advection_coeffs(AdvectionParams(0.7, AdvectionVariant.MATCHED_CN), ASC)
+        u = pair_update(AdvDiffVariant.MATCHED_AD2C, 0.0, 0.7, ASC)
+        ref = pair_update(AdvectionVariant.MATCHED_CN, 0.0, 0.7, ASC)
         assert u.gamma == pytest.approx(1.0, abs=1e-14)
         assert u.beta == pytest.approx(ref.beta, rel=1e-14)
         assert u.lam == pytest.approx(-ref.beta, rel=1e-14)
 
     def test_eta_zero_recovers_saulyev_half_step(self):
-        u = advdiff_coeffs_ad2c(AdvDiffParams(0.8, 0.0, AdvDiffVariant.MATCHED_AD2C))
-        ref = diffusion_coeffs(DiffusionParams(0.8, DiffusionVariant.SAULYEV_MATCHED), half=True)
+        u = pair_update(AdvDiffVariant.MATCHED_AD2C, 0.8, 0.0, ASC)
+        ref = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.8, 0.0, ASC, half=True)
         assert u.gamma == pytest.approx(ref.gamma, rel=1e-14)
         assert u.beta == pytest.approx(ref.beta, rel=1e-14)
 
     def test_norm_condition_by_construction(self):
-        u = advdiff_coeffs_ad2c(AdvDiffParams(0.8, 0.7, AdvDiffVariant.MATCHED_AD2C))
+        u = pair_update(AdvDiffVariant.MATCHED_AD2C, 0.8, 0.7, ASC)
         assert u.beta + u.gamma + u.lam == pytest.approx(1.0, abs=1e-15)
 
-    def test_half_flag_halves_both(self):
-        half = advdiff_coeffs_ad2c(AdvDiffParams(0.8, 0.6, AdvDiffVariant.MATCHED_AD2C), half=True)
-        direct = advdiff_coeffs_ad2c(AdvDiffParams(0.4, 0.3, AdvDiffVariant.MATCHED_AD2C))
-        assert half == direct
+
+EVERY_VARIANT = [*DiffusionVariant, *AdvectionVariant, *AdvDiffVariant]
+
+
+class TestPairUpdate:
+    # matched CN and AD2C are written as half sweeps; every other formula is halved
+    @pytest.mark.parametrize("variant", EVERY_VARIANT)
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    @pytest.mark.parametrize("r,eta", [(0.2, 0.3), (0.7, -0.5), (1.5, 0.8)])
+    def test_half_sweep_of_symmetric_step(self, variant, direction, r, eta):
+        half = pair_update(variant, r, eta, direction, half=True)
+        if variant in (AdvectionVariant.MATCHED_CN, AdvDiffVariant.MATCHED_AD2C):
+            assert half == pair_update(variant, r, eta, direction)
+        else:
+            assert half == pair_update(variant, r / 2, eta / 2, direction)
+
+    @pytest.mark.parametrize("variant", EVERY_VARIANT)
+    @pytest.mark.parametrize("r,eta", [(math.nan, 0.3), (0.2, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_parameters_rejected(self, variant, r, eta):
+        with pytest.raises(ParameterError):
+            pair_update(variant, r, eta, ASC)

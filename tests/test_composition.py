@@ -12,6 +12,7 @@ from sweepfd import (
     MPE_T8,
     SUZUKI4,
     YOSHIDA6,
+    AdvDiffVariant,
     AdvectionVariant,
     BaseStep,
     DiffusionVariant,
@@ -75,6 +76,18 @@ class TestPlans:
         with pytest.warns(RuntimeWarning):
             SchemeSpec(Equation.ADV_DIFF, AdvDiffVariant.MATCHED_AD2C,
                        BaseStep.T2, SingleProduct(FOREST_RUTH))
+
+    @pytest.mark.parametrize("equation,variant", [
+        (equation, variant)
+        for equation, family in ((Equation.DIFFUSION, DiffusionVariant),
+                                 (Equation.ADVECTION, AdvectionVariant),
+                                 (Equation.ADV_DIFF, AdvDiffVariant))
+        for other in (DiffusionVariant, AdvectionVariant, AdvDiffVariant) if other is not family
+        for variant in other])
+    def test_variant_from_another_family_rejected(self, equation, variant):
+        # a foreign variant used to compile silently into another family's formula
+        with pytest.raises(ParameterError):
+            SchemeSpec(equation, variant, BaseStep.T2)
 
     def test_mpe_presets_are_exact_rationals(self):
         assert MPE_T4 == ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
@@ -260,6 +273,15 @@ class TestCompiledPrograms:
         sweeps = sum(power * sum(isinstance(op[0], PairUpdate) for stage in stages for op in stage)
                      for _, power, stages in program.terms)
         assert program.substeps * sweeps == structural_sweeps(scheme)
+
+    @pytest.mark.parametrize("equation,name", [
+        (equation, name) for equation in (Equation.DIFFUSION, Equation.ADV_DIFF)
+        for name in preset_names(equation)])
+    def test_negative_r_rejected_for_every_diffusive_preset(self, equation, name):
+        # r < 0 diffuses backwards; advdiff fr used to step it because its
+        # negative-fraction stages admit r < 0 internally
+        with pytest.raises(StabilityError):
+            compile_scheme(resolve_preset(name, equation), StepParams(r=-0.05, eta=0.4))
 
     def test_program_is_memoised(self):
         scheme = resolve_preset("y6", Equation.ADVECTION)

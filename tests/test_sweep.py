@@ -8,15 +8,14 @@ from scipy.signal import lfilter
 
 from sweepfd import (
     BoundaryKind,
-    DiffusionParams,
     DiffusionVariant,
     Field1D,
     ModifiedNormTag,
     PairUpdate,
     SweepDirection,
-    diffusion_coeffs,
     modified_norm,
     norm,
+    pair_update,
     saulyev_sweep_fixed,
     sweep,
     sweep_as_matrix,
@@ -272,7 +271,7 @@ class TestSaulyevFixed:
 
     def test_saulyev_coefficients_at_half(self):
         # r = 0.5: gamma_S = (1-r)/(1+r) = 1/3 and beta_S = (1-gamma)/2 = 1/3
-        u = diffusion_coeffs(DiffusionParams(0.5, DiffusionVariant.SAULYEV_MATCHED))
+        u = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.5, 0.0, ASC)
         assert u.gamma == pytest.approx(1 / 3, rel=1e-15)
         assert u.beta == pytest.approx(1 / 3, rel=1e-15)
 
@@ -310,7 +309,7 @@ class TestSaulyevFixed:
         pulse = np.exp(-((x - 32.0) / 3.0) ** 2)
         pulse[:2] = 0.0
         pulse[-2:] = 0.0
-        u = diffusion_coeffs(DiffusionParams(0.5, DiffusionVariant.SAULYEV_MATCHED))
+        u = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.5, 0.0, ASC)
         periodic = Field1D(pulse.copy(), dx=1.0)
         fixed = Field1D(pulse.copy(), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
         sweep(periodic, u, ASC)
