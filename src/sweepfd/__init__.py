@@ -3,8 +3,9 @@
 Unconditionally stable explicit solvers for the diffusion, advection
 and advection-diffusion equations on periodic grids, built from
 exponentially-split 2x2 pair updates, plus the spectral analysis and
-circulant oracles used to verify them.  Fixed ends appear only in the
-saulyev_sweep_fixed test oracle.
+circulant oracles used to verify them.  Every Field1D is periodic;
+saulyev_sweep_fixed, the classic one-sided sweep with fixed ends, is a
+test oracle that sweeps a plain array.
 """
 
 from .coefficients import (
@@ -40,7 +41,6 @@ from .composition import (
     validate_order_conditions,
 )
 from .grid import (
-    BoundaryKind,
     Field1D,
     ModifiedNormTag,
     abs_moment,

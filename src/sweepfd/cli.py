@@ -177,6 +177,14 @@ def _finite_curve(values: np.ndarray, name: str, thetas: np.ndarray) -> np.ndarr
     return values
 
 
+def _step_count(t: float, dt: float) -> int:
+    """round(t/dt), at least 1; a ratio too large to count is a usage error."""
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        raise UsageError(f"t={t} takes no finite number of steps of dt={dt}")
+    return max(1, round(ratio))
+
+
 def _resolve_setup(args: argparse.Namespace) -> Setup:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -197,11 +205,12 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         raise UsageError("--xmax must exceed --xmin")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
-    dx = (args.xmax - args.xmin) / args.nx
+    if args.tfinal is not None and args.tfinal <= 0:
+        raise UsageError("--tfinal must be positive")
     steps = args.steps
     if steps is None and args.tfinal is not None:
-        steps = max(1, round(args.tfinal / args.dt))
-        if abs(steps * args.dt - args.tfinal) > 1e-9 * max(1.0, abs(args.tfinal)):
+        steps = _step_count(args.tfinal, args.dt)
+        if abs(steps * args.dt - args.tfinal) > 1e-9 * max(1.0, args.tfinal):
             warnings.warn(
                 f"dt={args.dt} does not divide tfinal={args.tfinal}; running {steps} steps "
                 f"(t={steps * args.dt})", RuntimeWarning)
@@ -276,10 +285,12 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
     if len(dts_in) < 2 or any(b >= a for a, b in zip(dts_in, dts_in[1:])):
         raise UsageError("--dts needs at least two strictly decreasing values")
     total_time = setup.steps * setup.dt
+    if total_time == 0.0:
+        raise UsageError("converge needs a positive run time; --steps is 0")
     measure = grid.abs_moment if observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
     for dt in dts_in:
-        steps = max(1, round(total_time / dt))
+        steps = _step_count(total_time, dt)
         dt_used = total_time / steps
         if abs(dt_used - dt) > 1e-12 * dt:
             warnings.warn(f"dt={dt} does not divide t={total_time}; using dt={dt_used}",

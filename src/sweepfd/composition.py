@@ -15,6 +15,7 @@ amplification factor and the numeric readout all interpret it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import re
@@ -27,8 +28,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import coefficients as coef
-from .errors import BoundaryKindError, InvalidCoefficientError, ParameterError, StabilityError
-from .grid import BoundaryKind, Field1D
+from .errors import InvalidCoefficientError, ParameterError, StabilityError
+from .grid import Field1D
 from .sweep import PairUpdate, SweepDirection, sweep
 
 PLAN_SUM_TOL = 1e-12
@@ -117,15 +118,12 @@ class SchemeSpec:
                 f"{self.equation.value} schemes take a {family.__name__}, got {self.variant}")
         if self.plan is not None and self.base is not BaseStep.T2:
             raise ParameterError("composition plans require the symmetric T2 base")
-        if isinstance(self.plan, SingleProduct):
-            negatives = [a for a in self.plan.coefficients if a < 0.0]
-            if negatives and self.equation is Equation.DIFFUSION:
-                raise StabilityError(
-                    "diffusion substeps with negative coefficients are unstable")
-            if negatives and self.equation is Equation.ADV_DIFF:
-                warnings.warn(
-                    "negative substeps diffuse backwards; stable only for small r",
-                    RuntimeWarning, stacklevel=2)
+        if self.equation is Equation.DIFFUSION and _has_negative_fraction(self):
+            raise StabilityError("diffusion substeps with negative coefficients are unstable")
+
+
+def _has_negative_fraction(spec: SchemeSpec) -> bool:
+    return isinstance(spec.plan, SingleProduct) and min(spec.plan.coefficients) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +131,11 @@ class SchemeSpec:
 
 def euler_step(f: Field1D, params: StepParams) -> None:
     """Forward-time central-space diffusion step; stable only for r <= 1/2."""
-    if f.boundary is not BoundaryKind.PERIODIC:
-        raise BoundaryKindError("reference steppers assume a periodic field")
     v = f.values
     v[:] = v + params.r * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1))
 
 
 def lax_wendroff_step(f: Field1D, params: StepParams) -> None:
-    if f.boundary is not BoundaryKind.PERIODIC:
-        raise BoundaryKindError("reference steppers assume a periodic field")
     v = f.values
     vp, vm = np.roll(v, -1), np.roll(v, 1)
     v[:] = v - 0.5 * params.eta * (vp - vm) + 0.5 * params.eta ** 2 * (vp - 2.0 * v + vm)
@@ -214,7 +208,8 @@ def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
     Every coefficient is resolved here, so construction errors are raised
     before a field is touched; stepping, closed-form factors and the
     numeric readout all interpret the returned program.  r < 0 is
-    rejected for every scheme that diffuses.
+    rejected for every scheme that diffuses; an advection-diffusion
+    program with negative step fractions warns once when compiled at r > 0.
     """
     if isinstance(scheme, SchemeSpec):
         scheme = Scheme("spec", scheme.equation, scheme)
@@ -223,6 +218,11 @@ def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
     sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
     if scheme.comparator is not None:
         return Program(scheme.substeps, ((1.0, 1, (((scheme.comparator, sub),),)),))
+    specs = scheme.sequential or (scheme.spec,)
+    if params.r > 0.0 and any(s.equation is Equation.ADV_DIFF and _has_negative_fraction(s)
+                              for s in specs):
+        warnings.warn(f"negative substeps diffuse backwards: {scheme.name} at r = {params.r} "
+                      "is stable only for small r", RuntimeWarning, stacklevel=2)
     spec = scheme.spec
     if spec is not None and isinstance(spec.plan, MultiProduct):   # sum_k c_k T2^k(dt/k)
         terms = tuple((float(c), k, (_t2_stage(spec, sub.scaled(1.0 / k)),))
@@ -231,7 +231,7 @@ def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
     stages = []
     # a sequential scheme runs diffusion first: with constant coefficients the
     # two generators commute, so the order is a pure reproducibility convention
-    for spec in scheme.sequential or (spec,):
+    for spec in specs:
         if isinstance(spec.plan, SingleProduct):   # T2(a_1 dt) ... T2(a_m dt), right to left
             stages += [_t2_stage(spec, sub.scaled(a))
                        for a in reversed(spec.plan.coefficients)]
@@ -357,72 +357,63 @@ def validate_order_conditions(a: Sequence[float], target_order: int,
 # ---------------------------------------------------------------------------
 # preset catalogue
 
-def _diff(variant, base, plan=None):
-    return SchemeSpec(Equation.DIFFUSION, variant, base, plan)
-
-
-def _adv(variant, base, plan=None):
-    return SchemeSpec(Equation.ADVECTION, variant, base, plan)
-
-
-def _ad(variant, base, plan=None):
-    return SchemeSpec(Equation.ADV_DIFF, variant, base, plan)
-
-
+_diff = functools.partial(SchemeSpec, Equation.DIFFUSION)
+_adv = functools.partial(SchemeSpec, Equation.ADVECTION)
+_ad = functools.partial(SchemeSpec, Equation.ADV_DIFF)
 _DV = coef.DiffusionVariant
 _AV = coef.AdvectionVariant
 _XV = coef.AdvDiffVariant
 
 _PRESETS = {
     Equation.DIFFUSION: {
-        "euler": lambda: Scheme("euler", Equation.DIFFUSION, comparator=Comparator.EULER),
-        "cn": lambda: Scheme("cn", Equation.DIFFUSION, comparator=Comparator.CRANK_NICOLSON),
-        "d1a": lambda: Scheme("d1a", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.SWEEP_1A)),
-        "d1b": lambda: Scheme("d1b", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.SWEEP_1B)),
-        "d1as": lambda: Scheme("d1as", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.SWEEP_1A)),
-        "d1bs": lambda: Scheme("d1bs", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.SWEEP_1B)),
-        "d2": lambda: Scheme("d2", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.T2)),
-        "d2s": lambda: Scheme("d2s", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.T2)),
-        "t4": lambda: Scheme("t4", Equation.DIFFUSION,
-                             _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T4))),
-        "t6": lambda: Scheme("t6", Equation.DIFFUSION,
-                             _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T6))),
-        "t8": lambda: Scheme("t8", Equation.DIFFUSION,
-                             _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T8))),
+        "euler": Scheme("euler", Equation.DIFFUSION, comparator=Comparator.EULER),
+        "cn": Scheme("cn", Equation.DIFFUSION, comparator=Comparator.CRANK_NICOLSON),
+        "d1a": Scheme("d1a", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.SWEEP_1A)),
+        "d1b": Scheme("d1b", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.SWEEP_1B)),
+        "d1as": Scheme("d1as", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.SWEEP_1A)),
+        "d1bs": Scheme("d1bs", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.SWEEP_1B)),
+        "d2": Scheme("d2", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.T2)),
+        "d2s": Scheme("d2s", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.T2)),
+        "t4": Scheme("t4", Equation.DIFFUSION,
+                     _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T4))),
+        "t6": Scheme("t6", Equation.DIFFUSION,
+                     _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T6))),
+        "t8": Scheme("t8", Equation.DIFFUSION,
+                     _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T8))),
     },
     Equation.ADVECTION: {
-        "lw": lambda: Scheme("lw", Equation.ADVECTION, comparator=Comparator.LAX_WENDROFF),
-        "a1a": lambda: Scheme("a1a", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.SWEEP_1A)),
-        "a1b": lambda: Scheme("a1b", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.SWEEP_1B)),
-        "a1as": lambda: Scheme("a1as", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.SWEEP_1A)),
-        "a1bs": lambda: Scheme("a1bs", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.SWEEP_1B)),
-        "rw1a": lambda: Scheme("rw1a", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.SWEEP_1A)),
-        "rw1b": lambda: Scheme("rw1b", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.SWEEP_1B)),
-        "a2": lambda: Scheme("a2", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.T2)),
-        "a2s": lambda: Scheme("a2s", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.T2)),
-        "a2c": lambda: Scheme("a2c", Equation.ADVECTION, _adv(_AV.MATCHED_CN, BaseStep.T2)),
-        "rw2": lambda: Scheme("rw2", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.T2)),
-        "fr": lambda: Scheme("fr", Equation.ADVECTION,
-                             _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(FOREST_RUTH))),
-        "s4": lambda: Scheme("s4", Equation.ADVECTION,
-                             _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(SUZUKI4))),
-        "y6": lambda: Scheme("y6", Equation.ADVECTION,
-                             _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(YOSHIDA6))),
+        "lw": Scheme("lw", Equation.ADVECTION, comparator=Comparator.LAX_WENDROFF),
+        "a1a": Scheme("a1a", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.SWEEP_1A)),
+        "a1b": Scheme("a1b", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.SWEEP_1B)),
+        "a1as": Scheme("a1as", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.SWEEP_1A)),
+        "a1bs": Scheme("a1bs", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.SWEEP_1B)),
+        "rw1a": Scheme("rw1a", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.SWEEP_1A)),
+        "rw1b": Scheme("rw1b", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.SWEEP_1B)),
+        "a2": Scheme("a2", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.T2)),
+        "a2s": Scheme("a2s", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.T2)),
+        "a2c": Scheme("a2c", Equation.ADVECTION, _adv(_AV.MATCHED_CN, BaseStep.T2)),
+        "rw2": Scheme("rw2", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.T2)),
+        "fr": Scheme("fr", Equation.ADVECTION,
+                     _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(FOREST_RUTH))),
+        "s4": Scheme("s4", Equation.ADVECTION,
+                     _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(SUZUKI4))),
+        "y6": Scheme("y6", Equation.ADVECTION,
+                     _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(YOSHIDA6))),
     },
     Equation.ADV_DIFF: {
-        "rw1a": lambda: Scheme("rw1a", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.SWEEP_1A)),
-        "rw1b": lambda: Scheme("rw1b", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.SWEEP_1B)),
-        "rw2": lambda: Scheme("rw2", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.T2)),
-        "ad2c": lambda: Scheme("ad2c", Equation.ADV_DIFF, _ad(_XV.MATCHED_AD2C, BaseStep.T2)),
-        "split1a": lambda: Scheme("split1a", Equation.ADV_DIFF, _ad(_XV.SPLIT_DERIVED, BaseStep.SWEEP_1A)),
-        "split1b": lambda: Scheme("split1b", Equation.ADV_DIFF, _ad(_XV.SPLIT_DERIVED, BaseStep.SWEEP_1B)),
-        "t4": lambda: Scheme("t4", Equation.ADV_DIFF,
-                             _ad(_XV.MATCHED_AD2C, BaseStep.T2, MultiProduct(MPE_T4))),
-        "fr": lambda: Scheme("fr", Equation.ADV_DIFF,
-                             _ad(_XV.MATCHED_AD2C, BaseStep.T2, SingleProduct(FOREST_RUTH))),
-        "a_d": lambda: Scheme("a_d", Equation.ADV_DIFF,
-                              sequential=(_diff(_DV.SAULYEV_MATCHED, BaseStep.T2),
-                                          _adv(_AV.MATCHED_CN, BaseStep.T2))),
+        "rw1a": Scheme("rw1a", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.SWEEP_1A)),
+        "rw1b": Scheme("rw1b", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.SWEEP_1B)),
+        "rw2": Scheme("rw2", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.T2)),
+        "ad2c": Scheme("ad2c", Equation.ADV_DIFF, _ad(_XV.MATCHED_AD2C, BaseStep.T2)),
+        "split1a": Scheme("split1a", Equation.ADV_DIFF, _ad(_XV.SPLIT_DERIVED, BaseStep.SWEEP_1A)),
+        "split1b": Scheme("split1b", Equation.ADV_DIFF, _ad(_XV.SPLIT_DERIVED, BaseStep.SWEEP_1B)),
+        "t4": Scheme("t4", Equation.ADV_DIFF,
+                     _ad(_XV.MATCHED_AD2C, BaseStep.T2, MultiProduct(MPE_T4))),
+        "fr": Scheme("fr", Equation.ADV_DIFF,
+                     _ad(_XV.MATCHED_AD2C, BaseStep.T2, SingleProduct(FOREST_RUTH))),
+        "a_d": Scheme("a_d", Equation.ADV_DIFF,
+                      sequential=(_diff(_DV.SAULYEV_MATCHED, BaseStep.T2),
+                                  _adv(_AV.MATCHED_CN, BaseStep.T2))),
     },
 }
 
@@ -446,8 +437,7 @@ def resolve_preset(name: str, equation: Equation) -> Scheme:
         raise KeyError(
             f"unknown {equation.value} scheme '{name}'; "
             f"available: {', '.join(preset_names(equation))}")
-    scheme = table[key]()
+    scheme = table[key]
     if substeps > 1:
-        scheme = Scheme(name.strip().lower(), scheme.equation, scheme.spec,
-                        scheme.comparator, scheme.sequential, substeps)
+        scheme = dataclasses.replace(scheme, name=name.strip().lower(), substeps=substeps)
     return scheme

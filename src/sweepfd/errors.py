@@ -17,10 +17,6 @@ class SizeError(NumericsError):
     """Grid or matrix size outside the supported range."""
 
 
-class BoundaryKindError(NumericsError):
-    """Operation applied to a field with the wrong boundary kind."""
-
-
 class DegenerateFieldError(NumericsError):
     """Field is degenerate for the requested functional (e.g. zero norm)."""
 

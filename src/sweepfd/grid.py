@@ -1,7 +1,7 @@
-"""1D grid functions: storage, initial profiles, norms and moments.
+"""Periodic 1D grid functions: storage, initial profiles, norms and moments.
 
-A Field1D holds N samples u_j at x_j = x0 + j*dx.  The first sample
-(index 0) is the distinguished boundary sample that asymmetric sweeps
+A Field1D holds N samples u_j at x_j = x0 + j*dx on a periodic grid.
+The first sample (index 0) is the seam sample that asymmetric sweeps
 treat specially; all modified norms correct for it.
 """
 
@@ -9,30 +9,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateFieldError, ParameterError, SingularCoefficientError, SizeError
 
 
-class BoundaryKind(Enum):
-    PERIODIC = "periodic"
-    FIXED_ENDS = "fixed-ends"
-
-
 @dataclass
 class Field1D:
-    """Grid function u_j on a uniform 1D grid.
+    """Grid function u_j on a uniform periodic 1D grid.
 
-    values are stored 0-based; sample 0 sits at x0.  With periodic
-    boundaries sample N wraps back onto sample 0.
+    values are stored 0-based; sample 0 sits at x0 and sample N wraps
+    back onto sample 0.
     """
 
     values: np.ndarray
     dx: float
     x0: float = 0.0
-    boundary: BoundaryKind = BoundaryKind.PERIODIC
 
     def __post_init__(self):
         self.values = np.array(self.values, dtype=float)
@@ -55,27 +48,25 @@ class Field1D:
         return self.x0 + self.dx * np.arange(self.values.size)
 
     def copy(self) -> "Field1D":
-        return Field1D(self.values, self.dx, self.x0, self.boundary)  # __post_init__ copies
+        return Field1D(self.values, self.dx, self.x0)  # __post_init__ copies
 
 
-def gaussian_profile(n: int, x0: float, dx: float, center: float, sigma: float,
-                     boundary: BoundaryKind = BoundaryKind.PERIODIC) -> Field1D:
+def gaussian_profile(n: int, x0: float, dx: float, center: float, sigma: float) -> Field1D:
     """Gaussian pulse exp(-(x - center)^2 / (2 sigma^2))."""
     if not (sigma > 0):
         raise ParameterError(f"sigma must be positive, got {sigma}")
     if not (dx > 0):
         raise ParameterError(f"dx must be positive, got {dx}")
     x = x0 + dx * np.arange(n)
-    return Field1D(np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2)), dx, x0, boundary)
+    return Field1D(np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2)), dx, x0)
 
 
-def sextic_profile(n: int, x0: float, dx: float, center: float,
-                   boundary: BoundaryKind = BoundaryKind.PERIODIC) -> Field1D:
+def sextic_profile(n: int, x0: float, dx: float, center: float) -> Field1D:
     """Steep but smooth pulse exp(-((x - center)/2)^6)."""
     if not (dx > 0):
         raise ParameterError(f"dx must be positive, got {dx}")
     x = x0 + dx * np.arange(n)
-    return Field1D(np.exp(-(((x - center) / 2.0) ** 6)), dx, x0, boundary)
+    return Field1D(np.exp(-(((x - center) / 2.0) ** 6)), dx, x0)
 
 
 def norm(f: Field1D) -> float:

@@ -16,10 +16,11 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .composition import Scheme, StepParams, apply_scheme, nominal_order
-from .errors import BoundaryKindError, ParameterError
-from .grid import BoundaryKind, Field1D
+from .errors import ParameterError
+from .grid import Field1D
 
 FLOOR_RELATIVE = 1e-13
+FIT_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,10 @@ def advection_generator(n: int, dx: float, velocity: float) -> np.ndarray:
 
 def exact_evolve(f: Field1D, diffusivity: float, velocity: float, dt: float) -> Field1D:
     """Exact flow of the semi-discretised equations over one interval dt."""
-    if f.boundary is not BoundaryKind.PERIODIC:
-        raise BoundaryKindError("the circulant oracle needs a periodic field")
     spectrum = CirculantSpectrum.build(f.n, f.dx, diffusivity, velocity)
     modes = np.fft.fft(f.values) * np.exp(dt * spectrum.eigenvalues)
     values = np.fft.ifft(modes).real
-    return Field1D(values, f.dx, f.x0, f.boundary)
+    return Field1D(values, f.dx, f.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +112,7 @@ class PowerLawFit:
     pairwise: Tuple[float, ...]
 
 
-def fit_power_law(dts: Sequence[float], values: Sequence[float],
-                  max_iterations: int = 40) -> PowerLawFit:
+def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
     """Fit plateau and order of a converging observable sequence.
 
     The plateau is pinned from the two smallest-dt points by Richardson
@@ -139,7 +137,7 @@ def fit_power_law(dts: Sequence[float], values: Sequence[float],
     order = float(np.polyfit(np.log(dts[:-1][usable]), np.log(diffs[usable]), 1)[0])
 
     plateau = values[-1]
-    for _ in range(max_iterations):
+    for _ in range(FIT_ITERATIONS):
         ratio = (dts[-2] / dts[-1]) ** order
         plateau_new = (ratio * values[-1] - values[-2]) / (ratio - 1.0)
         residuals = np.abs(values - plateau_new)
@@ -185,4 +183,4 @@ def richardson_reference(f: Field1D, scheme: Scheme, diffusivity: float, velocit
             weight = 2.0 ** (p + (i - 1) * q)
             row.append((weight * row[i - 1] - rows[m - 1][i - 1]) / (weight - 1.0))
         rows.append(row)
-    return Field1D(rows[-1][-1], f.dx, f.x0, f.boundary)
+    return Field1D(rows[-1][-1], f.dx, f.x0)

@@ -146,12 +146,11 @@ def exact_phase(eta: float, theta: Thetas):
     return eta * np.sin(theta)
 
 
-def phase_curve(scheme: Steppable, params: StepParams, thetas: Sequence[float],
-                resolution: float = PHASE_RESOLUTION) -> np.ndarray:
+def phase_curve(scheme: Steppable, params: StepParams, thetas: Sequence[float]) -> np.ndarray:
     """Unwrapped phase angle -arg g at each requested theta >= 0.
 
     The branch is tracked by continuity from theta = 0 on a grid at
-    least as fine as `resolution`, so multiples of 2 pi are resolved
+    least as fine as PHASE_RESOLUTION, so multiples of 2 pi are resolved
     even when arg(g) wraps.
     """
     if scheme.equation is not Equation.ADVECTION:
@@ -160,7 +159,7 @@ def phase_curve(scheme: Steppable, params: StepParams, thetas: Sequence[float],
     if np.any(req < 0.0):
         raise ParameterError("phase tracking starts at theta = 0; thetas must be >= 0")
     tmax = float(req.max(initial=0.0))
-    n_fine = max(2, int(math.ceil(tmax / resolution)) + 1)
+    n_fine = max(2, int(math.ceil(tmax / PHASE_RESOLUTION)) + 1)
     grid = np.union1d(np.linspace(0.0, tmax, n_fine), req)
     g = scheme_factor(scheme, params, grid)
     unwrapped = -np.unwrap(np.angle(g))

@@ -17,8 +17,8 @@ from enum import Enum
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import BoundaryKindError, InvalidCoefficientError, SizeError
-from .grid import BoundaryKind, Field1D
+from .errors import InvalidCoefficientError, SizeError
+from .grid import Field1D
 
 MATRIX_ORACLE_MAX = 64
 
@@ -51,11 +51,6 @@ class PairUpdate:
         return self.alpha * self.alpha - self.beta * self.lam
 
 
-def _require_periodic(f: Field1D):
-    if f.boundary is not BoundaryKind.PERIODIC:
-        raise BoundaryKindError("pair sweeps require a periodic field")
-
-
 def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
     """Apply one full pair sweep in place.
 
@@ -69,7 +64,6 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
     a*star_j + l*u_{j+1} (ascending) or b*u_{j-1} + a*star_j (descending)
     in that order, so the result is bit-identical to it.
     """
-    _require_periodic(f)
     v = f.values
     n = v.size
     a, b, l = u.alpha, u.beta, u.lam
@@ -104,17 +98,14 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
         v[0] = a * s0 + l * s1
 
 
-def saulyev_sweep_fixed(f: Field1D, gamma: float, beta: float, lam: float,
+def saulyev_sweep_fixed(v: np.ndarray, gamma: float, beta: float, lam: float,
                         direction: SweepDirection) -> None:
-    """Classic one-sided sweep with both end samples held fixed.
+    """Classic one-sided sweep of the float array v in place, end samples held fixed.
 
     Ascending: u_j' = beta u'_{j-1} + gamma u_j + lam u_{j+1}, left to right.
     Descending: u_j' = beta u_{j-1} + gamma u_j + lam u'_{j+1}, right to left.
     This form cannot be started on a periodic grid; use sweep() there.
     """
-    if f.boundary is not BoundaryKind.FIXED_ENDS:
-        raise BoundaryKindError("the classic one-sided sweep needs fixed-end boundaries")
-    v = f.values
     n = v.size
     if direction.is_ascending:
         rhs = gamma * v[1:n - 1] + lam * v[2:]

@@ -270,6 +270,47 @@ class TestNegativeDiffusion:
         assert code == 1
         assert err.startswith("numerical error:")
         assert "Traceback" not in err and "RuntimeWarning" not in err
-        # the only warning is the one every advdiff fr run gives for its negative substeps
+        # compile_scheme rejects r < 0 before fr's negative-substep warning (r > 0 only)
         assert all("negative substeps" in str(w.message) for w in caught)
+        assert not out.exists()
+
+    def test_advdiff_fr_at_zero_dcoef_runs_without_warning(self, capsys):
+        # r = 0: the negative-fraction stages have nothing to diffuse backwards
+        code, err = run_clean(["run", "--equation", "advdiff", "--scheme", "fr", "--dcoef", "0",
+                               "--steps", "1", "--nx", "10"], capsys)
+        assert code == 0
+        assert "RuntimeWarning" not in err
+
+
+class TestStepCounts:
+    @pytest.mark.parametrize("args", [
+        ["run", "--dt", "1e-320", "--tfinal", "1"],
+        ["norms", "--dt", "1e-320", "--tfinal", "1"],
+        ["converge", "--scheme", "d2s", "--dts", "1e-320,1e-321", "--steps", "1"],
+    ])
+    def test_step_count_overflow_is_usage_error(self, args, capsys):
+        # tfinal/dt overflows to inf, and round(inf) used to raise OverflowError
+        code, err = run_clean(args, capsys)
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("tfinal", ["-1", "0"])
+    def test_non_positive_tfinal_is_usage_error(self, tfinal, tmp_path, capsys):
+        # used to warn, run one step and exit 0
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--tfinal", tfinal, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error: --tfinal must be positive")
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    def test_converge_over_zero_time_is_usage_error(self, tmp_path, capsys):
+        # --steps 0 used to write one dt=0 row per --dts entry and exit 0
+        out = tmp_path / "conv.csv"
+        code, err = run_clean(["converge", "--scheme", "d2s", "--dts", "0.1,0.05,0.02",
+                               "--steps", "0", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "RuntimeWarning" not in err
         assert not out.exists()

@@ -1,5 +1,9 @@
 """Composed time steppers: plans, presets, order conditions."""
 
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -73,9 +77,11 @@ class TestPlans:
 
     def test_advdiff_negative_fractions_warn_but_build(self):
         from sweepfd.coefficients import AdvDiffVariant
+        spec = SchemeSpec(Equation.ADV_DIFF, AdvDiffVariant.MATCHED_AD2C,
+                          BaseStep.T2, SingleProduct(FOREST_RUTH))
+        compile_scheme.cache_clear()   # the warning comes with compiling, once per program
         with pytest.warns(RuntimeWarning):
-            SchemeSpec(Equation.ADV_DIFF, AdvDiffVariant.MATCHED_AD2C,
-                       BaseStep.T2, SingleProduct(FOREST_RUTH))
+            compile_scheme(spec, StepParams(r=0.05, eta=0.4))
 
     @pytest.mark.parametrize("equation,variant", [
         (equation, variant)
@@ -212,8 +218,34 @@ class TestPresets:
         assert np.all(np.isfinite(f.values))
 
     def test_advdiff_fr_resolves_with_warning(self):
+        scheme = resolve_preset("fr", Equation.ADV_DIFF)
+        compile_scheme.cache_clear()   # the warning comes with compiling, once per program
         with pytest.warns(RuntimeWarning):
-            resolve_preset("fr", Equation.ADV_DIFF)
+            compile_scheme(scheme, StepParams(r=0.05, eta=0.4))
+
+    @pytest.mark.parametrize("equation,name,params", [
+        (Equation.ADV_DIFF, "fr", StepParams(r=0.0, eta=0.4)),
+        (Equation.ADVECTION, "y6", StepParams(r=0.7, eta=0.4)),   # advection ignores r
+        (Equation.ADVECTION, "fr", StepParams(r=0.7, eta=0.4)),
+    ])
+    def test_negative_fractions_compile_silently_without_diffusion(self, equation, name, params):
+        scheme = resolve_preset(name, equation)
+        compile_scheme.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile_scheme(scheme, params)
+
+    def test_import_and_every_preset_resolve_without_warning(self):
+        script = ("import sweepfd as sf\n"
+                  "for eq in sf.Equation:\n"
+                  "    for name in sf.preset_names(eq):\n"
+                  "        sf.resolve_preset(name, eq)\n"
+                  "        sf.resolve_preset('2x' + name, eq)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(KeyError, match="available"):

@@ -50,7 +50,7 @@ class TestField1D:
         assert not np.shares_memory(g.values, f.values)
         g.values[0] = 9.0
         assert f.values[0] == 1.0
-        assert (g.dx, g.x0, g.boundary) == (f.dx, f.x0, f.boundary)
+        assert (g.dx, g.x0) == (f.dx, f.x0)
 
     def test_copy_rejects_samples_made_non_finite_after_construction(self):
         f = Field1D(np.ones(5), dx=0.1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sweepfd import (
-    BoundaryKind,
     CirculantSpectrum,
     Equation,
     Field1D,
@@ -18,7 +17,7 @@ from sweepfd import (
     resolve_preset,
     richardson_reference,
 )
-from sweepfd.errors import BoundaryKindError, ParameterError
+from sweepfd.errors import ParameterError
 from sweepfd.oracle import advection_generator, diffusion_generator
 
 
@@ -92,11 +91,6 @@ class TestExactEvolve:
         joint = exact_evolve(f, 0.4, 0.8, 0.9)
         split = exact_evolve(exact_evolve(f, 0.4, 0.0, 0.9), 0.0, 0.8, 0.9)
         assert np.max(np.abs(joint.values - split.values)) <= 1e-12
-
-    def test_fixed_ends_rejected(self):
-        f = Field1D(np.ones(8), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
-        with pytest.raises(BoundaryKindError):
-            exact_evolve(f, 0.5, 0.0, 0.1)
 
     @pytest.mark.parametrize("n", [3, 4, 17, 64, 120, 255, 256, 257])
     def test_matches_direct_fourier_sum(self, n):

@@ -2,12 +2,14 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from sweepfd import (
-    BoundaryKind,
     DiffusionVariant,
     Field1D,
     ModifiedNormTag,
@@ -20,7 +22,7 @@ from sweepfd import (
     sweep,
     sweep_as_matrix,
 )
-from sweepfd.errors import BoundaryKindError, InvalidCoefficientError, SizeError
+from sweepfd.errors import InvalidCoefficientError, SizeError
 
 ASC = SweepDirection.ASCENDING
 DESC = SweepDirection.DESCENDING
@@ -48,11 +50,6 @@ class TestSweepBasics:
         assert np.array_equal(f.values, before)
         sweep(f, PairUpdate(1.0, 0.0, 0.0), DESC)
         assert np.array_equal(f.values, before)
-
-    def test_requires_periodic(self):
-        f = Field1D(np.ones(5), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
-        with pytest.raises(BoundaryKindError):
-            sweep(f, PairUpdate(1.0, 0.0, 0.0), ASC)
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(InvalidCoefficientError):
@@ -257,17 +254,17 @@ class TestModifiedNormInvariance:
 
 class TestSaulyevFixed:
     def test_identity_coefficients(self):
-        f = Field1D([1.0, 2.0, 3.0, 4.0], dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
-        saulyev_sweep_fixed(f, gamma=1.0, beta=0.0, lam=0.0, direction=ASC)
-        assert np.array_equal(f.values, [1.0, 2.0, 3.0, 4.0])
+        v = np.array([1.0, 2.0, 3.0, 4.0])
+        saulyev_sweep_fixed(v, gamma=1.0, beta=0.0, lam=0.0, direction=ASC)
+        assert np.array_equal(v, [1.0, 2.0, 3.0, 4.0])
 
     def test_ends_held_fixed(self):
         rng = np.random.default_rng(9)
-        f = Field1D(rng.normal(size=20), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
-        left, right = f.values[0], f.values[-1]
-        saulyev_sweep_fixed(f, gamma=1 / 3, beta=1 / 3, lam=1 / 3, direction=ASC)
-        saulyev_sweep_fixed(f, gamma=1 / 3, beta=1 / 3, lam=1 / 3, direction=DESC)
-        assert f.values[0] == left and f.values[-1] == right
+        v = rng.normal(size=20)
+        left, right = v[0], v[-1]
+        saulyev_sweep_fixed(v, gamma=1 / 3, beta=1 / 3, lam=1 / 3, direction=ASC)
+        saulyev_sweep_fixed(v, gamma=1 / 3, beta=1 / 3, lam=1 / 3, direction=DESC)
+        assert v[0] == left and v[-1] == right
 
     def test_saulyev_coefficients_at_half(self):
         # r = 0.5: gamma_S = (1-r)/(1+r) = 1/3 and beta_S = (1-gamma)/2 = 1/3
@@ -275,32 +272,27 @@ class TestSaulyevFixed:
         assert u.gamma == pytest.approx(1 / 3, rel=1e-15)
         assert u.beta == pytest.approx(1 / 3, rel=1e-15)
 
-    def test_periodic_field_rejected(self):
-        f = Field1D(np.ones(6), dx=1.0)
-        with pytest.raises(BoundaryKindError):
-            saulyev_sweep_fixed(f, 1 / 3, 1 / 3, 1 / 3, ASC)
-
     def test_recurrence_definition_ascending(self):
         rng = np.random.default_rng(10)
         old = rng.normal(size=9)
-        f = Field1D(old.copy(), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
+        v = old.copy()
         g, b, l = 0.2, 0.5, 0.3
-        saulyev_sweep_fixed(f, g, b, l, ASC)
+        saulyev_sweep_fixed(v, g, b, l, ASC)
         expected = old.copy()
         for j in range(1, 8):
             expected[j] = b * expected[j - 1] + g * old[j] + l * old[j + 1]
-        assert np.allclose(f.values, expected, atol=1e-14)
+        assert np.allclose(v, expected, atol=1e-14)
 
     def test_recurrence_definition_descending(self):
         rng = np.random.default_rng(11)
         old = rng.normal(size=9)
-        f = Field1D(old.copy(), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
+        v = old.copy()
         g, b, l = 0.2, 0.5, 0.3
-        saulyev_sweep_fixed(f, g, b, l, DESC)
+        saulyev_sweep_fixed(v, g, b, l, DESC)
         expected = old.copy()
         for j in range(7, 0, -1):
             expected[j] = b * old[j - 1] + g * old[j] + l * expected[j + 1]
-        assert np.allclose(f.values, expected, atol=1e-14)
+        assert np.allclose(v, expected, atol=1e-14)
 
     def test_matches_periodic_engine_away_from_boundary(self):
         # a pulse far from the ends makes the two code paths agree inside
@@ -311,8 +303,36 @@ class TestSaulyevFixed:
         pulse[-2:] = 0.0
         u = pair_update(DiffusionVariant.SAULYEV_MATCHED, 0.5, 0.0, ASC)
         periodic = Field1D(pulse.copy(), dx=1.0)
-        fixed = Field1D(pulse.copy(), dx=1.0, boundary=BoundaryKind.FIXED_ENDS)
+        fixed = pulse.copy()
         sweep(periodic, u, ASC)
         saulyev_sweep_fixed(fixed, u.gamma, u.beta, u.lam, ASC)
         inner = slice(4, n - 4)
-        assert np.max(np.abs(periodic.values[inner] - fixed.values[inner])) <= 1e-12
+        assert np.max(np.abs(periodic.values[inner] - fixed[inner])) <= 1e-12
+
+
+@st.composite
+def sweep_cases(draw):
+    coeff = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    u = PairUpdate(draw(coeff), draw(coeff), draw(coeff))
+    n = draw(st.integers(3, 64))
+    values = draw(hnp.arrays(np.float64, n, elements=st.floats(-100.0, 100.0)))
+    return u, draw(st.sampled_from([ASC, DESC])), values
+
+
+class TestSweepProperty:
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(sweep_cases())
+    def test_sweep_matches_matrix_product(self, case):
+        u, direction, values = case
+        n = values.size
+        f = Field1D(values, dx=1.0)
+        expected = sweep_as_matrix(u, direction, n) @ values
+        sweep(f, u, direction)
+        # rounding bound: every term of either evaluation order is bounded by the
+        # same product taken over |alpha|, |beta|, |lam| and |u|, and each term
+        # takes O(n) roundings (plus absolute subnormal ones)
+        magnitude = sweep_as_matrix(PairUpdate(abs(u.alpha), abs(u.beta), abs(u.lam)),
+                                    direction, n) @ np.abs(values)
+        eps = np.finfo(float)
+        tol = 8 * n * (eps.eps * magnitude + eps.smallest_subnormal)
+        assert np.all(np.abs(f.values - expected) <= tol)
