@@ -23,6 +23,9 @@ from .grid import Field1D
 
 USAGE_EXIT = 2
 NUMERICS_EXIT = 1
+# ceiling on steps x nx of one scheme's run: hours of CPU time at any nx; a
+# request beyond it (e.g. --dt 1e-300 --tfinal 1) would never finish
+MAX_SAMPLE_STEPS = 10**10
 
 
 class UsageError(Exception):
@@ -185,6 +188,14 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, round(ratio))
 
 
+def _bounded(steps: int, nx: int) -> int:
+    """steps, unless steps x nx exceeds MAX_SAMPLE_STEPS, which is a usage error."""
+    if steps * nx > MAX_SAMPLE_STEPS:
+        raise UsageError(f"the run exceeds {MAX_SAMPLE_STEPS:.0e} sample-steps (steps x nx); "
+                         f"at nx={nx} it may take at most {MAX_SAMPLE_STEPS // nx} steps")
+    return steps
+
+
 def _resolve_setup(args: argparse.Namespace) -> Setup:
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -218,6 +229,7 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         steps = 10
     if steps < 0:
         raise UsageError("--steps must be >= 0")
+    _bounded(steps, args.nx)
     # physics the equation cannot use is zeroed so the r/eta echo is honest
     dcoef = 0.0 if equation is Equation.ADVECTION else args.dcoef
     vel = 0.0 if equation is Equation.DIFFUSION else args.vel
@@ -290,7 +302,7 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
     measure = grid.abs_moment if observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
     for dt in dts_in:
-        steps = _step_count(total_time, dt)
+        steps = _bounded(_step_count(total_time, dt), setup.nx)
         dt_used = total_time / steps
         if abs(dt_used - dt) > 1e-12 * dt:
             warnings.warn(f"dt={dt} does not divide t={total_time}; using dt={dt_used}",

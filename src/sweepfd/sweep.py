@@ -6,21 +6,41 @@ sample is touched exactly twice per sweep, so the sweep equals the
 product of N embedded 2x2 factors applied to the field.  The classic
 one-sided recurrences (already-updated left or right neighbour) are
 derived forms of the same pass and are kept as cross-check oracles.
+
+A sweep runs in a small C kernel (_sweep.c), compiled with the system C
+compiler on the first sweep and cached per user under
+$XDG_CACHE_HOME/sweepfd (default ~/.cache/sweepfd), keyed by the sha256
+of the source and the compiler flags.  Without a compiler or a writable
+private cache it runs the same recurrence through scipy.signal.lfilter;
+both kernels give bit-identical results, and scipy is imported only on
+that fallback.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidCoefficientError, SizeError
 from .grid import Field1D
 
 MATRIX_ORACLE_MAX = 64
+
+_SOURCE = Path(__file__).with_name("_sweep.c")
+# -ffp-contract=off: a fused multiply-add would change the bits
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_UNBUILT = object()
+_kernel = _UNBUILT  # the loaded C library once built; None when sweeps use lfilter
 
 
 class SweepDirection(Enum):
@@ -51,20 +71,79 @@ class PairUpdate:
         return self.alpha * self.alpha - self.beta * self.lam
 
 
+def _build_kernel():
+    """Compile (once per source and flags) and load the C kernel; None if either fails."""
+    if os.name != "posix":
+        return None
+    try:
+        source = _SOURCE.read_bytes()
+        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+        cache = Path(base) / "sweepfd"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = cache.stat()
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None  # a library another user can replace is never loaded
+        key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+        lib = cache / f"_sweep-{key}.so"
+        if not lib.exists():
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp],
+                               input=source, capture_output=True, check=True)
+                os.replace(tmp, lib)  # atomic, so concurrent builders are safe
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib))
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    for fn in (kernel.sweep_asc, kernel.sweep_desc):
+        fn.argtypes = (ctypes.c_void_p, ctypes.c_long,
+                       ctypes.c_double, ctypes.c_double, ctypes.c_double)
+        fn.restype = None
+    return kernel
+
+
 def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
     """Apply one full pair sweep in place.
 
     The second touch of each sample is equivalent to the one-sided
     recurrence u_j' = beta u'_{j-1} + gamma u_j + lam u_{j+1} (ascending)
-    away from the wrap pair, which is why the pass below can batch the
-    first touches into a single linear recurrence (the starred chain).
-    The second touches are then written in place into the recurrence
-    output and into f.values, so lfilter's output is the only N-sized
-    allocation; every sample still gets the pair arithmetic
-    a*star_j + l*u_{j+1} (ascending) or b*u_{j-1} + a*star_j (descending)
-    in that order, so the result is bit-identical to it.
+    away from the wrap pair, which is why the pass can batch the first
+    touches into a single linear recurrence (the starred chain) and then
+    write every second touch a*star_j + l*u_{j+1} (ascending) or
+    b*u_{j-1} + a*star_j (descending) in that operand order.
+
+    The pass runs in the compiled C kernel, built on the first call.  When
+    it cannot be built, or f.values is not a writeable C-contiguous float64
+    vector, the same arithmetic runs through scipy's lfilter instead; the
+    two give bit-identical results, signed zeros and inf/nan included.
     """
+    global _kernel
+    if _kernel is _UNBUILT:
+        _kernel = _build_kernel()
     v = f.values
+    if (_kernel is not None and v.dtype == np.float64 and v.ndim == 1 and v.size >= 3
+            and v.flags.c_contiguous and v.flags.writeable):
+        run = _kernel.sweep_asc if direction.is_ascending else _kernel.sweep_desc
+        # a c_char view of the buffer is the cheapest pointer ctypes builds
+        run(ctypes.byref(ctypes.c_char.from_buffer(v)), v.size, u.alpha, u.beta, u.lam)
+    else:
+        _lfilter_sweep(v, u, direction)
+
+
+def _lfilter_sweep(v: np.ndarray, u: PairUpdate, direction: SweepDirection) -> None:
+    """The fallback kernel: the starred chain through lfilter, in place.
+
+    The second touches are written in place into the recurrence output and
+    into v, so lfilter's output is the only N-sized allocation.
+    """
+    from scipy.signal import lfilter
+
     n = v.size
     a, b, l = u.alpha, u.beta, u.lam
     if direction.is_ascending:
@@ -106,6 +185,8 @@ def saulyev_sweep_fixed(v: np.ndarray, gamma: float, beta: float, lam: float,
     Descending: u_j' = beta u_{j-1} + gamma u_j + lam u'_{j+1}, right to left.
     This form cannot be started on a periodic grid; use sweep() there.
     """
+    from scipy.signal import lfilter
+
     n = v.size
     if direction.is_ascending:
         rhs = gamma * v[1:n - 1] + lam * v[2:]

@@ -1,5 +1,6 @@
 """Command line drivers: CSV shape, determinism, exit codes."""
 
+import signal
 import warnings
 
 import numpy as np
@@ -303,6 +304,29 @@ class TestStepCounts:
         assert code == 2
         assert err.startswith("usage error: --tfinal must be positive")
         assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--steps", "1000000000000", "--nx", "10"],
+        ["run", "--dt", "1e-300", "--tfinal", "1", "--nx", "10"],
+        ["converge", "--dts", "1e-300,1e-301", "--steps", "1", "--nx", "10"],
+    ])
+    def test_step_count_beyond_ceiling_is_usage_error(self, args, tmp_path, capsys):
+        # each used to run until killed; the alarm turns that into a failure after 5 s
+        def still_running(signum, frame):
+            raise TimeoutError("still running after 5 s")
+
+        out = tmp_path / "out.csv"
+        previous = signal.signal(signal.SIGALRM, still_running)
+        signal.alarm(5)
+        try:
+            code, err = run_clean(args + ["--out", str(out)], capsys)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert "sample-steps" in err
         assert not out.exists()
 
     def test_converge_over_zero_time_is_usage_error(self, tmp_path, capsys):

@@ -1,6 +1,13 @@
 """Pair-sweep engine against its independent oracles."""
 
+import functools
+import importlib
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -24,8 +31,35 @@ from sweepfd import (
 )
 from sweepfd.errors import InvalidCoefficientError, SizeError
 
+sweep_module = importlib.import_module("sweepfd.sweep")  # `sweepfd.sweep` is the function
+
 ASC = SweepDirection.ASCENDING
 DESC = SweepDirection.DESCENDING
+
+
+@functools.cache
+def c_kernel():
+    """The compiled sweep kernel, built once per test session (None without a compiler)."""
+    return sweep_module._build_kernel()
+
+
+@pytest.fixture(scope="class")
+def kernel(request):
+    """Run the sweeps of a test on the C kernel or on the lfilter fallback."""
+    handle = None
+    if request.param == "c":
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_module, "_kernel", handle)
+        yield request.param
+
+
+def both_kernels(test):
+    """Run test under each kernel; as the outermost mark, the kernel id ends the test id."""
+    test = pytest.mark.usefixtures("kernel")(test)
+    return pytest.mark.parametrize("kernel", ["c", "lfilter"], indirect=True)(test)
 
 
 def random_update(rng) -> PairUpdate:
@@ -82,6 +116,7 @@ class TestMatrixOracle:
             m = sweep_as_matrix(advection_update(rng), direction, 9)
             assert np.max(np.abs(m.T @ m - np.eye(9))) <= 1e-13
 
+    @both_kernels
     @pytest.mark.parametrize("n", range(3, 17))
     @pytest.mark.parametrize("direction", [ASC, DESC])
     def test_sweep_matches_matrix_product(self, n, direction):
@@ -126,6 +161,7 @@ def _reference_sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> No
     v[:] = out
 
 
+@both_kernels
 class TestInPlaceKernel:
     """The in-place sweep must reproduce the pair arithmetic bit for bit."""
 
@@ -319,6 +355,7 @@ def sweep_cases(draw):
     return u, draw(st.sampled_from([ASC, DESC])), values
 
 
+@both_kernels
 class TestSweepProperty:
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(sweep_cases())
@@ -336,3 +373,105 @@ class TestSweepProperty:
         eps = np.finfo(float)
         tol = 8 * n * (eps.eps * magnitude + eps.smallest_subnormal)
         assert np.all(np.abs(f.values - expected) <= tol)
+
+
+def run_on(handle, u, direction, values):
+    """The swept values under one kernel handle (None: the lfilter fallback)."""
+    f = Field1D(values, dx=1.0)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(sweep_module, "_kernel", handle)
+        sweep(f, u, direction)
+    return f.values
+
+
+@st.composite
+def kernel_cases(draw):
+    # coefficients and samples up to 1e300 overflow to inf/nan; ±0.0 are drawn too
+    coeff = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e300, 1e300))
+    u = PairUpdate(draw(coeff), draw(coeff), draw(coeff))
+    n = draw(st.integers(3, 2000))
+    values = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e300, 1e300)))
+    noise = draw(st.sampled_from([0.0, 1e-300, 1.0, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return u, draw(st.sampled_from([ASC, DESC])), values + noise * rng.normal(size=n)
+
+
+class TestKernelChoice:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_c_kernel_matches_lfilter_bit_for_bit(self, case):
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+        c, fallback = run_on(handle, *case), run_on(None, *case)
+        assert np.array_equal(c, fallback, equal_nan=True)
+        assert np.array_equal(np.signbit(c), np.signbit(fallback))
+
+    @pytest.mark.parametrize("setup", ["no compiler", "compiler fails", "cache is a file",
+                                       "cache is shared"])
+    def test_failed_build_falls_back_to_lfilter(self, setup, tmp_path, monkeypatch):
+        # the cache cases keep the real PATH: only the cache stops the build
+        cache = tmp_path / "cache"
+        if setup == "no compiler":
+            monkeypatch.setenv("PATH", "")
+        elif setup == "compiler fails":
+            cc = tmp_path / "cc"
+            cc.write_text("#!/bin/sh\nexit 1\n")
+            cc.chmod(0o755)
+            monkeypatch.setenv("PATH", str(tmp_path))
+        elif setup == "cache is a file":
+            cache.write_text("")
+        else:
+            (cache / "sweepfd").mkdir(parents=True)
+            (cache / "sweepfd").chmod(0o777)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.setattr(sweep_module, "_kernel", sweep_module._UNBUILT)
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=50)
+        for direction in (ASC, DESC):
+            u = random_update(rng)
+            f, ref = Field1D(values, dx=1.0), Field1D(values, dx=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sweep(f, u, direction)
+            _reference_sweep(ref, u, direction)
+            assert sweep_module._kernel is None
+            assert np.array_equal(f.values, ref.values)
+        if cache.is_dir():
+            assert not list(cache.rglob("*.so"))
+
+    @both_kernels
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_strided_values_match_reference(self, direction):
+        # nothing stops a caller from rebinding values to a view the kernel cannot take
+        rng = np.random.default_rng(13)
+        u = random_update(rng)
+        base = rng.normal(size=40)
+        between = base[1::2].copy()
+        f = Field1D(np.zeros(20), dx=1.0)
+        f.values = base[::2]
+        ref = Field1D(base[::2], dx=1.0)
+        sweep(f, u, direction)
+        _reference_sweep(ref, u, direction)
+        assert np.array_equal(base[::2], ref.values)
+        assert np.array_equal(base[1::2], between)
+
+    def test_stepping_does_not_import_scipy(self):
+        # scipy.signal costs about 1 s and 76 MB to import; only the lfilter fallback needs it
+        step = c_kernel() is not None
+        script = (
+            "import sys\n"
+            "import sweepfd as sf\n"
+            "assert 'scipy' not in sys.modules, 'import sweepfd imported scipy'\n"
+            f"if {step}:\n"
+            "    f = sf.sextic_profile(100, -10.0, 0.2, 0.0)\n"
+            "    scheme = sf.resolve_preset('a2c', sf.Equation.ADVECTION)\n"
+            "    sf.apply_scheme(f, scheme, sf.StepParams.from_physics(0.02, f.dx, 0.0, 1.0))\n"
+            "    assert 'scipy' not in sys.modules, 'an a2c step imported scipy'\n"
+        )
+        src = str(Path(sweep_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
