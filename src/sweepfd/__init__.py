@@ -2,10 +2,9 @@
 
 Unconditionally stable explicit solvers for the diffusion, advection
 and advection-diffusion equations on periodic grids, built from
-exponentially-split 2x2 pair updates, plus the spectral analysis and
-circulant oracles used to verify them.  Every Field1D is periodic;
-saulyev_sweep_fixed, the classic one-sided sweep with fixed ends, is a
-test oracle that sweeps a plain array.
+exponentially-split 2x2 pair updates, plus their closed-form spectral
+analysis, the exact circulant flow and a convergence-order fit.  Every
+Field1D is periodic.
 """
 
 from .coefficients import (
@@ -38,7 +37,6 @@ from .composition import (
     lax_wendroff_step,
     preset_names,
     resolve_preset,
-    validate_order_conditions,
 )
 from .grid import (
     Field1D,
@@ -54,19 +52,14 @@ from .oracle import (
     CirculantSpectrum,
     exact_evolve,
     fit_power_law,
-    observed_order,
-    richardson_reference,
 )
 from .spectral import (
     AmplificationSample,
-    exact_amplification,
     exact_phase,
     numeric_amplification,
-    phase_angle,
     phase_curve,
-    scheme_amplification,
     scheme_factor,
 )
-from .sweep import PairUpdate, SweepDirection, saulyev_sweep_fixed, sweep, sweep_as_matrix
+from .sweep import PairUpdate, SweepDirection, sweep
 
 __version__ = "0.1.0"

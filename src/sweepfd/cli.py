@@ -26,6 +26,9 @@ NUMERICS_EXIT = 1
 # ceiling on steps x nx of one scheme's run: hours of CPU time at any nx; a
 # request beyond it (e.g. --dt 1e-300 --tfinal 1) would never finish
 MAX_SAMPLE_STEPS = 10**10
+# ceiling on --nx, so each N-sized float64 array takes at most 80 MB: a grid
+# the allocator cannot hold must be a usage error, not a traceback
+MAX_NX = 10**7
 
 
 class UsageError(Exception):
@@ -212,6 +215,8 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
             raise UsageError(exc.args[0]) from exc
     if args.nx < 3:
         raise UsageError("--nx must be at least 3")
+    if args.nx > MAX_NX:
+        raise UsageError(f"--nx may be at most {MAX_NX:.0e}, got {args.nx}")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
     if args.dt <= 0:
@@ -268,7 +273,7 @@ def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
     if checkpoints:
         times = sorted(_numbers(checkpoints, "--checkpoints"))
     marks = [round(t / setup.dt) for t in times]
-    if any(m < 0 or m > setup.steps for m in marks):
+    if any(m < 1 or m > setup.steps for m in marks):   # the step loop starts at step 1
         raise UsageError("checkpoints must lie inside the run")
     initial = setup.field()
     columns = ["x", "u_initial"]

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -268,31 +268,6 @@ def apply_scheme(f: Field1D, scheme: Steppable, params: StepParams) -> None:
             f.values[:] = acc
 
 
-def nominal_order(scheme: Scheme) -> Tuple[int, int]:
-    """(leading order p, error-series stride q) used by extrapolation."""
-    if scheme.comparator is Comparator.EULER:
-        return 1, 1
-    if scheme.comparator is not None:
-        return 2, 1
-    if scheme.sequential is not None:
-        orders = [_spec_order(s) for s in scheme.sequential]
-        return min(p for p, _ in orders), min(q for _, q in orders)
-    return _spec_order(scheme.spec)
-
-
-def _spec_order(spec: SchemeSpec) -> Tuple[int, int]:
-    if spec.plan is None:
-        return (2, 2) if spec.base is BaseStep.T2 else (1, 1)
-    if isinstance(spec.plan, MultiProduct):
-        return 2 * len(spec.plan.terms), 2
-    report = validate_order_conditions(spec.plan.coefficients, 6)
-    if report.satisfies(6):
-        return 6, 2
-    if report.satisfies(4):
-        return 4, 2
-    return 2, 2
-
-
 # ---------------------------------------------------------------------------
 # composition coefficient tables
 
@@ -314,44 +289,6 @@ MPE_T4 = ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
 MPE_T6 = ((Fraction(1, 24), 1), (Fraction(-16, 15), 2), (Fraction(81, 40), 3))
 MPE_T8 = ((Fraction(-1, 360), 1), (Fraction(16, 45), 2),
           (Fraction(-729, 280), 3), (Fraction(1024, 315), 4))
-
-
-@dataclass(frozen=True)
-class OrderConditionReport:
-    """Power sums of the step fractions and the orders they certify."""
-
-    sum_error: float     # sum a_i - 1
-    cubic_sum: float     # sum a_i^3
-    quintic_sum: float   # sum a_i^5
-    target_order: int
-    tolerance: float
-
-    def satisfies(self, order: int) -> bool:
-        ok = abs(self.sum_error) <= self.tolerance
-        if order >= 4:
-            ok = ok and abs(self.cubic_sum) <= self.tolerance
-        if order >= 6:
-            ok = ok and abs(self.quintic_sum) <= self.tolerance
-        return ok
-
-    @property
-    def passed(self) -> bool:
-        return self.satisfies(self.target_order)
-
-
-def validate_order_conditions(a: Sequence[float], target_order: int,
-                              tolerance: float = 1e-12) -> OrderConditionReport:
-    """Check sum a = 1, sum a^3 = 0, sum a^5 = 0 up to the target order."""
-    if not len(a):
-        raise ParameterError("empty coefficient list")
-    arr = [float(x) for x in a]
-    return OrderConditionReport(
-        sum_error=math.fsum(arr) - 1.0,
-        cubic_sum=math.fsum(x ** 3 for x in arr),
-        quintic_sum=math.fsum(x ** 5 for x in arr),
-        target_order=target_order,
-        tolerance=tolerance,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from . import coefficients as coef
 from .composition import (
     Comparator,
     Equation,
@@ -89,17 +88,6 @@ def sweep_factor(update: PairUpdate, direction: SweepDirection, theta: Thetas):
     return (gamma + update.beta / z) / (1.0 - update.lam * z)
 
 
-def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas):
-    """Rational symmetric-step factor, defined for either sign of r.
-
-    Stepping with r < 0 is rejected, but the closed form itself obeys
-    g2(-r) g2(r) = 1, which is what makes the exponent odd in r.
-    """
-    asc, desc = SweepDirection.ASCENDING, SweepDirection.DESCENDING
-    return sweep_factor(coef.pair_update(variant, r, 0.0, asc, half=True), asc, theta) \
-        * sweep_factor(coef.pair_update(variant, r, 0.0, desc, half=True), desc, theta)
-
-
 def comparator_factor(comparator: Comparator, params: StepParams, theta: Thetas):
     s2 = np.sin(0.5 * np.asarray(theta)) ** 2
     if comparator is Comparator.EULER:
@@ -131,14 +119,6 @@ def scheme_factor(scheme: Steppable, params: StepParams, theta: Thetas):
     return g ** program.substeps
 
 
-def exact_amplification(equation: Equation, params: StepParams, theta: float) -> AmplificationSample:
-    return AmplificationSample(float(theta), complex(exact_factor(equation, params, theta)))
-
-
-def scheme_amplification(scheme: Steppable, params: StepParams, theta: float) -> AmplificationSample:
-    return AmplificationSample(float(theta), complex(scheme_factor(scheme, params, theta)))
-
-
 # ---------------------------------------------------------------------------
 # phase angles
 
@@ -167,12 +147,8 @@ def phase_curve(scheme: Steppable, params: StepParams, thetas: Sequence[float]) 
     return unwrapped[idx]
 
 
-def phase_angle(scheme: Steppable, params: StepParams, theta: float) -> float:
-    return float(phase_curve(scheme, params, [theta])[0])
-
-
 # ---------------------------------------------------------------------------
-# numeric cross-check and small-theta limits
+# numeric cross-check
 
 def _readout_index(program: Program, n: int) -> int:
     """Interior sample where the sweep transients have decayed most.
@@ -205,23 +181,3 @@ def numeric_amplification(scheme: Steppable, params: StepParams, theta: float,
     idx = _readout_index(compile_scheme(scheme, params), n)
     g = (re.values[idx] + 1j * im.values[idx]) / cmath.exp(1j * theta * idx)
     return AmplificationSample(float(theta), complex(g))
-
-
-def richardson_limit(fn: Callable[[float], float],
-                     thetas: Sequence[float] = (1e-2, 5e-3, 2.5e-3)) -> float:
-    """theta -> 0 limit of fn assuming an even error series in theta.
-
-    thetas must halve from one entry to the next; three points remove
-    the theta^2 and theta^4 terms.
-    """
-    for a, b in zip(thetas, thetas[1:]):
-        if abs(b - 0.5 * a) > 1e-12 * abs(a):
-            raise ParameterError("extrapolation nodes must halve successively")
-    vals = [float(fn(t)) for t in thetas]
-    level = 1
-    while len(vals) > 1:
-        weight = 4.0 ** level
-        vals = [(weight * vals[i + 1] - vals[i]) / (weight - 1.0)
-                for i in range(len(vals) - 1)]
-        level += 1
-    return vals[0]

@@ -3,9 +3,9 @@
 One sweep applies a fixed 2x2 update to the neighbour pairs
 (0,1), (1,2), ..., (N-1,0) in ascending or descending order.  Each
 sample is touched exactly twice per sweep, so the sweep equals the
-product of N embedded 2x2 factors applied to the field.  The classic
-one-sided recurrences (already-updated left or right neighbour) are
-derived forms of the same pass and are kept as cross-check oracles.
+product of N embedded 2x2 factors applied to the field, and its second
+touches equal the classic one-sided recurrence (already-updated left or
+right neighbour) away from the wrap pair.
 
 A sweep runs in a small C kernel (_sweep.c), compiled with the system C
 compiler on the first sweep and cached per user under
@@ -31,10 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidCoefficientError, SizeError
+from .errors import InvalidCoefficientError
 from .grid import Field1D
-
-MATRIX_ORACLE_MAX = 64
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 # -ffp-contract=off: a fused multiply-add would change the bits
@@ -175,40 +173,3 @@ def _lfilter_sweep(v: np.ndarray, u: PairUpdate, direction: SweepDirection) -> N
         v[2:n - 1] = rest
         v[1] = b * s0 + a * s1                       # final pair (0,1)
         v[0] = a * s0 + l * s1
-
-
-def saulyev_sweep_fixed(v: np.ndarray, gamma: float, beta: float, lam: float,
-                        direction: SweepDirection) -> None:
-    """Classic one-sided sweep of the float array v in place, end samples held fixed.
-
-    Ascending: u_j' = beta u'_{j-1} + gamma u_j + lam u_{j+1}, left to right.
-    Descending: u_j' = beta u_{j-1} + gamma u_j + lam u'_{j+1}, right to left.
-    This form cannot be started on a periodic grid; use sweep() there.
-    """
-    from scipy.signal import lfilter
-
-    n = v.size
-    if direction.is_ascending:
-        rhs = gamma * v[1:n - 1] + lam * v[2:]
-        v[1:n - 1] = lfilter([1.0], [1.0, -beta], rhs, zi=np.array([beta * v[0]]))[0]
-    else:
-        rhs = gamma * v[1:n - 1] + beta * v[:n - 2]
-        v[n - 2:0:-1] = lfilter([1.0], [1.0, -lam], rhs[::-1],
-                                zi=np.array([lam * v[n - 1]]))[0]
-
-
-def sweep_as_matrix(u: PairUpdate, direction: SweepDirection, n: int) -> np.ndarray:
-    """Dense product of the N embedded 2x2 factors in sweep order (test oracle)."""
-    if not 3 <= n <= MATRIX_ORACLE_MAX:
-        raise SizeError(f"matrix oracle supports 3 <= N <= {MATRIX_ORACLE_MAX}, got {n}")
-    order = range(n) if direction.is_ascending else range(n - 1, -1, -1)
-    m = np.eye(n)
-    for j in order:
-        k = (j + 1) % n
-        factor = np.eye(n)
-        factor[j, j] = u.alpha
-        factor[j, k] = u.lam
-        factor[k, j] = u.beta
-        factor[k, k] = u.alpha
-        m = factor @ m
-    return m

@@ -1,0 +1,183 @@
+"""Independent references the tests compare the library against.
+
+None of these is part of sweepfd: dense generator and sweep matrices,
+the classic fixed-end one-sided sweep, single-theta amplification and
+phase samples, the theta -> 0 Richardson limit, the symmetric diffusion
+step's closed form at either sign of r, and the composition power sums.
+Test modules import them with `from oracles import ...`; pytest puts
+tests/ on sys.path, and this module holds no tests of its own.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from sweepfd import coefficients as coef
+from sweepfd.composition import Equation, Steppable, StepParams
+from sweepfd.errors import ParameterError, SizeError
+from sweepfd.spectral import (
+    AmplificationSample,
+    Thetas,
+    exact_factor,
+    phase_curve,
+    scheme_factor,
+    sweep_factor,
+)
+from sweepfd.sweep import PairUpdate, SweepDirection
+
+MATRIX_ORACLE_MAX = 64
+
+
+# ---------------------------------------------------------------------------
+# sweep oracles
+
+def saulyev_sweep_fixed(v: np.ndarray, gamma: float, beta: float, lam: float,
+                        direction: SweepDirection) -> None:
+    """Classic one-sided sweep of the float array v in place, end samples held fixed.
+
+    Ascending: u_j' = beta u'_{j-1} + gamma u_j + lam u_{j+1}, left to right.
+    Descending: u_j' = beta u_{j-1} + gamma u_j + lam u'_{j+1}, right to left.
+    This form cannot be started on a periodic grid; use sweep() there.
+    """
+    from scipy.signal import lfilter
+
+    n = v.size
+    if direction.is_ascending:
+        rhs = gamma * v[1:n - 1] + lam * v[2:]
+        v[1:n - 1] = lfilter([1.0], [1.0, -beta], rhs, zi=np.array([beta * v[0]]))[0]
+    else:
+        rhs = gamma * v[1:n - 1] + beta * v[:n - 2]
+        v[n - 2:0:-1] = lfilter([1.0], [1.0, -lam], rhs[::-1],
+                                zi=np.array([lam * v[n - 1]]))[0]
+
+
+def sweep_as_matrix(u: PairUpdate, direction: SweepDirection, n: int) -> np.ndarray:
+    """Dense product of the N embedded 2x2 factors in sweep order (test oracle)."""
+    if not 3 <= n <= MATRIX_ORACLE_MAX:
+        raise SizeError(f"matrix oracle supports 3 <= N <= {MATRIX_ORACLE_MAX}, got {n}")
+    order = range(n) if direction.is_ascending else range(n - 1, -1, -1)
+    m = np.eye(n)
+    for j in order:
+        k = (j + 1) % n
+        factor = np.eye(n)
+        factor[j, j] = u.alpha
+        factor[j, k] = u.lam
+        factor[k, j] = u.beta
+        factor[k, k] = u.alpha
+        m = factor @ m
+    return m
+
+
+# ---------------------------------------------------------------------------
+# circulant generators
+
+def diffusion_generator(n: int, dx: float, diffusivity: float) -> np.ndarray:
+    """Dense circulant second-difference generator (test scale)."""
+    a = np.zeros((n, n))
+    scale = diffusivity / dx ** 2
+    for j in range(n):
+        a[j, j] = -2.0 * scale
+        a[j, (j + 1) % n] = scale
+        a[j, (j - 1) % n] = scale
+    return a
+
+
+def advection_generator(n: int, dx: float, velocity: float) -> np.ndarray:
+    """Dense circulant centred-difference generator (test scale)."""
+    b = np.zeros((n, n))
+    scale = velocity / (2.0 * dx)
+    for j in range(n):
+        b[j, (j + 1) % n] = -scale
+        b[j, (j - 1) % n] = scale
+    return b
+
+
+# ---------------------------------------------------------------------------
+# amplification factors and phase angles
+
+def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas):
+    """Rational symmetric-step factor, defined for either sign of r.
+
+    Stepping with r < 0 is rejected, but the closed form itself obeys
+    g2(-r) g2(r) = 1, which is what makes the exponent odd in r.
+    """
+    asc, desc = SweepDirection.ASCENDING, SweepDirection.DESCENDING
+    return sweep_factor(coef.pair_update(variant, r, 0.0, asc, half=True), asc, theta) \
+        * sweep_factor(coef.pair_update(variant, r, 0.0, desc, half=True), desc, theta)
+
+
+def exact_amplification(equation: Equation, params: StepParams, theta: float) -> AmplificationSample:
+    return AmplificationSample(float(theta), complex(exact_factor(equation, params, theta)))
+
+
+def scheme_amplification(scheme: Steppable, params: StepParams, theta: float) -> AmplificationSample:
+    return AmplificationSample(float(theta), complex(scheme_factor(scheme, params, theta)))
+
+
+def phase_angle(scheme: Steppable, params: StepParams, theta: float) -> float:
+    return float(phase_curve(scheme, params, [theta])[0])
+
+
+def richardson_limit(fn: Callable[[float], float],
+                     thetas: Sequence[float] = (1e-2, 5e-3, 2.5e-3)) -> float:
+    """theta -> 0 limit of fn assuming an even error series in theta.
+
+    thetas must halve from one entry to the next; three points remove
+    the theta^2 and theta^4 terms.
+    """
+    for a, b in zip(thetas, thetas[1:]):
+        if abs(b - 0.5 * a) > 1e-12 * abs(a):
+            raise ParameterError("extrapolation nodes must halve successively")
+    vals = [float(fn(t)) for t in thetas]
+    level = 1
+    while len(vals) > 1:
+        weight = 4.0 ** level
+        vals = [(weight * vals[i + 1] - vals[i]) / (weight - 1.0)
+                for i in range(len(vals) - 1)]
+        level += 1
+    return vals[0]
+
+
+# ---------------------------------------------------------------------------
+# composition order conditions
+
+@dataclass(frozen=True)
+class OrderConditionReport:
+    """Power sums of the step fractions and the orders they certify."""
+
+    sum_error: float     # sum a_i - 1
+    cubic_sum: float     # sum a_i^3
+    quintic_sum: float   # sum a_i^5
+    target_order: int
+    tolerance: float
+
+    def satisfies(self, order: int) -> bool:
+        ok = abs(self.sum_error) <= self.tolerance
+        if order >= 4:
+            ok = ok and abs(self.cubic_sum) <= self.tolerance
+        if order >= 6:
+            ok = ok and abs(self.quintic_sum) <= self.tolerance
+        return ok
+
+    @property
+    def passed(self) -> bool:
+        return self.satisfies(self.target_order)
+
+
+def validate_order_conditions(a: Sequence[float], target_order: int,
+                              tolerance: float = 1e-12) -> OrderConditionReport:
+    """Check sum a = 1, sum a^3 = 0, sum a^5 = 0 up to the target order."""
+    if not len(a):
+        raise ParameterError("empty coefficient list")
+    arr = [float(x) for x in a]
+    return OrderConditionReport(
+        sum_error=math.fsum(arr) - 1.0,
+        cubic_sum=math.fsum(x ** 3 for x in arr),
+        quintic_sum=math.fsum(x ** 5 for x in arr),
+        target_order=target_order,
+        tolerance=tolerance,
+    )

@@ -35,16 +35,20 @@ from sweepfd import (
     norm,
     numeric_amplification,
     pair_update,
-    phase_angle,
     resolve_preset,
-    scheme_amplification,
     scheme_factor,
     sextic_profile,
     sweep,
+)
+
+from oracles import (
+    diffusion_t2_factor,
+    phase_angle,
+    richardson_limit,
+    scheme_amplification,
     sweep_as_matrix,
     validate_order_conditions,
 )
-from sweepfd.spectral import diffusion_t2_factor, richardson_limit
 
 ASC = SweepDirection.ASCENDING
 DESC = SweepDirection.DESCENDING

@@ -1,12 +1,20 @@
 """Command line drivers: CSV shape, determinism, exit codes."""
 
+import os
+import resource
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sweepfd
 from sweepfd.cli import main
+
+CHILD_ADDRESS_SPACE = 2 * 1024 ** 3   # bytes; caps the subprocess, never the test runner
 
 
 def run_cli(args):
@@ -122,6 +130,17 @@ class TestRun:
                  "--checkpoints", "0.5", "--out", str(out)])
         _, columns, _ = read_csv(out)
         assert "d2s_t0.5" in columns
+
+    @pytest.mark.parametrize("checkpoint", ["0", "0.04"])
+    def test_checkpoint_at_step_zero_is_usage_error(self, checkpoint, tmp_path, capsys):
+        # round(t/dt) == 0 used to be accepted and then silently dropped: the
+        # step loop starts at step 1, so no checkpoint column was written
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--nx", "10", "--steps", "3", "--dt", "0.1",
+                               "--checkpoints", checkpoint, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error: checkpoints must lie inside the run")
+        assert not out.exists()
 
 
 class TestConverge:
@@ -327,6 +346,26 @@ class TestStepCounts:
         assert code == 2
         assert err.startswith("usage error:")
         assert "sample-steps" in err
+        assert not out.exists()
+
+    def test_nx_beyond_ceiling_is_usage_error(self, tmp_path):
+        # used to end in a numpy _ArrayMemoryError traceback from the initial
+        # profile; the child's address space is capped so that failure cannot
+        # take the host's memory
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+        src = str(Path(sweepfd.__file__).parents[1])
+        # one BLAS thread: OpenBLAS reserves address space per thread at import
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "run.csv"
+        proc = subprocess.run([sys.executable, "-m", "sweepfd.cli", "run", "--nx", "10000000000",
+                               "--steps", "0", "--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("usage error:")
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_converge_over_zero_time_is_usage_error(self, tmp_path, capsys):

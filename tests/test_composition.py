@@ -33,15 +33,15 @@ from sweepfd import (
     norm,
     preset_names,
     resolve_preset,
-    validate_order_conditions,
 )
-from sweepfd.composition import nominal_order
 from sweepfd.errors import (
     InvalidCoefficientError,
     ParameterError,
     SpatialAmplificationError,
     StabilityError,
 )
+
+from oracles import validate_order_conditions
 
 
 def d2s_spec(plan=None):
@@ -369,19 +369,6 @@ class TestSequentialScheme:
         apply_scheme(f1, scheme, StepParams(r=0.0, eta=0.5))
         apply_scheme(f2, resolve_preset("a2c", Equation.ADVECTION), StepParams(eta=0.5))
         assert np.allclose(f1.values, f2.values, atol=1e-15)
-
-
-class TestNominalOrder:
-    def test_orders(self):
-        assert nominal_order(resolve_preset("euler", Equation.DIFFUSION)) == (1, 1)
-        assert nominal_order(resolve_preset("d1a", Equation.DIFFUSION)) == (1, 1)
-        assert nominal_order(resolve_preset("d2s", Equation.DIFFUSION)) == (2, 2)
-        assert nominal_order(resolve_preset("t4", Equation.DIFFUSION)) == (4, 2)
-        assert nominal_order(resolve_preset("t6", Equation.DIFFUSION)) == (6, 2)
-        assert nominal_order(resolve_preset("fr", Equation.ADVECTION)) == (4, 2)
-        assert nominal_order(resolve_preset("s4", Equation.ADVECTION)) == (4, 2)
-        assert nominal_order(resolve_preset("y6", Equation.ADVECTION)) == (6, 2)
-        assert nominal_order(resolve_preset("a_d", Equation.ADV_DIFF)) == (2, 2)
 
 
 class TestStepParams:

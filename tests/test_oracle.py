@@ -1,4 +1,4 @@
-"""Circulant exact evolution, order fitting, step-halving reference."""
+"""Circulant exact evolution and order fitting."""
 
 import math
 
@@ -7,18 +7,14 @@ import pytest
 
 from sweepfd import (
     CirculantSpectrum,
-    Equation,
     Field1D,
-    StepParams,
     exact_evolve,
     fit_power_law,
     gaussian_profile,
-    observed_order,
-    resolve_preset,
-    richardson_reference,
 )
 from sweepfd.errors import ParameterError
-from sweepfd.oracle import advection_generator, diffusion_generator
+
+from oracles import advection_generator, diffusion_generator
 
 
 def _direct_dft(values, sign):
@@ -104,31 +100,6 @@ class TestExactEvolve:
         assert np.max(np.abs(out.values - expected)) <= 1e-12
 
 
-class TestObservedOrder:
-    def test_exact_square_law(self):
-        pairs = [(dt, 3.0 * dt ** 2) for dt in (0.4, 0.2, 0.1, 0.05)]
-        est = observed_order(pairs)
-        assert est.order == pytest.approx(2.0, abs=1e-12)
-        assert all(p == pytest.approx(2.0, abs=1e-12) for p in est.pairwise)
-
-    def test_pairwise_fourth_order(self):
-        est = observed_order([(0.2, 7.0 * 0.2 ** 4), (0.1, 7.0 * 0.1 ** 4)])
-        assert est.pairwise[0] == pytest.approx(4.0, abs=1e-12)
-
-    def test_nonpositive_errors_dropped_with_warning(self):
-        with pytest.warns(RuntimeWarning):
-            est = observed_order([(0.4, 0.16), (0.2, -1.0), (0.1, 0.01), (0.05, 0.0025)])
-        assert est.order == pytest.approx(2.0, abs=1e-10)
-
-    def test_requires_decreasing_dt(self):
-        with pytest.raises(ParameterError):
-            observed_order([(0.1, 1.0), (0.2, 2.0)])
-
-    def test_requires_two_points(self):
-        with pytest.raises(ParameterError):
-            observed_order([(0.1, 1.0)])
-
-
 class TestFitPowerLaw:
     def test_recovers_plateau_and_order(self):
         dts = np.array([0.2 / 2 ** i for i in range(6)])
@@ -154,32 +125,3 @@ class TestFitPowerLaw:
     def test_converged_data_rejected(self):
         with pytest.raises(ParameterError):
             fit_power_law([0.4, 0.2, 0.1], [1.0, 1.0, 1.0])
-
-
-class TestRichardsonReference:
-    def test_level_zero_is_plain_step(self):
-        f = gaussian_profile(40, -5.0, 0.25, 0.0, 0.6)
-        scheme = resolve_preset("d2s", Equation.DIFFUSION)
-        plain = f.copy()
-        from sweepfd import apply_scheme
-        apply_scheme(plain, scheme, StepParams.from_physics(0.2, f.dx, 0.5, 0.0))
-        ref = richardson_reference(f, scheme, 0.5, 0.0, dt=0.2, levels=0)
-        assert np.array_equal(ref.values, plain.values)
-
-    def test_matches_exact_evolution(self):
-        f = gaussian_profile(40, -5.0, 0.25, 0.0, 0.6)
-        scheme = resolve_preset("d2s", Equation.DIFFUSION)
-        ref = richardson_reference(f, scheme, 0.5, 0.0, dt=0.2, levels=4)
-        exact = exact_evolve(f, 0.5, 0.0, 0.2)
-        assert np.max(np.abs(ref.values - exact.values)) <= 1e-10
-
-    def test_error_shrinks_at_least_fourfold_per_level(self):
-        f = gaussian_profile(40, -5.0, 0.25, 0.0, 0.6)
-        scheme = resolve_preset("d2s", Equation.DIFFUSION)
-        exact = exact_evolve(f, 0.5, 0.0, 0.2)
-        errors = []
-        for levels in range(4):
-            ref = richardson_reference(f, scheme, 0.5, 0.0, dt=0.2, levels=levels)
-            errors.append(np.max(np.abs(ref.values - exact.values)))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert fine <= coarse / 4.0

@@ -11,18 +11,22 @@ from sweepfd import (
     DiffusionVariant,
     Equation,
     StepParams,
-    exact_amplification,
     exact_phase,
     numeric_amplification,
-    phase_angle,
     phase_curve,
     preset_names,
     resolve_preset,
-    scheme_amplification,
     scheme_factor,
 )
 from sweepfd.errors import ParameterError
-from sweepfd.spectral import diffusion_t2_factor, richardson_limit
+
+from oracles import (
+    diffusion_t2_factor,
+    exact_amplification,
+    phase_angle,
+    richardson_limit,
+    scheme_amplification,
+)
 
 
 def preset(name, equation):

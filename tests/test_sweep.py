@@ -12,11 +12,13 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from sweepfd import (
+    AdvDiffVariant,
+    AdvectionVariant,
     DiffusionVariant,
     Field1D,
     ModifiedNormTag,
@@ -25,11 +27,11 @@ from sweepfd import (
     modified_norm,
     norm,
     pair_update,
-    saulyev_sweep_fixed,
     sweep,
-    sweep_as_matrix,
 )
-from sweepfd.errors import InvalidCoefficientError, SizeError
+from sweepfd.errors import InvalidCoefficientError, NumericsError, SizeError
+
+from oracles import saulyev_sweep_fixed, sweep_as_matrix
 
 sweep_module = importlib.import_module("sweepfd.sweep")  # `sweepfd.sweep` is the function
 
@@ -373,6 +375,65 @@ class TestSweepProperty:
         eps = np.finfo(float)
         tol = 8 * n * (eps.eps * magnitude + eps.smallest_subnormal)
         assert np.all(np.abs(f.values - expected) <= tol)
+
+
+def built_update(variant, r, eta, direction):
+    """pair_update's sweep at (r, eta); a draw where it does not build is rejected."""
+    try:
+        return pair_update(variant, r, eta, direction)
+    except NumericsError:
+        reject()
+
+
+@st.composite
+def conservation_cases(draw, variants, r, eta):
+    """(update, direction, field, variant, eta): one buildable sweep of a random field."""
+    variant = draw(st.sampled_from(variants))
+    direction = draw(st.sampled_from([ASC, DESC]))
+    r_value, eta_value = draw(r), draw(eta)
+    u = built_update(variant, r_value, eta_value, direction)
+    # a modified-norm weight has the denominator 1 - b, b the sweep's recurrence
+    # coefficient (beta ascending, lam descending); below 1e-3 its rounding
+    # outgrows the tolerance
+    assume(1.0 - (u.beta if direction.is_ascending else u.lam) >= 1e-3)
+    n = draw(st.integers(3, 300))
+    values = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    return u, direction, Field1D(values, dx=1.0), variant, eta_value
+
+
+class TestConservationProperty:
+    """The sweep invariants over random fields and parameters, at the point tests' tolerance."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(conservation_cases(list(DiffusionVariant), st.floats(1e-3, 100.0), st.just(0.0)))
+    def test_diffusion_sweep_conserves_norm(self, case):
+        u, direction, f, _, _ = case
+        before = norm(f)
+        sweep(f, u, direction)
+        assert norm(f) == pytest.approx(before, rel=1e-12, abs=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(conservation_cases(list(AdvectionVariant), st.just(0.0), st.floats(-10.0, 10.0)))
+    def test_one_sided_advection_sweep_conserves_modified_norm(self, case):
+        u, direction, f, variant, eta = case
+        if variant is AdvectionVariant.ROBERTS_WEISS:
+            tag = ModifiedNormTag.roberts_weiss(eta, ascending=direction.is_ascending)
+        else:
+            tag = ModifiedNormTag.advection(u.beta, ascending=direction.is_ascending)
+        before = modified_norm(f, tag)
+        sweep(f, u, direction)
+        assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(conservation_cases([AdvDiffVariant.GENERALIZED_RW], st.floats(0.0, 100.0),
+                              st.floats(-10.0, 10.0)))
+    def test_generalized_rw_sweep_conserves_modified_norm(self, case):
+        u, direction, f, _, _ = case
+        tag = ModifiedNormTag.advection_diffusion(u.alpha, u.beta, u.lam,
+                                                  ascending=direction.is_ascending)
+        before = modified_norm(f, tag)
+        sweep(f, u, direction)
+        assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
 def run_on(handle, u, direction, values):
