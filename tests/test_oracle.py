@@ -125,3 +125,48 @@ class TestFitPowerLaw:
     def test_converged_data_rejected(self):
         with pytest.raises(ParameterError):
             fit_power_law([0.4, 0.2, 0.1], [1.0, 1.0, 1.0])
+
+    def test_pairwise_orders_match_the_law(self):
+        dts = np.array([0.2 / 2 ** i for i in range(6)])
+        values = 5.0 - 1.3 * dts ** 2
+        fit = fit_power_law(dts, values)
+        assert len(fit.pairwise) == dts.size - 1
+        assert fit.pairwise == pytest.approx([2.0] * (dts.size - 1), abs=1e-6)
+
+    def test_requires_three_matching_points(self):
+        with pytest.raises(ParameterError, match="at least three"):
+            fit_power_law([0.2, 0.1], [1.0, 2.0])
+        with pytest.raises(ParameterError, match="at least three"):
+            fit_power_law([0.4, 0.2, 0.1], [1.0, 2.0])
+
+    def test_requires_strictly_decreasing_dt(self):
+        with pytest.raises(ParameterError, match="strictly decreasing"):
+            fit_power_law([0.1, 0.2, 0.4], [1.0, 2.0, 3.0])
+        with pytest.raises(ParameterError, match="strictly decreasing"):
+            fit_power_law([0.4, 0.2, 0.2], [1.0, 2.0, 3.0])
+
+
+class TestLibrarySurface:
+    def test_test_oracles_stay_out_of_the_library(self):
+        import sweepfd
+        from sweepfd import composition, oracle, spectral, sweep
+
+        gone = {
+            sweepfd: ("observed_order", "OrderEstimate", "richardson_reference",
+                      "nominal_order", "sweep_as_matrix", "saulyev_sweep_fixed",
+                      "diffusion_generator", "advection_generator",
+                      "exact_amplification", "scheme_amplification",
+                      "phase_angle", "richardson_limit", "diffusion_t2_factor",
+                      "OrderConditionReport", "validate_order_conditions"),
+            oracle: ("observed_order", "OrderEstimate", "richardson_reference",
+                     "diffusion_generator", "advection_generator"),
+            composition: ("nominal_order", "_spec_order", "OrderConditionReport",
+                          "validate_order_conditions"),
+            sweep: ("sweep_as_matrix", "MATRIX_ORACLE_MAX", "saulyev_sweep_fixed"),
+            spectral: ("exact_amplification", "scheme_amplification", "phase_angle",
+                       "richardson_limit", "diffusion_t2_factor"),
+        }
+        present = [f"{module.__name__}.{name}"
+                   for module, names in gone.items() for name in names
+                   if hasattr(module, name)]
+        assert present == []
