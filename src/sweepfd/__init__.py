@@ -4,7 +4,8 @@ Unconditionally stable explicit solvers for the diffusion, advection
 and advection-diffusion equations on periodic grids, built from
 exponentially-split 2x2 pair updates, plus their closed-form spectral
 analysis, the exact circulant flow and a convergence-order fit.  Every
-Field1D is periodic.
+Field1D is periodic.  A Scheme is its plan of sweeps, weighted terms of
+Stage products; stepping and the closed forms read its compiled Program.
 """
 
 from .coefficients import (
@@ -25,17 +26,19 @@ from .composition import (
     BaseStep,
     Comparator,
     Equation,
-    MultiProduct,
     Program,
     Scheme,
-    SchemeSpec,
-    SingleProduct,
+    Stage,
     StepParams,
     apply_scheme,
     compile_scheme,
     euler_step,
+    expansion,
+    jump_fractions,
     lax_wendroff_step,
+    mpe_weights,
     preset_names,
+    product,
     resolve_preset,
 )
 from .grid import (

@@ -29,6 +29,8 @@ MAX_SAMPLE_STEPS = 10**10
 # ceiling on --nx, so each N-sized float64 array takes at most 80 MB: a grid
 # the allocator cannot hold must be a usage error, not a traceback
 MAX_NX = 10**7
+# ceiling on --ntheta, so the CSV rows of many schemes' factors fit in memory
+MAX_NTHETA = 10**5
 
 
 class UsageError(Exception):
@@ -184,11 +186,11 @@ def _finite_curve(values: np.ndarray, name: str, thetas: np.ndarray) -> np.ndarr
 
 
 def _step_count(t: float, dt: float) -> int:
-    """round(t/dt), at least 1; a ratio too large to count is a usage error."""
+    """round(t/dt); a ratio too large to count is a usage error."""
     ratio = t / dt
     if not math.isfinite(ratio):
         raise UsageError(f"t={t} takes no finite number of steps of dt={dt}")
-    return max(1, round(ratio))
+    return round(ratio)
 
 
 def _bounded(steps: int, nx: int) -> int:
@@ -217,6 +219,8 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         raise UsageError("--nx must be at least 3")
     if args.nx > MAX_NX:
         raise UsageError(f"--nx may be at most {MAX_NX:.0e}, got {args.nx}")
+    if not 2 <= getattr(args, "ntheta", 2) <= MAX_NTHETA:   # ampfactor and phase only
+        raise UsageError(f"--ntheta must lie in [2, {MAX_NTHETA:.0e}], got {args.ntheta}")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
     if args.dt <= 0:
@@ -225,7 +229,7 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         raise UsageError("--tfinal must be positive")
     steps = args.steps
     if steps is None and args.tfinal is not None:
-        steps = _step_count(args.tfinal, args.dt)
+        steps = max(1, _step_count(args.tfinal, args.dt))
         if abs(steps * args.dt - args.tfinal) > 1e-9 * max(1.0, args.tfinal):
             warnings.warn(
                 f"dt={args.dt} does not divide tfinal={args.tfinal}; running {steps} steps "
@@ -247,8 +251,6 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
 # subcommands
 
 def cmd_ampfactor(setup: Setup, ntheta: int) -> None:
-    if ntheta < 2:
-        raise UsageError("--ntheta must be at least 2")
     thetas = np.linspace(0.0, np.pi, ntheta)
     columns = ["theta", "exact_re", "exact_im", "exact_abs", "exact_phase"]
     with np.errstate(all="ignore"):   # overflow surfaces as a non-finite factor below
@@ -272,7 +274,7 @@ def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
     times = []
     if checkpoints:
         times = sorted(_numbers(checkpoints, "--checkpoints"))
-    marks = [round(t / setup.dt) for t in times]
+    marks = [_step_count(t, setup.dt) for t in times]
     if any(m < 1 or m > setup.steps for m in marks):   # the step loop starts at step 1
         raise UsageError("checkpoints must lie inside the run")
     initial = setup.field()
@@ -307,7 +309,7 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
     measure = grid.abs_moment if observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
     for dt in dts_in:
-        steps = _bounded(_step_count(total_time, dt), setup.nx)
+        steps = _bounded(max(1, _step_count(total_time, dt)), setup.nx)
         dt_used = total_time / steps
         if abs(dt_used - dt) > 1e-12 * dt:
             warnings.warn(f"dt={dt} does not divide t={total_time}; using dt={dt_used}",
@@ -359,8 +361,6 @@ def cmd_norms(setup: Setup) -> None:
 def cmd_phase(setup: Setup, ntheta: int) -> None:
     if setup.equation is not Equation.ADVECTION:
         raise UsageError("phase errors are defined for --equation advection")
-    if ntheta < 2:
-        raise UsageError("--ntheta must be at least 2")
     thetas = np.linspace(0.0, np.pi, ntheta)
     reference = spectral.exact_phase(setup.params.eta, thetas)
     columns = ["theta"] + [s.name for s in setup.schemes]

@@ -142,6 +142,9 @@ def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
         gamma = (1.0 - w * r) / (1.0 + w * r)
         beta = (1.0 - gamma + gamma * eta) / (2.0 - eta)
     lam = 1.0 - gamma - beta
+    if (beta if direction.is_ascending else lam) == 1.0:   # the eta = +-1 update, up to rounding
+        raise ParameterError(f"{direction.value} recurrence coefficient rounds to 1 at "
+                             f"r = {r}, eta = {eta}")
     return PairUpdate(_alpha_from(gamma, beta, lam), beta, lam)
 
 

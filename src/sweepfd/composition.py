@@ -1,16 +1,16 @@
 """Time-marching schemes built from pair sweeps.
 
-The symmetric second-order step runs one ascending and one descending
-half-sweep.  Higher order comes either from a single product of such
-steps with chosen step fractions a_i (advection only; a diffusion
-substep with a_i < 0 is unstable) or from a multi-product expansion
-sum_k c_k T2^k(dt/k), which trades exact structure preservation for
-positive substeps.  Euler and Lax-Wendroff are kept as explicit
-reference steppers for figure reproduction only.
+A Scheme is its plan of sweeps: substeps x a weighted sum of terms, each a
+product of stages.  A stage is a symmetric T2 double sweep or a single
+1A/1B sweep of one coefficient variant at a fraction of the step, or a
+reference Comparator (Euler, Crank-Nicolson, Lax-Wendroff).  Higher order
+comes from a single product T2(a_1 dt) ... T2(a_m dt) (advection only; a
+diffusion substep with a_i < 0 is unstable) or from a multi-product
+expansion sum_k c_k T2^k(dt/k), whose weights are exact rationals.
 
-compile_scheme turns a scheme and its step parameters into one Program,
-a weighted sum of products of sweeps; stepping, the closed-form
-amplification factor and the numeric readout all interpret it.
+compile_scheme resolves a scheme's coefficients at given step parameters
+into one Program; stepping, the closed-form amplification factor and the
+numeric readout all interpret it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,9 +47,15 @@ class BaseStep(Enum):
     T2 = "t2"         # ascending then descending half-sweep
 
 
-_FAMILIES = {Equation.DIFFUSION: coef.DiffusionVariant,
-             Equation.ADVECTION: coef.AdvectionVariant,
-             Equation.ADV_DIFF: coef.AdvDiffVariant}
+_DIRECTIONS = {BaseStep.SWEEP_1A: (SweepDirection.ASCENDING,),
+               BaseStep.SWEEP_1B: (SweepDirection.DESCENDING,),
+               BaseStep.T2: (SweepDirection.ASCENDING, SweepDirection.DESCENDING)}
+
+# the variant families a scheme's sweep stages may draw on, per equation
+_FAMILIES = {Equation.DIFFUSION: ({coef.DiffusionVariant},),
+             Equation.ADVECTION: ({coef.AdvectionVariant},),
+             Equation.ADV_DIFF: ({coef.AdvDiffVariant},
+                                 {coef.DiffusionVariant, coef.AdvectionVariant})}
 
 
 @dataclass(frozen=True)
@@ -68,62 +74,8 @@ class StepParams:
         return StepParams(self.r * factor, self.eta * factor)
 
 
-@dataclass(frozen=True)
-class SingleProduct:
-    """Composition T2(a_1 dt) ... T2(a_m dt), applied right to left."""
-
-    coefficients: Tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ParameterError("a single-product plan needs at least one coefficient")
-        object.__setattr__(self, "coefficients", tuple(float(a) for a in self.coefficients))
-        if abs(math.fsum(self.coefficients) - 1.0) > PLAN_SUM_TOL:
-            raise InvalidCoefficientError("single-product coefficients must sum to 1")
-
-
-@dataclass(frozen=True)
-class MultiProduct:
-    """Expansion sum_k c_k T2^k(dt/k); c_k kept as exact rationals."""
-
-    terms: Tuple[Tuple[Fraction, int], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ParameterError("a multi-product plan needs at least one term")
-        terms = tuple((Fraction(c), int(k)) for c, k in self.terms)
-        if any(k < 1 for _, k in terms):
-            raise ParameterError("multi-product powers k must be >= 1")
-        if sum(c for c, _ in terms) != 1:
-            raise InvalidCoefficientError("multi-product weights must sum to 1")
-        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: t[1])))
-
-
-Plan = Optional[Union[SingleProduct, MultiProduct]]
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """Equation family + coefficient variant + base step + composition plan."""
-
-    equation: Equation
-    variant: coef.Variant
-    base: BaseStep
-    plan: Plan = None
-
-    def __post_init__(self):
-        family = _FAMILIES[self.equation]
-        if not isinstance(self.variant, family):
-            raise ParameterError(
-                f"{self.equation.value} schemes take a {family.__name__}, got {self.variant}")
-        if self.plan is not None and self.base is not BaseStep.T2:
-            raise ParameterError("composition plans require the symmetric T2 base")
-        if self.equation is Equation.DIFFUSION and _has_negative_fraction(self):
-            raise StabilityError("diffusion substeps with negative coefficients are unstable")
-
-
-def _has_negative_fraction(spec: SchemeSpec) -> bool:
-    return isinstance(spec.plan, SingleProduct) and min(spec.plan.coefficients) < 0.0
+Op = Tuple[Union[PairUpdate, "Comparator"], Union[SweepDirection, StepParams]]
+Terms = Tuple[Tuple[Union[Fraction, int], int, Tuple[Union["Stage", "Comparator"], ...]], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -146,64 +98,101 @@ class Comparator(Enum):
     CRANK_NICOLSON = "crank-nicolson"
     LAX_WENDROFF = "lax-wendroff"
 
+    def ops(self, params: StepParams) -> Tuple[Op, ...]:
+        return ((self, params),)
+
 
 # ---------------------------------------------------------------------------
-# named schemes
+# schemes
+
+class Stage(NamedTuple):
+    """A base step of variant at fraction x the step."""
+
+    variant: coef.Variant
+    base: BaseStep = BaseStep.T2
+    fraction: float = 1.0
+
+    def ops(self, params: StepParams) -> Tuple[Op, ...]:
+        """The stage's sweeps at fraction x params, in run order."""
+        p = params.scaled(self.fraction)
+        half = self.base is BaseStep.T2
+        return tuple((coef.pair_update(self.variant, p.r, p.eta, d, half=half), d)
+                     for d in _DIRECTIONS[self.base])
+
 
 @dataclass(frozen=True)
 class Scheme:
-    """A runnable, named time stepper (exactly one of spec/comparator/sequential)."""
+    """A named time stepper: substeps x sum_t weight_t (stage_1 ... stage_m)^power_t.
+
+    The stages of a term run in order.  The weights are exact rationals
+    summing to 1; in every term each variant advances one whole step
+    (power x the sum of its stage fractions is 1); a 1A/1B sweep or a
+    comparator is the scheme's only stage.
+    """
 
     name: str
     equation: Equation
-    spec: Optional[SchemeSpec] = None
-    comparator: Optional[Comparator] = None
-    sequential: Optional[Tuple[SchemeSpec, SchemeSpec]] = None  # (diffusion, advection)
+    terms: Terms
     substeps: int = 1
 
     def __post_init__(self):
-        slots = [self.spec, self.comparator, self.sequential]
-        if sum(s is not None for s in slots) != 1:
-            raise ParameterError("a scheme needs exactly one of spec/comparator/sequential")
-        if self.substeps < 1:
-            raise ParameterError("substeps must be >= 1")
-        if any(isinstance(s.plan, MultiProduct) for s in self.sequential or ()):
-            raise ParameterError("a sequential scheme cannot hold a multi-product spec")
+        stages = [s for _, _, term in self.terms for s in term]
+        sweeps = [s for s in stages if isinstance(s, Stage)]
+        if self.substeps < 1 or any(power < 1 for _, power, _ in self.terms):
+            raise ParameterError("substeps and term powers must be >= 1")
+        if not stages or not all(term for _, _, term in self.terms) or any(
+                not isinstance(s, (Stage, Comparator)) for s in stages):
+            raise ParameterError("every term needs stages, each a Stage or a Comparator")
+        if sum(Fraction(weight) for weight, _, _ in self.terms) != 1:
+            raise InvalidCoefficientError("term weights must sum to 1")
+        if len(stages) > 1 and (len(sweeps) < len(stages)
+                                or any(s.base is not BaseStep.T2 for s in sweeps)):
+            raise ParameterError("a single sweep or a comparator must stand alone; "
+                                 "composition plans require the symmetric T2 base")
+        for _, power, term in self.terms:
+            steps = [(s.variant, s.fraction) if isinstance(s, Stage) else (s, 1.0) for s in term]
+            if any(abs(power * math.fsum(a for v, a in steps if v is key) - 1.0) > PLAN_SUM_TOL
+                   for key, _ in steps):
+                raise InvalidCoefficientError(
+                    "each variant must advance one whole step in every term")
+        families = {type(s.variant) for s in sweeps}
+        if sweeps and families not in _FAMILIES[self.equation]:
+            names = " + ".join(sorted(f.__name__ for f in families))
+            raise ParameterError(f"{self.equation.value} schemes take no {names} stages")
+        if any(s.fraction < 0.0 and isinstance(s.variant, coef.DiffusionVariant) for s in sweeps):
+            raise StabilityError("diffusion substeps with negative coefficients are unstable")
+        # compile_scheme's memo hashes the scheme on every step: hash it once
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.equation, self.terms, self.substeps)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):   # str hashes differ between processes: rehash when unpickled
+        return Scheme, (self.name, self.equation, self.terms, self.substeps)
 
 
 # ---------------------------------------------------------------------------
 # sweep programs
-
-Steppable = Union[Scheme, SchemeSpec]
-Op = Tuple[Union[PairUpdate, Comparator], Union[SweepDirection, StepParams]]
-Stage = Tuple[Op, ...]
-Term = Tuple[float, int, Tuple[Stage, ...]]   # (weight, power, stages)
 
 PROGRAM_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
 class Program:
-    """One step compiled to sweeps: substeps x sum_t weight_t (stage_1 ... stage_m)^power_t.
+    """A scheme's plan with each stage resolved to its ops at fixed step parameters.
 
-    Stages, and the ops inside a stage, run in order.  A sweep op is
-    (PairUpdate, SweepDirection), a comparator op (Comparator, StepParams).
-    A program with one term has weight 1 and runs in place.
+    A sweep op is (PairUpdate, SweepDirection), a comparator op
+    (Comparator, StepParams).  A program with one term runs in place.
     """
 
     substeps: int
-    terms: Tuple[Term, ...]
-
-
-def _t2_stage(spec: SchemeSpec, params: StepParams) -> Stage:
-    """Symmetric step: ascending half-sweep first, then descending."""
-    return tuple((coef.pair_update(spec.variant, params.r, params.eta, d, half=True), d)
-                 for d in (SweepDirection.ASCENDING, SweepDirection.DESCENDING))
+    terms: Tuple[Tuple[float, int, Tuple[Tuple[Op, ...], ...]], ...]
 
 
 @functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
-def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
-    """The sweep program of one step of scheme (a named scheme or a bare spec) at params.
+def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
+    """The sweep program of one step of scheme at params.
 
     Every coefficient is resolved here, so construction errors are raised
     before a field is touched; stepping, closed-form factors and the
@@ -211,40 +200,20 @@ def compile_scheme(scheme: Steppable, params: StepParams) -> Program:
     rejected for every scheme that diffuses; an advection-diffusion
     program with negative step fractions warns once when compiled at r > 0.
     """
-    if isinstance(scheme, SchemeSpec):
-        scheme = Scheme("spec", scheme.equation, scheme)
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
-    sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
-    if scheme.comparator is not None:
-        return Program(scheme.substeps, ((1.0, 1, (((scheme.comparator, sub),),)),))
-    specs = scheme.sequential or (scheme.spec,)
-    if params.r > 0.0 and any(s.equation is Equation.ADV_DIFF and _has_negative_fraction(s)
-                              for s in specs):
+    if params.r > 0.0 and any(isinstance(s, Stage) and s.fraction < 0.0
+                              and isinstance(s.variant, coef.AdvDiffVariant)
+                              for _, _, stages in scheme.terms for s in stages):
         warnings.warn(f"negative substeps diffuse backwards: {scheme.name} at r = {params.r} "
                       "is stable only for small r", RuntimeWarning, stacklevel=2)
-    spec = scheme.spec
-    if spec is not None and isinstance(spec.plan, MultiProduct):   # sum_k c_k T2^k(dt/k)
-        terms = tuple((float(c), k, (_t2_stage(spec, sub.scaled(1.0 / k)),))
-                      for c, k in spec.plan.terms)
-        return Program(scheme.substeps, terms)
-    stages = []
-    # a sequential scheme runs diffusion first: with constant coefficients the
-    # two generators commute, so the order is a pure reproducibility convention
-    for spec in specs:
-        if isinstance(spec.plan, SingleProduct):   # T2(a_1 dt) ... T2(a_m dt), right to left
-            stages += [_t2_stage(spec, sub.scaled(a))
-                       for a in reversed(spec.plan.coefficients)]
-        elif spec.base is BaseStep.T2:
-            stages.append(_t2_stage(spec, sub))
-        else:
-            d = (SweepDirection.ASCENDING if spec.base is BaseStep.SWEEP_1A
-                 else SweepDirection.DESCENDING)
-            stages.append(((coef.pair_update(spec.variant, sub.r, sub.eta, d), d),))
-    return Program(scheme.substeps, ((1.0, 1, tuple(stages)),))
+    sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
+    return Program(scheme.substeps, tuple(
+        (float(weight), power, tuple(stage.ops(sub) for stage in stages))
+        for weight, power, stages in scheme.terms))
 
 
-def apply_scheme(f: Field1D, scheme: Steppable, params: StepParams) -> None:
+def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
     """Advance f in place by one step of scheme, running its compiled sweep program."""
     program = compile_scheme(scheme, params)
     weighted = len(program.terms) > 1
@@ -269,90 +238,112 @@ def apply_scheme(f: Field1D, scheme: Steppable, params: StepParams) -> None:
 
 
 # ---------------------------------------------------------------------------
-# composition coefficient tables
+# composition weights and plan builders
 
-_CBRT2 = 2.0 ** (1.0 / 3.0)
-_FR_A1 = 1.0 / (2.0 - _CBRT2)
-FOREST_RUTH = (_FR_A1, -_CBRT2 * _FR_A1, _FR_A1)
+def jump_fractions(m: int) -> Tuple[float, ...]:
+    """Fourth-order jump (a,)*m + (-c a,) + (a,)*m: c = (2m)^(1/3), a = 1/(2m - c).
 
-_CBRT4 = 4.0 ** (1.0 / 3.0)
-_S4_A1 = 1.0 / (4.0 - _CBRT4)
-SUZUKI4 = (_S4_A1, _S4_A1, -_CBRT4 * _S4_A1, _S4_A1, _S4_A1)
+    Then sum a = 1 and sum a^3 = 0.  m = 1 is Yoshida's triple jump (Phys.
+    Lett. A 150, 262, 1990), m = 2 Suzuki's five-stage fractal.
+    """
+    c = (2.0 * m) ** (1.0 / 3.0)
+    a = 1.0 / (2.0 * m - c)
+    return (a,) * m + (-c * a,) + (a,) * m
 
+
+def mpe_weights(order: int) -> Tuple[Tuple[Fraction, int], ...]:
+    """Multi-product weights ((c_k, k), ...), k = 1 .. order/2, of an even order.
+
+    c_k = prod_{j != k} k^2 / (k^2 - j^2) solves sum_k c_k k^(-2m) = 0 for
+    m = 1 .. order/2 - 1 (Chin & Geiser 2011, arXiv:1005.2201).
+    """
+    if order < 2 or order % 2:
+        raise ParameterError(f"multi-product orders are even and >= 2, got {order}")
+    ks = range(1, order // 2 + 1)
+    return tuple((math.prod((Fraction(k * k, k * k - j * j) for j in ks if j != k),
+                            start=Fraction(1)), k) for k in ks)
+
+
+def product(variant: coef.Variant, fractions: Sequence[float]) -> Terms:
+    """Single product T2(a_1 dt) ... T2(a_m dt): one term, its stages run right to left."""
+    return ((1, 1, tuple(Stage(variant, BaseStep.T2, a) for a in reversed(fractions))),)
+
+
+def expansion(variant: coef.Variant, weights: Sequence[Tuple[Fraction, int]]) -> Terms:
+    """Multi-product expansion sum_k c_k T2^k(dt/k) of weights ((c_k, k), ...)."""
+    return tuple((c, k, (Stage(variant, BaseStep.T2, 1.0 / k),)) for c, k in weights)
+
+
+FOREST_RUTH = jump_fractions(1)
+SUZUKI4 = jump_fractions(2)
+
+# Yoshida's sixth-order solution A has no closed form
 _Y6_A1 = -1.17767998417887
 _Y6_A2 = 0.235573213359357
 _Y6_A3 = 0.784513610477560
 _Y6_A0 = 1.0 - 2.0 * (_Y6_A1 + _Y6_A2 + _Y6_A3)
 YOSHIDA6 = (_Y6_A3, _Y6_A2, _Y6_A1, _Y6_A0, _Y6_A1, _Y6_A2, _Y6_A3)
 
-MPE_T4 = ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
-MPE_T6 = ((Fraction(1, 24), 1), (Fraction(-16, 15), 2), (Fraction(81, 40), 3))
-MPE_T8 = ((Fraction(-1, 360), 1), (Fraction(16, 45), 2),
-          (Fraction(-729, 280), 3), (Fraction(1024, 315), 4))
+MPE_T4 = mpe_weights(4)
+MPE_T6 = mpe_weights(6)
+MPE_T8 = mpe_weights(8)
 
 
 # ---------------------------------------------------------------------------
 # preset catalogue
 
-_diff = functools.partial(SchemeSpec, Equation.DIFFUSION)
-_adv = functools.partial(SchemeSpec, Equation.ADVECTION)
-_ad = functools.partial(SchemeSpec, Equation.ADV_DIFF)
-_DV = coef.DiffusionVariant
-_AV = coef.AdvectionVariant
-_XV = coef.AdvDiffVariant
+def _one(*stages: Union[Stage, Comparator]) -> Terms:
+    return ((1, 1, stages),)
 
-_PRESETS = {
-    Equation.DIFFUSION: {
-        "euler": Scheme("euler", Equation.DIFFUSION, comparator=Comparator.EULER),
-        "cn": Scheme("cn", Equation.DIFFUSION, comparator=Comparator.CRANK_NICOLSON),
-        "d1a": Scheme("d1a", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.SWEEP_1A)),
-        "d1b": Scheme("d1b", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.SWEEP_1B)),
-        "d1as": Scheme("d1as", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.SWEEP_1A)),
-        "d1bs": Scheme("d1bs", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.SWEEP_1B)),
-        "d2": Scheme("d2", Equation.DIFFUSION, _diff(_DV.EXPONENTIAL, BaseStep.T2)),
-        "d2s": Scheme("d2s", Equation.DIFFUSION, _diff(_DV.SAULYEV_MATCHED, BaseStep.T2)),
-        "t4": Scheme("t4", Equation.DIFFUSION,
-                     _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T4))),
-        "t6": Scheme("t6", Equation.DIFFUSION,
-                     _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T6))),
-        "t8": Scheme("t8", Equation.DIFFUSION,
-                     _diff(_DV.SAULYEV_MATCHED, BaseStep.T2, MultiProduct(MPE_T8))),
-    },
-    Equation.ADVECTION: {
-        "lw": Scheme("lw", Equation.ADVECTION, comparator=Comparator.LAX_WENDROFF),
-        "a1a": Scheme("a1a", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.SWEEP_1A)),
-        "a1b": Scheme("a1b", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.SWEEP_1B)),
-        "a1as": Scheme("a1as", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.SWEEP_1A)),
-        "a1bs": Scheme("a1bs", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.SWEEP_1B)),
-        "rw1a": Scheme("rw1a", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.SWEEP_1A)),
-        "rw1b": Scheme("rw1b", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.SWEEP_1B)),
-        "a2": Scheme("a2", Equation.ADVECTION, _adv(_AV.TRIG, BaseStep.T2)),
-        "a2s": Scheme("a2s", Equation.ADVECTION, _adv(_AV.SAULYEV, BaseStep.T2)),
-        "a2c": Scheme("a2c", Equation.ADVECTION, _adv(_AV.MATCHED_CN, BaseStep.T2)),
-        "rw2": Scheme("rw2", Equation.ADVECTION, _adv(_AV.ROBERTS_WEISS, BaseStep.T2)),
-        "fr": Scheme("fr", Equation.ADVECTION,
-                     _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(FOREST_RUTH))),
-        "s4": Scheme("s4", Equation.ADVECTION,
-                     _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(SUZUKI4))),
-        "y6": Scheme("y6", Equation.ADVECTION,
-                     _adv(_AV.MATCHED_CN, BaseStep.T2, SingleProduct(YOSHIDA6))),
-    },
-    Equation.ADV_DIFF: {
-        "rw1a": Scheme("rw1a", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.SWEEP_1A)),
-        "rw1b": Scheme("rw1b", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.SWEEP_1B)),
-        "rw2": Scheme("rw2", Equation.ADV_DIFF, _ad(_XV.GENERALIZED_RW, BaseStep.T2)),
-        "ad2c": Scheme("ad2c", Equation.ADV_DIFF, _ad(_XV.MATCHED_AD2C, BaseStep.T2)),
-        "split1a": Scheme("split1a", Equation.ADV_DIFF, _ad(_XV.SPLIT_DERIVED, BaseStep.SWEEP_1A)),
-        "split1b": Scheme("split1b", Equation.ADV_DIFF, _ad(_XV.SPLIT_DERIVED, BaseStep.SWEEP_1B)),
-        "t4": Scheme("t4", Equation.ADV_DIFF,
-                     _ad(_XV.MATCHED_AD2C, BaseStep.T2, MultiProduct(MPE_T4))),
-        "fr": Scheme("fr", Equation.ADV_DIFF,
-                     _ad(_XV.MATCHED_AD2C, BaseStep.T2, SingleProduct(FOREST_RUTH))),
-        "a_d": Scheme("a_d", Equation.ADV_DIFF,
-                      sequential=(_diff(_DV.SAULYEV_MATCHED, BaseStep.T2),
-                                  _adv(_AV.MATCHED_CN, BaseStep.T2))),
-    },
-}
+
+_DV, _AV, _XV = coef.DiffusionVariant, coef.AdvectionVariant, coef.AdvDiffVariant
+_1A, _1B = BaseStep.SWEEP_1A, BaseStep.SWEEP_1B
+
+_PRESETS = {equation: {name: Scheme(name, equation, terms) for name, terms in table.items()}
+            for equation, table in (
+    (Equation.DIFFUSION, {
+        "euler": _one(Comparator.EULER),
+        "cn": _one(Comparator.CRANK_NICOLSON),
+        "d1a": _one(Stage(_DV.EXPONENTIAL, _1A)),
+        "d1b": _one(Stage(_DV.EXPONENTIAL, _1B)),
+        "d1as": _one(Stage(_DV.SAULYEV_MATCHED, _1A)),
+        "d1bs": _one(Stage(_DV.SAULYEV_MATCHED, _1B)),
+        "d2": _one(Stage(_DV.EXPONENTIAL)),
+        "d2s": _one(Stage(_DV.SAULYEV_MATCHED)),
+        "t4": expansion(_DV.SAULYEV_MATCHED, MPE_T4),
+        "t6": expansion(_DV.SAULYEV_MATCHED, MPE_T6),
+        "t8": expansion(_DV.SAULYEV_MATCHED, MPE_T8),
+    }),
+    (Equation.ADVECTION, {
+        "lw": _one(Comparator.LAX_WENDROFF),
+        "a1a": _one(Stage(_AV.TRIG, _1A)),
+        "a1b": _one(Stage(_AV.TRIG, _1B)),
+        "a1as": _one(Stage(_AV.SAULYEV, _1A)),
+        "a1bs": _one(Stage(_AV.SAULYEV, _1B)),
+        "rw1a": _one(Stage(_AV.ROBERTS_WEISS, _1A)),
+        "rw1b": _one(Stage(_AV.ROBERTS_WEISS, _1B)),
+        "a2": _one(Stage(_AV.TRIG)),
+        "a2s": _one(Stage(_AV.SAULYEV)),
+        "a2c": _one(Stage(_AV.MATCHED_CN)),
+        "rw2": _one(Stage(_AV.ROBERTS_WEISS)),
+        "fr": product(_AV.MATCHED_CN, FOREST_RUTH),
+        "s4": product(_AV.MATCHED_CN, SUZUKI4),
+        "y6": product(_AV.MATCHED_CN, YOSHIDA6),
+    }),
+    (Equation.ADV_DIFF, {
+        "rw1a": _one(Stage(_XV.GENERALIZED_RW, _1A)),
+        "rw1b": _one(Stage(_XV.GENERALIZED_RW, _1B)),
+        "rw2": _one(Stage(_XV.GENERALIZED_RW)),
+        "ad2c": _one(Stage(_XV.MATCHED_AD2C)),
+        "split1a": _one(Stage(_XV.SPLIT_DERIVED, _1A)),
+        "split1b": _one(Stage(_XV.SPLIT_DERIVED, _1B)),
+        "t4": expansion(_XV.MATCHED_AD2C, MPE_T4),
+        "fr": product(_XV.MATCHED_AD2C, FOREST_RUTH),
+        # diffusion first: with constant coefficients the two generators
+        # commute, so the order is a pure reproducibility convention
+        "a_d": _one(Stage(_DV.SAULYEV_MATCHED), Stage(_AV.MATCHED_CN)),
+    }),
+)}
 
 _SUBSTEP_RE = re.compile(r"^([1-9]\d*)x(.+)$")
 

@@ -22,7 +22,7 @@ from .composition import (
     Comparator,
     Equation,
     Program,
-    Steppable,
+    Scheme,
     StepParams,
     apply_scheme,
     compile_scheme,
@@ -97,8 +97,8 @@ def comparator_factor(comparator: Comparator, params: StepParams, theta: Thetas)
     return 1.0 - 1j * params.eta * np.sin(theta) - 2.0 * params.eta ** 2 * s2
 
 
-def scheme_factor(scheme: Steppable, params: StepParams, theta: Thetas):
-    """Closed-form factor of any named scheme or spec, read off its sweep program.
+def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
+    """Closed-form factor of a scheme, read off its sweep program.
 
     Op factors multiply within a stage, stage products multiply, each
     term's product is raised to its power, the terms add with their
@@ -126,7 +126,7 @@ def exact_phase(eta: float, theta: Thetas):
     return eta * np.sin(theta)
 
 
-def phase_curve(scheme: Steppable, params: StepParams, thetas: Sequence[float]) -> np.ndarray:
+def phase_curve(scheme: Scheme, params: StepParams, thetas: Sequence[float]) -> np.ndarray:
     """Unwrapped phase angle -arg g at each requested theta >= 0.
 
     The branch is tracked by continuity from theta = 0 on a grid at
@@ -162,7 +162,7 @@ def _readout_index(program: Program, n: int) -> int:
     return n // 2
 
 
-def numeric_amplification(scheme: Steppable, params: StepParams, theta: float,
+def numeric_amplification(scheme: Scheme, params: StepParams, theta: float,
                           n: int) -> AmplificationSample:
     """Apply the actual stepper to the mode e^{i theta j} and read the factor.
 

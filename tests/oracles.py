@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sweepfd import coefficients as coef
-from sweepfd.composition import Equation, Steppable, StepParams
+from sweepfd.composition import Equation, Scheme, StepParams
 from sweepfd.errors import ParameterError, SizeError
 from sweepfd.spectral import (
     AmplificationSample,
@@ -114,11 +114,11 @@ def exact_amplification(equation: Equation, params: StepParams, theta: float) ->
     return AmplificationSample(float(theta), complex(exact_factor(equation, params, theta)))
 
 
-def scheme_amplification(scheme: Steppable, params: StepParams, theta: float) -> AmplificationSample:
+def scheme_amplification(scheme: Scheme, params: StepParams, theta: float) -> AmplificationSample:
     return AmplificationSample(float(theta), complex(scheme_factor(scheme, params, theta)))
 
 
-def phase_angle(scheme: Steppable, params: StepParams, theta: float) -> float:
+def phase_angle(scheme: Scheme, params: StepParams, theta: float) -> float:
     return float(phase_curve(scheme, params, [theta])[0])
 
 

@@ -247,9 +247,10 @@ def test_criterion_4_unitarity():
             worst = np.max(np.abs(np.abs(g) - 1.0))
             check(failures, worst <= 1e-12, f"{name} eta={eta}: ||g|-1|={worst:.2e}")
     # the matched-CN coefficient as a bare one-sided sweep (no preset name)
-    from sweepfd import BaseStep, SchemeSpec
+    from sweepfd import BaseStep, Scheme, Stage
     for base in (BaseStep.SWEEP_1A, BaseStep.SWEEP_1B):
-        spec = SchemeSpec(Equation.ADVECTION, AdvectionVariant.MATCHED_CN, base)
+        spec = Scheme("matched-cn", Equation.ADVECTION,
+                      ((1, 1, (Stage(AdvectionVariant.MATCHED_CN, base),)),))
         for eta in (0.1, 0.7, 2.0, 8.0):
             g = scheme_factor(spec, StepParams(eta=eta), thetas)
             worst = np.max(np.abs(np.abs(g) - 1.0))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sweepfd
+import sweepfd.cli
 from sweepfd.cli import main
 
 CHILD_ADDRESS_SPACE = 2 * 1024 ** 3   # bytes; caps the subprocess, never the test runner
@@ -30,6 +31,20 @@ def run_clean(args, capsys):
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return code, err
+
+
+def run_capped(args):
+    """Run the CLI in a child process whose address space is CHILD_ADDRESS_SPACE."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    src = str(Path(sweepfd.__file__).parents[1])
+    # one BLAS thread: OpenBLAS reserves address space per thread at import
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sweepfd.cli"] + args, env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_address_space)
 
 
 def read_csv(path):
@@ -352,20 +367,54 @@ class TestStepCounts:
         # used to end in a numpy _ArrayMemoryError traceback from the initial
         # profile; the child's address space is capped so that failure cannot
         # take the host's memory
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
-
-        src = str(Path(sweepfd.__file__).parents[1])
-        # one BLAS thread: OpenBLAS reserves address space per thread at import
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "run.csv"
-        proc = subprocess.run([sys.executable, "-m", "sweepfd.cli", "run", "--nx", "10000000000",
-                               "--steps", "0", "--out", str(out)], env=env, capture_output=True,
-                              text=True, timeout=60, preexec_fn=cap_address_space)
+        proc = run_capped(["run", "--nx", "10000000000", "--steps", "0", "--out", str(out)])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("usage error:")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ampfactor", "phase"])
+    def test_ntheta_beyond_ceiling_is_usage_error(self, command, tmp_path):
+        # used to end in a numpy _ArrayMemoryError traceback from np.linspace
+        out = tmp_path / "out.csv"
+        proc = run_capped([command, "--equation", "advection", "--scheme", "a2c",
+                           "--ntheta", "100000000000", "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("usage error: --ntheta must lie in")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ampfactor", "phase"])
+    def test_ntheta_below_two_is_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, err = run_clean([command, "--equation", "advection", "--scheme", "a2c",
+                               "--ntheta", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error: --ntheta must lie in")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ampfactor", "phase"])
+    def test_ntheta_ceiling_is_inclusive(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweepfd.cli, "MAX_NTHETA", 5)   # the real 1e5 rows take seconds
+        out = tmp_path / "out.csv"
+        argv = [command, "--equation", "advection", "--scheme", "a2c", "--out", str(out)]
+        code, _ = run_clean(argv + ["--ntheta", "5"], capsys)
+        assert code == 0
+        assert sum(not line.startswith("#") for line in out.open()) == 5 + 1
+        out.unlink()
+        code, err = run_clean(argv + ["--ntheta", "6"], capsys)
+        assert code == 2
+        assert err.startswith("usage error: --ntheta must lie in")
+        assert not out.exists()
+
+    def test_checkpoint_overflow_is_usage_error(self, tmp_path, capsys):
+        # t/dt overflows to inf, and round(inf) used to raise OverflowError
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--dt", "1e-300", "--steps", "1", "--checkpoints", "1e300",
+                               "--nx", "10", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error: t=1e+300 takes no finite number of steps")
         assert not out.exists()
 
     def test_converge_over_zero_time_is_usage_error(self, tmp_path, capsys):

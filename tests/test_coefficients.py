@@ -11,7 +11,8 @@ from sweepfd import (
     BaseStep,
     DiffusionVariant,
     Equation,
-    SchemeSpec,
+    Scheme,
+    Stage,
     StepParams,
     SweepDirection,
     compile_scheme,
@@ -51,8 +52,9 @@ class TestDiffusionCoeffs:
 
     def test_negative_r_rejected(self):
         with pytest.raises(StabilityError):
-            compile_scheme(SchemeSpec(Equation.DIFFUSION, DiffusionVariant.EXPONENTIAL,
-                                      BaseStep.SWEEP_1A), StepParams(r=-0.1))
+            compile_scheme(Scheme("d1a", Equation.DIFFUSION, (
+                (1, 1, (Stage(DiffusionVariant.EXPONENTIAL, BaseStep.SWEEP_1A),)),)),
+                StepParams(r=-0.1))
 
     def test_monotone_damping(self):
         rs = np.linspace(0.0, 20.0, 81)
@@ -214,10 +216,28 @@ class TestGeneralizedRW:
         with pytest.raises(ParameterError):
             pair_update(AdvDiffVariant.GENERALIZED_RW, 0.1, 1.5, DESC)
 
+    @pytest.mark.parametrize("r,eta,direction", [
+        (100.0, math.nextafter(1.0, 0.0), DESC),
+        (1.0, -math.nextafter(1.0, 0.0), ASC),
+        (1e17, 0.3, ASC),
+        (1e17, 0.3, DESC),
+    ])
+    def test_recurrence_coefficient_rounding_to_one_rejected(self, r, eta, direction):
+        # each used to build an update whose recurrence coefficient (beta
+        # ascending, lam descending) is exactly 1, e.g. PairUpdate(0.0, 1.0, 1.0),
+        # the degenerate update that eta = +-1 is rejected for
+        with pytest.raises(ParameterError, match="rounds to 1"):
+            pair_update(AdvDiffVariant.GENERALIZED_RW, r, eta, direction)
+
+    def test_recurrence_coefficient_near_one_accepted(self):
+        u = pair_update(AdvDiffVariant.GENERALIZED_RW, 1e8, 0.5, ASC)
+        assert 0.0 < 1.0 - u.beta < 1e-7
+
     def test_negative_r_rejected(self):
         with pytest.raises(StabilityError):
-            compile_scheme(SchemeSpec(Equation.ADV_DIFF, AdvDiffVariant.GENERALIZED_RW,
-                                      BaseStep.SWEEP_1A), StepParams(r=-0.1, eta=0.5))
+            compile_scheme(Scheme("rw1a", Equation.ADV_DIFF, (
+                (1, 1, (Stage(AdvDiffVariant.GENERALIZED_RW, BaseStep.SWEEP_1A),)),)),
+                StepParams(r=-0.1, eta=0.5))
 
 
 class TestAd2c:

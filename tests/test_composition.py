@@ -1,10 +1,12 @@
 """Composed time steppers: plans, presets, order conditions."""
 
 import os
+import pickle
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,19 +21,23 @@ from sweepfd import (
     AdvDiffVariant,
     AdvectionVariant,
     BaseStep,
+    Comparator,
     DiffusionVariant,
     Equation,
     Field1D,
-    MultiProduct,
     PairUpdate,
-    SchemeSpec,
-    SingleProduct,
+    Scheme,
+    Stage,
     StepParams,
     apply_scheme,
     compile_scheme,
+    expansion,
     gaussian_profile,
+    jump_fractions,
+    mpe_weights,
     norm,
     preset_names,
+    product,
     resolve_preset,
 )
 from sweepfd.errors import (
@@ -44,41 +50,42 @@ from sweepfd.errors import (
 from oracles import validate_order_conditions
 
 
-def d2s_spec(plan=None):
-    return SchemeSpec(Equation.DIFFUSION, DiffusionVariant.SAULYEV_MATCHED, BaseStep.T2, plan)
+SM = DiffusionVariant.SAULYEV_MATCHED
+MCN = AdvectionVariant.MATCHED_CN
 
 
-def a2c_spec(plan=None):
-    return SchemeSpec(Equation.ADVECTION, AdvectionVariant.MATCHED_CN, BaseStep.T2, plan)
+def d2s_spec(terms=None):
+    return Scheme("d2s", Equation.DIFFUSION, terms or product(SM, (1.0,)))
+
+
+def a2c_spec(terms=None):
+    return Scheme("a2c", Equation.ADVECTION, terms or product(MCN, (1.0,)))
 
 
 class TestPlans:
     def test_single_product_must_sum_to_one(self):
         with pytest.raises(InvalidCoefficientError):
-            SingleProduct((0.5, 0.4))
+            a2c_spec(product(MCN, (0.5, 0.4)))
 
     def test_multi_product_weights_must_sum_to_one(self):
         with pytest.raises(InvalidCoefficientError):
-            MultiProduct(((Fraction(1, 2), 1), (Fraction(1, 3), 2)))
+            d2s_spec(expansion(SM, ((Fraction(1, 2), 1), (Fraction(1, 3), 2))))
 
     def test_multi_product_powers_positive(self):
         with pytest.raises(ParameterError):
-            MultiProduct(((Fraction(1), 0),))
+            d2s_spec(((Fraction(1), 0, (Stage(SM),)),))
 
     def test_plan_requires_t2_base(self):
         with pytest.raises(ParameterError):
-            SchemeSpec(Equation.ADVECTION, AdvectionVariant.MATCHED_CN,
-                       BaseStep.SWEEP_1A, SingleProduct((1.0,)))
+            a2c_spec(((1, 1, (Stage(MCN, BaseStep.SWEEP_1A, 0.5),
+                              Stage(MCN, BaseStep.SWEEP_1A, 0.5))),))
 
     def test_diffusion_rejects_negative_fractions(self):
         with pytest.raises(StabilityError):
-            SchemeSpec(Equation.DIFFUSION, DiffusionVariant.SAULYEV_MATCHED,
-                       BaseStep.T2, SingleProduct(FOREST_RUTH))
+            d2s_spec(product(SM, FOREST_RUTH))
 
     def test_advdiff_negative_fractions_warn_but_build(self):
-        from sweepfd.coefficients import AdvDiffVariant
-        spec = SchemeSpec(Equation.ADV_DIFF, AdvDiffVariant.MATCHED_AD2C,
-                          BaseStep.T2, SingleProduct(FOREST_RUTH))
+        spec = Scheme("spec", Equation.ADV_DIFF, product(AdvDiffVariant.MATCHED_AD2C, FOREST_RUTH))
         compile_scheme.cache_clear()   # the warning comes with compiling, once per program
         with pytest.warns(RuntimeWarning):
             compile_scheme(spec, StepParams(r=0.05, eta=0.4))
@@ -93,7 +100,63 @@ class TestPlans:
     def test_variant_from_another_family_rejected(self, equation, variant):
         # a foreign variant used to compile silently into another family's formula
         with pytest.raises(ParameterError):
-            SchemeSpec(equation, variant, BaseStep.T2)
+            Scheme("spec", equation, product(variant, (1.0,)))
+
+    @pytest.mark.parametrize("stages", [
+        (Stage(MCN, BaseStep.SWEEP_1B), Stage(MCN)),
+        (Comparator.LAX_WENDROFF, Stage(MCN)),
+        (Comparator.LAX_WENDROFF, Comparator.LAX_WENDROFF),
+    ])
+    def test_single_sweeps_and_comparators_stand_alone(self, stages):
+        with pytest.raises(ParameterError, match="stand alone"):
+            Scheme("spec", Equation.ADVECTION, ((1, 1, stages),))
+
+    def test_one_sided_sweep_in_one_of_two_terms_rejected(self):
+        with pytest.raises(ParameterError, match="stand alone"):
+            a2c_spec(((Fraction(1, 2), 1, (Stage(MCN, BaseStep.SWEEP_1A),)),
+                      (Fraction(1, 2), 1, (Stage(MCN),))))
+
+    @pytest.mark.parametrize("equation,terms", [
+        # advection lags half a step behind diffusion
+        (Equation.ADV_DIFF, ((1, 1, (Stage(SM), Stage(MCN, BaseStep.T2, 0.5))),)),
+        # power 2 at the full step
+        (Equation.DIFFUSION, ((1, 2, (Stage(SM),)),)),
+        # the T4 weights with the second term left at dt instead of dt/2
+        (Equation.DIFFUSION, ((Fraction(-1, 3), 1, (Stage(SM),)),
+                              (Fraction(4, 3), 2, (Stage(SM),)))),
+    ])
+    def test_each_variant_advances_one_step_per_term(self, equation, terms):
+        with pytest.raises(InvalidCoefficientError, match="one whole step"):
+            Scheme("spec", equation, terms)
+
+    def test_diffusion_and_advection_stages_only_for_advdiff(self):
+        terms = ((1, 1, (Stage(SM), Stage(MCN))),)
+        assert Scheme("a_d", Equation.ADV_DIFF, terms).terms == terms
+        for equation in (Equation.DIFFUSION, Equation.ADVECTION):
+            with pytest.raises(ParameterError, match="take no"):
+                Scheme("a_d", equation, terms)
+
+    def test_stage_must_be_stage_or_comparator(self):
+        with pytest.raises(ParameterError, match="Stage or a Comparator"):
+            a2c_spec(((1, 1, ((MCN, BaseStep.T2, 1.0, "extra"),)),))
+
+    def test_equal_schemes_hash_equal(self):
+        one, two = (resolve_preset("2xy6", Equation.ADVECTION) for _ in range(2))
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert one != resolve_preset("3xy6", Equation.ADVECTION)
+
+    def test_scheme_unpickled_from_another_process_hashes_equal(self):
+        # the hash is cached at construction, and str hashes are salted per process
+        script = ("import pickle, sys, sweepfd as sf\n"
+                  "scheme = sf.resolve_preset('2xy6', sf.Equation.ADVECTION)\n"
+                  "sys.stdout.buffer.write(pickle.dumps(scheme))\n")
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              timeout=60, check=True)
+        scheme = pickle.loads(done.stdout)
+        local = resolve_preset("2xy6", Equation.ADVECTION)
+        assert scheme == local and hash(scheme) == hash(local)
 
     def test_mpe_presets_are_exact_rationals(self):
         assert MPE_T4 == ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
@@ -149,6 +212,42 @@ class TestOrderConditions:
             validate_order_conditions([], 2)
 
 
+class TestGeneratedWeights:
+    def test_jump_presets_are_bit_identical_to_the_literal_tables(self):
+        # the values the hand-typed tables held before the jumps were generated
+        x1, x0 = float.fromhex("0x1.59e8b6eb96339p+0"), float.fromhex("-0x1.b3d16dd72c672p+0")
+        assert FOREST_RUTH == (x1, x0, x1)
+        s, s0 = float.fromhex("0x1.a87044d5670efp-2"), float.fromhex("-0x1.50e089aace1dep-1")
+        assert SUZUKI4 == (s, s, s0, s, s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_jump_fractions_are_fourth_order(self, m):
+        fractions = jump_fractions(m)
+        assert len(fractions) == 2 * m + 1
+        assert fractions == fractions[::-1]
+        assert validate_order_conditions(fractions, 4).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_mpe_weights_satisfy_order_conditions(self, n):
+        weights = mpe_weights(2 * n)
+        assert [k for _, k in weights] == list(range(1, n + 1))
+        assert all(isinstance(c, Fraction) for c, _ in weights)
+        assert sum(c for c, _ in weights) == 1
+        for m in range(1, n):
+            assert sum(c * Fraction(1, k ** (2 * m)) for c, k in weights) == 0
+
+    @pytest.mark.parametrize("order", [0, 3, -2])
+    def test_mpe_order_must_be_even_and_positive(self, order):
+        with pytest.raises(ParameterError):
+            mpe_weights(order)
+
+    def test_expansion_steps_each_term_at_dt_over_k(self):
+        terms = expansion(SM, MPE_T6)
+        assert [(c, k) for c, k, _ in terms] == list(MPE_T6)
+        assert [stages for _, _, stages in terms] == [(Stage(SM, BaseStep.T2, 1.0 / k),)
+                                                     for k in (1, 2, 3)]
+
+
 class TestT2Step:
     def test_zero_parameters_identity(self):
         f = Field1D(np.linspace(1, 2, 16), dx=1.0)
@@ -169,7 +268,7 @@ class TestT2Step:
         f1 = Field1D(values.copy(), dx=1.0)
         f2 = Field1D(values.copy(), dx=1.0)
         apply_scheme(f1, a2c_spec(), StepParams(eta=0.6))
-        apply_scheme(f2, a2c_spec(SingleProduct((1.0,))), StepParams(eta=0.6))
+        apply_scheme(f2, a2c_spec(product(MCN, (1.0,))), StepParams(eta=0.6))
         assert np.array_equal(f1.values, f2.values)
 
     def test_single_term_multi_product_equals_t2(self):
@@ -178,7 +277,7 @@ class TestT2Step:
         f1 = Field1D(values.copy(), dx=1.0)
         f2 = Field1D(values.copy(), dx=1.0)
         apply_scheme(f1, d2s_spec(), StepParams(r=0.8))
-        apply_scheme(f2, d2s_spec(MultiProduct(((Fraction(1), 1),))), StepParams(r=0.8))
+        apply_scheme(f2, d2s_spec(expansion(SM, ((Fraction(1), 1),))), StepParams(r=0.8))
         assert np.allclose(f1.values, f2.values, atol=1e-15)
 
 
@@ -187,7 +286,7 @@ class TestMpeBehaviour:
         # a sharp pulse at sizeable r: the fourth-order expansion undershoots
         f = Field1D(np.zeros(64), dx=1.0)
         f.values[32] = 1.0
-        spec = d2s_spec(MultiProduct(MPE_T4))
+        spec = d2s_spec(expansion(SM, MPE_T4))
         for _ in range(2):
             apply_scheme(f, spec, StepParams(r=2.0))
         assert f.values.min() < 0.0
@@ -195,7 +294,7 @@ class TestMpeBehaviour:
     def test_mpe_norm_conserved(self):
         f = gaussian_profile(60, -6.0, 0.2, 0.0, 0.5)
         before = norm(f)
-        apply_scheme(f, d2s_spec(MultiProduct(MPE_T6)), StepParams(r=2.0))
+        apply_scheme(f, d2s_spec(expansion(SM, MPE_T6)), StepParams(r=2.0))
         assert norm(f) == pytest.approx(before, rel=1e-13)
 
 
@@ -275,19 +374,12 @@ class TestPresets:
 
 
 def structural_sweeps(scheme):
-    """Sweeps per step from the plan: 1 per single sweep, 2 per T2, 2m per
-    m-fraction product, 2*sum(k) per multi-product, 0 for a comparator."""
-    if scheme.comparator is not None:
-        return 0
-    total = 0
-    for spec in scheme.sequential or (scheme.spec,):
-        if isinstance(spec.plan, MultiProduct):
-            total += 2 * sum(k for _, k in spec.plan.terms)
-        elif isinstance(spec.plan, SingleProduct):
-            total += 2 * len(spec.plan.coefficients)
-        else:
-            total += 2 if spec.base is BaseStep.T2 else 1
-    return scheme.substeps * total
+    """Sweeps per step from the scheme's terms: 2 per T2 stage, 1 per single
+    sweep, 0 per comparator, each term's stages counted power times."""
+    per_stage = {BaseStep.T2: 2, BaseStep.SWEEP_1A: 1, BaseStep.SWEEP_1B: 1}
+    return scheme.substeps * sum(
+        power * sum(per_stage[s.base] for s in stages if isinstance(s, Stage))
+        for _, power, stages in scheme.terms)
 
 
 EVERY_PRESET = [(eq, prefix + name) for eq in Equation for name in preset_names(eq)
@@ -305,6 +397,18 @@ class TestCompiledPrograms:
         sweeps = sum(power * sum(isinstance(op[0], PairUpdate) for stage in stages for op in stage)
                      for _, power, stages in program.terms)
         assert program.substeps * sweeps == structural_sweeps(scheme)
+
+    @pytest.mark.parametrize("equation,name", EVERY_PRESET)
+    def test_sweep_count_matches_benchmark_prediction(self, equation, name):
+        # the benchmark's traced runs fail unless the counted sweeps equal its
+        # own hand-written table, which knows nothing of scheme.terms
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from workloads import predicted_sweeps
+        finally:
+            sys.path.pop(0)
+        assert structural_sweeps(resolve_preset(name, equation)) == \
+            predicted_sweeps(equation.value, name)
 
     @pytest.mark.parametrize("equation,name", [
         (equation, name) for equation in (Equation.DIFFUSION, Equation.ADV_DIFF)
@@ -324,8 +428,8 @@ class TestCompiledPrograms:
         # at eta = 1.4 the outer Forest-Ruth stages are valid Roberts-Weiss steps, but
         # the middle one (a = -1.70) needs an ascending sweep at a/2 eta <= -1: the
         # program fails to compile before the first stage has run
-        spec = SchemeSpec(Equation.ADVECTION, AdvectionVariant.ROBERTS_WEISS, BaseStep.T2,
-                          SingleProduct(FOREST_RUTH))
+        spec = Scheme("rwfr", Equation.ADVECTION, product(AdvectionVariant.ROBERTS_WEISS,
+                                                          FOREST_RUTH))
         f = gaussian_profile(40, 0.0, 0.25, 5.0, 0.8)
         before = f.values.copy()
         with pytest.raises(SpatialAmplificationError, match="eta > -1"):
