@@ -32,10 +32,8 @@ from .composition import (
     StepParams,
     apply_scheme,
     compile_scheme,
-    euler_step,
     expansion,
     jump_fractions,
-    lax_wendroff_step,
     mpe_weights,
     preset_names,
     product,
@@ -43,7 +41,6 @@ from .composition import (
 )
 from .grid import (
     Field1D,
-    ModifiedNormTag,
     abs_moment,
     abs_weighted_mean,
     gaussian_profile,

@@ -9,8 +9,10 @@ diffusion substep with a_i < 0 is unstable) or from a multi-product
 expansion sum_k c_k T2^k(dt/k), whose weights are exact rationals.
 
 compile_scheme resolves a scheme's coefficients at given step parameters
-into one Program; stepping, the closed-form amplification factor and the
-numeric readout all interpret it.
+into one Program of (head, arg) ops: a (PairUpdate, SweepDirection) sweep
+or a (Comparator, StepParams) step.  Each head answers for its op, how it
+steps and its amplification factor, so stepping, the closed-form factor
+and the numeric readout read one program without interpreting its ops.
 """
 
 from __future__ import annotations
@@ -78,28 +80,35 @@ Op = Tuple[Union[PairUpdate, "Comparator"], Union[SweepDirection, StepParams]]
 Terms = Tuple[Tuple[Union[Fraction, int], int, Tuple[Union["Stage", "Comparator"], ...]], ...]
 
 
-# ---------------------------------------------------------------------------
-# explicit reference steppers (figure comparators)
-
-def euler_step(f: Field1D, params: StepParams) -> None:
-    """Forward-time central-space diffusion step; stable only for r <= 1/2."""
-    v = f.values
-    v[:] = v + params.r * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1))
-
-
-def lax_wendroff_step(f: Field1D, params: StepParams) -> None:
-    v = f.values
-    vp, vm = np.roll(v, -1), np.roll(v, 1)
-    v[:] = v - 0.5 * params.eta * (vp - vm) + 0.5 * params.eta ** 2 * (vp - 2.0 * v + vm)
-
-
 class Comparator(Enum):
-    EULER = "euler"
-    CRANK_NICOLSON = "crank-nicolson"
+    """A reference stepper of the figures: one op that steps and amplifies itself."""
+
+    EULER = "euler"                    # forward-time central-space diffusion, stable for r <= 1/2
+    CRANK_NICOLSON = "crank-nicolson"  # implicit: closed-form factor only
     LAX_WENDROFF = "lax-wendroff"
 
     def ops(self, params: StepParams) -> Tuple[Op, ...]:
         return ((self, params),)
+
+    def step(self, f: Field1D, params: StepParams) -> None:
+        """Advance f in place by one explicit step."""
+        v = f.values
+        if self is Comparator.EULER:
+            v[:] = v + params.r * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1))
+        elif self is Comparator.LAX_WENDROFF:
+            vp, vm = np.roll(v, -1), np.roll(v, 1)
+            v[:] = v - 0.5 * params.eta * (vp - vm) + 0.5 * params.eta ** 2 * (vp - 2.0 * v + vm)
+        else:
+            raise ParameterError("the implicit comparator has no explicit stepper")
+
+    def factor(self, params: StepParams, theta):
+        """Per-mode amplification factor of one step at theta (a float or an array)."""
+        s2 = np.sin(0.5 * np.asarray(theta)) ** 2
+        if self is Comparator.EULER:
+            return (1.0 - 4.0 * params.r * s2) + 0j
+        if self is Comparator.CRANK_NICOLSON:
+            return (1.0 - 2.0 * params.r * s2) / (1.0 + 2.0 * params.r * s2) + 0j
+        return 1.0 - 1j * params.eta * np.sin(theta) - 2.0 * params.eta ** 2 * s2
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +233,9 @@ def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
             for stage in stages * power:
                 for head, arg in stage:
                     if isinstance(head, PairUpdate):
-                        sweep(term, head, arg)
-                    elif head is Comparator.EULER:
-                        euler_step(term, arg)
-                    elif head is Comparator.LAX_WENDROFF:
-                        lax_wendroff_step(term, arg)
+                        sweep(term, head, arg)   # by name, so a sweep costs no extra frame
                     else:
-                        raise ParameterError("the implicit comparator has no explicit stepper")
+                        head.step(term, arg)
             if weighted:
                 np.add(acc, np.multiply(weight, term.values, out=term.values), out=acc)
         if weighted:

@@ -2,7 +2,8 @@
 
 A Field1D holds N samples u_j at x_j = x0 + j*dx on a periodic grid.
 The first sample (index 0) is the seam sample that asymmetric sweeps
-treat specially; all modified norms correct for it.
+treat specially; a modified norm corrects for it with the weight the
+sweep's PairUpdate.boundary_weight gives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFieldError, ParameterError, SingularCoefficientError, SizeError
+from .errors import DegenerateFieldError, ParameterError, SizeError
 
 
 @dataclass
@@ -91,45 +92,6 @@ def abs_weighted_mean(f: Field1D) -> float:
     return float(np.sum(f.x * weights) / total)
 
 
-@dataclass(frozen=True)
-class ModifiedNormTag:
-    """Boundary weight chi of a sweep's conserved quantity.
-
-    An asymmetric sweep does not conserve sum(u) but sum(u) + (chi - 1) u_0,
-    where chi depends on the sweep coefficients and direction.  chi carries
-    1/(1 - b), b the recurrence coefficient (beta ascending, lam descending),
-    so the conserved quantity loses digits as b -> 1: over random fields
-    its relative drift reached 5e-12 at 1 - b = 1e-4 and 7e-11 at 1e-6.
-    """
-
-    weight: float
-
-    @classmethod
-    def advection(cls, s: float, ascending: bool = True) -> "ModifiedNormTag":
-        """chi = c / (1 -+ s) with c = sqrt(1 - s^2)."""
-        if abs(s) >= 1.0:
-            raise ParameterError(f"advection coefficient |s| must be < 1, got {s}")
-        denom = (1.0 - s) if ascending else (1.0 + s)
-        return cls(math.sqrt(1.0 - s * s) / denom)
-
-    @classmethod
-    def roberts_weiss(cls, eta: float, ascending: bool = True) -> "ModifiedNormTag":
-        """chi = sqrt(1 + eta) for ascending sweeps, sqrt(1 - eta) for descending."""
-        arg = (1.0 + eta) if ascending else (1.0 - eta)
-        if arg < 0.0:
-            raise ParameterError(f"modified norm weight undefined for eta = {eta}")
-        return cls(math.sqrt(arg))
-
-    @classmethod
-    def advection_diffusion(cls, alpha: float, beta: float, lam: float,
-                            ascending: bool = True) -> "ModifiedNormTag":
-        """chi = alpha/(1 - beta) for ascending sweeps, alpha/(1 - lam) for descending."""
-        denom = (1.0 - beta) if ascending else (1.0 - lam)
-        if denom == 0.0:
-            raise SingularCoefficientError("modified norm weight has a vanishing denominator")
-        return cls(alpha / denom)
-
-
-def modified_norm(f: Field1D, tag: ModifiedNormTag) -> float:
-    """Norm plus the boundary-sample correction; equals norm(f) when u_0 = 0."""
-    return norm(f) + (tag.weight - 1.0) * float(f.values[0])
+def modified_norm(f: Field1D, weight: float) -> float:
+    """sum(u) + (weight - 1) u_0 for a PairUpdate.boundary_weight; norm(f) when u_0 = 0."""
+    return norm(f) + (weight - 1.0) * float(f.values[0])

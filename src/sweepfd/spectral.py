@@ -1,9 +1,11 @@
 """Per-mode amplification factors and phase angles.
 
-Every scheme here has a closed rational amplification factor g(theta)
-obtained by inserting a Fourier mode into its one-sided recurrence; the
-exact reference is the amplification factor of the semi-discretised
-equation, not the continuum one.  numeric_amplification cross-checks
+Every scheme here has a closed rational amplification factor g(theta):
+each op of its compiled program gives its own (a sweep's comes from
+inserting a Fourier mode into its one-sided recurrence), and
+scheme_factor combines them along the program.  The exact reference is
+the amplification factor of the semi-discretised equation, not the
+continuum one.  numeric_amplification cross-checks
 the closed forms against the actual sweep engine.
 """
 
@@ -29,7 +31,6 @@ from .composition import (
 )
 from .errors import ParameterError
 from .grid import Field1D
-from .sweep import PairUpdate, SweepDirection
 
 PHASE_RESOLUTION = math.pi / 1024.0
 
@@ -74,46 +75,19 @@ def exact_factor(equation: Equation, params: StepParams, theta: Thetas):
     return np.exp(-h)
 
 
-def sweep_factor(update: PairUpdate, direction: SweepDirection, theta: Thetas):
-    """Interior per-mode factor of one sweep.
-
-    Ascending: (gamma + lam e^{i theta}) / (1 - beta e^{-i theta});
-    descending mirrors the exponents.  Boundary corrections decay
-    geometrically into the interior and do not enter this form.
-    """
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    gamma = update.gamma
-    if direction.is_ascending:
-        return (gamma + update.lam * z) / (1.0 - update.beta / z)
-    return (gamma + update.beta / z) / (1.0 - update.lam * z)
-
-
-def comparator_factor(comparator: Comparator, params: StepParams, theta: Thetas):
-    s2 = np.sin(0.5 * np.asarray(theta)) ** 2
-    if comparator is Comparator.EULER:
-        return (1.0 - 4.0 * params.r * s2) + 0j
-    if comparator is Comparator.CRANK_NICOLSON:
-        return (1.0 - 2.0 * params.r * s2) / (1.0 + 2.0 * params.r * s2) + 0j
-    return 1.0 - 1j * params.eta * np.sin(theta) - 2.0 * params.eta ** 2 * s2
-
-
 def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
     """Closed-form factor of a scheme, read off its sweep program.
 
-    Op factors multiply within a stage, stage products multiply, each
+    Each op's head gives its factor (PairUpdate.factor, Comparator.factor);
+    op factors multiply within a stage, stage products multiply, each
     term's product is raised to its power, the terms add with their
     weights (a single term unweighted) and the sum is raised to substeps.
     """
-    def op_factor(op):
-        head, arg = op
-        if isinstance(head, Comparator):
-            return comparator_factor(head, arg, theta)
-        return sweep_factor(head, arg, theta)
-
     program = compile_scheme(scheme, params)
     terms = []
     for weight, power, stages in program.terms:
-        product = reduce(mul, (reduce(mul, map(op_factor, stage)) for stage in stages))
+        product = reduce(mul, (reduce(mul, (head.factor(arg, theta) for head, arg in stage))
+                               for stage in stages))
         terms.append((weight, product ** power))
     g = terms[0][1] if len(terms) == 1 else sum(weight * term for weight, term in terms)
     return g ** program.substeps

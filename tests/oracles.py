@@ -25,7 +25,6 @@ from sweepfd.spectral import (
     exact_factor,
     phase_curve,
     scheme_factor,
-    sweep_factor,
 )
 from sweepfd.sweep import PairUpdate, SweepDirection
 
@@ -106,8 +105,8 @@ def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas)
     g2(-r) g2(r) = 1, which is what makes the exponent odd in r.
     """
     asc, desc = SweepDirection.ASCENDING, SweepDirection.DESCENDING
-    return sweep_factor(coef.pair_update(variant, r, 0.0, asc, half=True), asc, theta) \
-        * sweep_factor(coef.pair_update(variant, r, 0.0, desc, half=True), desc, theta)
+    return coef.pair_update(variant, r, 0.0, asc, half=True).factor(asc, theta) \
+        * coef.pair_update(variant, r, 0.0, desc, half=True).factor(desc, theta)
 
 
 def exact_amplification(equation: Equation, params: StepParams, theta: float) -> AmplificationSample:

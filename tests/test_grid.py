@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from sweepfd import (
+    AdvectionVariant,
     Equation,
     Field1D,
-    ModifiedNormTag,
+    PairUpdate,
     StepParams,
+    SweepDirection,
     abs_moment,
     abs_weighted_mean,
     apply_scheme,
     gaussian_profile,
     modified_norm,
     norm,
+    pair_update,
     resolve_preset,
     sextic_profile,
 )
@@ -26,6 +29,9 @@ from sweepfd.errors import (
     SingularCoefficientError,
     SizeError,
 )
+
+ASC = SweepDirection.ASCENDING
+DESC = SweepDirection.DESCENDING
 
 
 class TestField1D:
@@ -178,29 +184,24 @@ class TestAbsWeightedMean:
 class TestModifiedNorm:
     def test_reduces_to_norm_when_first_sample_zero(self):
         f = Field1D([0.0, 2.0, 3.0, 4.0], dx=1.0)
-        tag = ModifiedNormTag.advection(0.4, ascending=True)
-        assert modified_norm(f, tag) == norm(f)
+        weight = PairUpdate(math.sqrt(1.0 - 0.4 * 0.4), 0.4, -0.4).boundary_weight(ASC)
+        assert modified_norm(f, weight) == norm(f)
 
     def test_roberts_weiss_value(self):
         f = Field1D([1.0, 1.0, 1.0, 1.0, 1.0], dx=1.0)
-        tag = ModifiedNormTag.roberts_weiss(0.8, ascending=True)
-        assert modified_norm(f, tag) == pytest.approx(5.0 + math.sqrt(1.8) - 1.0, rel=1e-15)
+        weight = pair_update(AdvectionVariant.ROBERTS_WEISS, 0.0, 0.8, ASC).boundary_weight(ASC)
+        assert modified_norm(f, weight) == pytest.approx(5.0 + math.sqrt(1.8) - 1.0, rel=1e-15)
 
     def test_advection_weight_formula(self):
         s = 0.3
-        tag_a = ModifiedNormTag.advection(s, ascending=True)
-        tag_b = ModifiedNormTag.advection(s, ascending=False)
         c = math.sqrt(1.0 - s * s)
-        assert tag_a.weight == pytest.approx(c / (1.0 - s), rel=1e-15)
-        assert tag_b.weight == pytest.approx(c / (1.0 + s), rel=1e-15)
+        u = PairUpdate(c, s, -s)
+        assert u.boundary_weight(ASC) == pytest.approx(c / (1.0 - s), rel=1e-15)
+        assert u.boundary_weight(DESC) == pytest.approx(c / (1.0 + s), rel=1e-15)
 
     def test_singular_coefficients_rejected(self):
-        with pytest.raises(ParameterError):
-            ModifiedNormTag.advection(1.0, ascending=True)
         with pytest.raises(SingularCoefficientError):
-            ModifiedNormTag.advection_diffusion(0.5, 1.0, 0.2, ascending=True)
-        with pytest.raises(ParameterError):
-            ModifiedNormTag.roberts_weiss(1.5, ascending=False)
+            PairUpdate(0.5, 1.0, 0.2).boundary_weight(ASC)
 
     def test_permutation_independence_of_sums(self):
         rng = np.random.default_rng(11)

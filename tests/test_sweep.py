@@ -21,7 +21,6 @@ from sweepfd import (
     AdvectionVariant,
     DiffusionVariant,
     Field1D,
-    ModifiedNormTag,
     PairUpdate,
     SweepDirection,
     modified_norm,
@@ -262,20 +261,20 @@ class TestModifiedNormInvariance:
         for s in (0.2, -0.4, 0.77):
             u = PairUpdate(math.sqrt(1 - s * s), s, -s)
             f = Field1D(rng.normal(size=41), dx=1.0)
-            tag = ModifiedNormTag.advection(s, ascending=True)
-            before = modified_norm(f, tag)
+            weight = u.boundary_weight(ASC)
+            before = modified_norm(f, weight)
             sweep(f, u, ASC)
-            assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
+            assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
     def test_advection_descending(self):
         rng = np.random.default_rng(7)
         s = 0.6
         u = PairUpdate(math.sqrt(1 - s * s), s, -s)
         f = Field1D(rng.normal(size=41), dx=1.0)
-        tag = ModifiedNormTag.advection(s, ascending=False)
-        before = modified_norm(f, tag)
+        weight = u.boundary_weight(DESC)
+        before = modified_norm(f, weight)
         sweep(f, u, DESC)
-        assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
+        assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
     def test_general_update_weight(self):
         # invariance needs beta + gamma + lam = 1; build such an update directly
@@ -284,10 +283,10 @@ class TestModifiedNormInvariance:
         lam = 1.0 - gamma - beta
         u = PairUpdate(math.sqrt(gamma + beta * lam), beta, lam)
         f = Field1D(rng.normal(size=29), dx=1.0)
-        tag = ModifiedNormTag.advection_diffusion(u.alpha, u.beta, u.lam, ascending=True)
-        before = modified_norm(f, tag)
+        weight = u.boundary_weight(ASC)
+        before = modified_norm(f, weight)
         sweep(f, u, ASC)
-        assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
+        assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
 class TestSaulyevFixed:
@@ -387,18 +386,17 @@ def built_update(variant, r, eta, direction):
 
 @st.composite
 def conservation_cases(draw, variants, r, eta):
-    """(update, direction, field, variant, eta): one buildable sweep of a random field."""
+    """(update, direction, field): one buildable sweep of a random field."""
     variant = draw(st.sampled_from(variants))
     direction = draw(st.sampled_from([ASC, DESC]))
-    r_value, eta_value = draw(r), draw(eta)
-    u = built_update(variant, r_value, eta_value, direction)
+    u = built_update(variant, draw(r), draw(eta), direction)
     # a modified-norm weight has the denominator 1 - b, b the sweep's recurrence
     # coefficient (beta ascending, lam descending); below 1e-3 its rounding
     # outgrows the tolerance
     assume(1.0 - (u.beta if direction.is_ascending else u.lam) >= 1e-3)
     n = draw(st.integers(3, 300))
     values = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
-    return u, direction, Field1D(values, dx=1.0), variant, eta_value
+    return u, direction, Field1D(values, dx=1.0)
 
 
 class TestConservationProperty:
@@ -407,7 +405,7 @@ class TestConservationProperty:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(conservation_cases(list(DiffusionVariant), st.floats(1e-3, 100.0), st.just(0.0)))
     def test_diffusion_sweep_conserves_norm(self, case):
-        u, direction, f, _, _ = case
+        u, direction, f = case
         before = norm(f)
         sweep(f, u, direction)
         assert norm(f) == pytest.approx(before, rel=1e-12, abs=1e-12)
@@ -415,25 +413,21 @@ class TestConservationProperty:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(conservation_cases(list(AdvectionVariant), st.just(0.0), st.floats(-10.0, 10.0)))
     def test_one_sided_advection_sweep_conserves_modified_norm(self, case):
-        u, direction, f, variant, eta = case
-        if variant is AdvectionVariant.ROBERTS_WEISS:
-            tag = ModifiedNormTag.roberts_weiss(eta, ascending=direction.is_ascending)
-        else:
-            tag = ModifiedNormTag.advection(u.beta, ascending=direction.is_ascending)
-        before = modified_norm(f, tag)
+        u, direction, f = case
+        weight = u.boundary_weight(direction)
+        before = modified_norm(f, weight)
         sweep(f, u, direction)
-        assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
+        assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(conservation_cases([AdvDiffVariant.GENERALIZED_RW], st.floats(0.0, 100.0),
                               st.floats(-10.0, 10.0)))
     def test_generalized_rw_sweep_conserves_modified_norm(self, case):
-        u, direction, f, _, _ = case
-        tag = ModifiedNormTag.advection_diffusion(u.alpha, u.beta, u.lam,
-                                                  ascending=direction.is_ascending)
-        before = modified_norm(f, tag)
+        u, direction, f = case
+        weight = u.boundary_weight(direction)
+        before = modified_norm(f, weight)
         sweep(f, u, direction)
-        assert modified_norm(f, tag) == pytest.approx(before, rel=1e-12, abs=1e-12)
+        assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
 def run_on(handle, u, direction, values):
