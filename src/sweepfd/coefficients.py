@@ -113,19 +113,14 @@ def _split_update(r: float, eta: float) -> PairUpdate:
                       damp * (r - half_eta) * shc)
 
 
-def _alpha_from(gamma: float, beta: float, lam: float) -> float:
-    disc = gamma + beta * lam
-    if disc < 0.0:
-        raise InvalidCoefficientError(
-            f"gamma + beta*lam = {disc} < 0: no real alpha exists")
-    return math.sqrt(disc)
-
-
 def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
     """First-order norm-condition update matching the exact exponent to O(theta^2).
 
     The boundary weight alpha/(1-beta) (ascending) equals sqrt(1+eta)
-    exactly, so the modified norm matches the pure-advection one.
+    exactly, so the modified norm matches the pure-advection one.  alpha
+    is written as sqrt(1 +- eta) |1 - b| (b = beta ascending, lam
+    descending), the exact root of gamma + beta*lam = (1 +- eta)(1 - b)^2,
+    whose direct evaluation is all cancellation at large r.
     """
     if direction.is_ascending:
         denom = 2.0 + eta * (3.0 + eta)
@@ -142,17 +137,23 @@ def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
         gamma = (1.0 - w * r) / (1.0 + w * r)
         beta = (1.0 - gamma + gamma * eta) / (2.0 - eta)
     lam = 1.0 - gamma - beta
-    if (beta if direction.is_ascending else lam) == 1.0:   # the eta = +-1 update, up to rounding
+    asc = direction.is_ascending
+    b, k = (beta, 1.0 + eta) if asc else (lam, 1.0 - eta)
+    if b == 1.0:   # the eta = +-1 update, up to rounding
         raise ParameterError(f"{direction.value} recurrence coefficient rounds to 1 at "
                              f"r = {r}, eta = {eta}")
-    return PairUpdate(_alpha_from(gamma, beta, lam), beta, lam)
+    if k < 0.0:
+        raise InvalidCoefficientError(
+            f"1 {'+' if asc else '-'} eta = {k} < 0: no real alpha exists")
+    return PairUpdate(math.sqrt(k) * abs(1.0 - b), beta, lam)
 
 
 def _ad2c_update(r: float, eta: float) -> PairUpdate:
     """Half-sweep update of the second-order combined scheme at (r, eta).
 
     Reduces to the matched-CN advection update at r = 0 and to the
-    Saul'yev-matched half-sweep diffusion update at eta = 0.
+    Saul'yev-matched half-sweep diffusion update at eta = 0.  alpha is
+    |1 + gamma| sqrt(1 - s^2)/2, the exact root of gamma + beta*lam.
     """
     s = matched_cn_s(eta)
     s_sq = s * s
@@ -160,7 +161,7 @@ def _ad2c_update(r: float, eta: float) -> PairUpdate:
     gamma = (1.0 - 0.5 * w * r) / (1.0 + 0.5 * w * r)
     beta = 0.5 * (1.0 - gamma) + 0.5 * (1.0 + gamma) * s
     lam = 0.5 * (1.0 - gamma) - 0.5 * (1.0 + gamma) * s
-    return PairUpdate(_alpha_from(gamma, beta, lam), beta, lam)
+    return PairUpdate(abs(1.0 + gamma) * math.sqrt(1.0 - s_sq) / 2.0, beta, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,18 @@ class TestNegativeDiffusion:
         assert "RuntimeWarning" not in err
 
 
+class TestAdvDiffRange:
+    def test_generalized_rw_at_large_r_runs(self, tmp_path, capsys):
+        # r = 1e9, eta = 0.5: alpha's discriminant used to cancel to a negative
+        # rounding error, and the run exited 1 with "no real alpha exists"
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--equation", "advdiff", "--scheme", "rw1b", "--dcoef",
+                               "2.4e9", "--vel", "1", "--dt", "0.6", "--nx", "10", "--steps", "1",
+                               "--out", str(out)], capsys)
+        assert code == 0, err
+        assert out.exists()
+
+
 class TestStepCounts:
     @pytest.mark.parametrize("args", [
         ["run", "--dt", "1e-320", "--tfinal", "1"],

@@ -1,6 +1,7 @@
 """Coefficient constructors for every scheme variant."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from sweepfd import (
     pair_update,
 )
 from sweepfd.coefficients import sinhc
-from sweepfd.errors import ParameterError, SpatialAmplificationError, StabilityError
+from sweepfd.errors import (
+    InvalidCoefficientError,
+    ParameterError,
+    SpatialAmplificationError,
+    StabilityError,
+)
 
 ASC = SweepDirection.ASCENDING
 DESC = SweepDirection.DESCENDING
@@ -189,6 +195,24 @@ class TestSplitDerived:
         assert sinhc(-0.16) == pytest.approx(math.sin(0.4) / 0.4, rel=1e-14)
 
 
+def rw_alpha_exact(r, eta, direction):
+    """Generalized RW alpha = sqrt(1 +- eta) |1 - b| with 1 - b in exact rationals."""
+    r, eta = Fraction(r), Fraction(eta)
+    sign = 1 if direction.is_ascending else -1
+    w = 2 / (2 + sign * eta * (3 + sign * eta))
+    gamma = (1 - w * r) / (1 + w * r)
+    one_minus_b = (1 + gamma) / (2 + sign * eta)    # 1 - beta asc, 1 - lam desc
+    return math.sqrt(float(1 + sign * eta)) * float(abs(one_minus_b))
+
+
+def ad2c_alpha_exact(r, eta):
+    """AD2C alpha = |1 + gamma| sqrt(1 - s^2)/2 in exact rationals, s the library's."""
+    s, r = Fraction(matched_cn_s(eta)), Fraction(r)
+    w = (1 - s * s) ** 2 / (1 + 3 * s * s)
+    one_plus_gamma = 2 / (1 + w * r / 2)
+    return float(one_plus_gamma) * math.sqrt(float(1 - s * s)) / 2
+
+
 class TestGeneralizedRW:
     def test_identity_at_origin(self):
         u = pair_update(AdvDiffVariant.GENERALIZED_RW, 0.0, 0.0, ASC)
@@ -233,6 +257,23 @@ class TestGeneralizedRW:
         u = pair_update(AdvDiffVariant.GENERALIZED_RW, 1e8, 0.5, ASC)
         assert 0.0 < 1.0 - u.beta < 1e-7
 
+    @pytest.mark.parametrize("r,eta,direction", [
+        (1e8, 0.9, DESC), (1e9, 0.5, DESC), (1e9, -0.5, ASC), (1e5, 0.9, DESC), (1e7, 0.5, ASC)])
+    def test_alpha_free_of_cancellation_at_large_r(self, r, eta, direction):
+        # sqrt(gamma + beta*lam) lost the discriminant (1 +- eta)(1 - b)^2 to
+        # cancellation: the first three raised InvalidCoefficientError, and
+        # alpha was off by 4e-4 at r = 1e5 and 0.2% at 1e7
+        u = pair_update(AdvDiffVariant.GENERALIZED_RW, r, eta, direction)
+        sign, b = (1.0, u.beta) if direction.is_ascending else (-1.0, u.lam)
+        assert u.alpha == math.sqrt(1.0 + sign * eta) * abs(1.0 - b)
+        # b ~ 1 carries a few ulps of absolute rounding, and so does alpha
+        assert u.alpha == pytest.approx(rw_alpha_exact(r, eta, direction), abs=1e-15)
+
+    def test_alpha_undefined_beyond_the_window_rejected(self):
+        # 1 - eta < 0 descending: no real alpha exists
+        with pytest.raises(InvalidCoefficientError):
+            pair_update(AdvDiffVariant.GENERALIZED_RW, 5.0, 2.5, DESC)
+
     def test_negative_r_rejected(self):
         with pytest.raises(StabilityError):
             compile_scheme(Scheme("rw1a", Equation.ADV_DIFF, (
@@ -257,6 +298,20 @@ class TestAd2c:
     def test_norm_condition_by_construction(self):
         u = pair_update(AdvDiffVariant.MATCHED_AD2C, 0.8, 0.7, ASC)
         assert u.beta + u.gamma + u.lam == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("r", [1e6, 1e8, 1e9, 1e10, 1e11, 1e12])
+    @pytest.mark.parametrize("eta", [0.1, 0.5, -0.7])
+    def test_alpha_free_of_cancellation_at_large_r(self, r, eta):
+        # sqrt(gamma + beta*lam) lost (1 + gamma)^2 (1 - s^2)/4 to cancellation:
+        # alpha was off by 2e-5 at r = 1e6, came out 0.0 at (1e11, 0.1) and
+        # raised InvalidCoefficientError at (1e9, 0.5)
+        u = pair_update(AdvDiffVariant.MATCHED_AD2C, r, eta, ASC)
+        s = matched_cn_s(eta)
+        gamma = 1.0 - u.beta - u.lam
+        # gamma ~ -1 carries a few ulps of absolute rounding, and so does alpha
+        assert u.alpha == pytest.approx(abs(1.0 + gamma) * math.sqrt(1.0 - s * s) / 2.0,
+                                        abs=1e-15)
+        assert u.alpha == pytest.approx(ad2c_alpha_exact(r, eta), abs=1e-15)
 
 
 EVERY_VARIANT = [*DiffusionVariant, *AdvectionVariant, *AdvDiffVariant]
