@@ -20,7 +20,7 @@ import numpy as np
 
 import sweepfd as sf
 
-POINTS = ((0.05, 0.4), (0.5, 0.8), (5.0, 2.5), (-0.1, -1.2))   # (r, eta)
+POINTS = ((0.05, 0.4), (0.5, 0.8), (5.0, 2.5), (-0.1, -1.2), (1e9, 0.5))   # (r, eta)
 PREFIXES = ("", "2x", "3x")
 THETAS = np.linspace(0.0, math.pi, 33)
 N = 48

@@ -193,6 +193,17 @@ def _step_count(t: float, dt: float) -> int:
     return round(ratio)
 
 
+def _step_params(dt: float, dx: float, dcoef: float, vel: float) -> StepParams:
+    """StepParams of the physics; an r or eta with no finite value is a usage error."""
+    if dx * dx == 0.0:   # r = dt*dcoef/dx^2 would divide by zero
+        raise UsageError(f"dx = {dx} is too small: dx^2 underflows to 0")
+    params = StepParams.from_physics(dt, dx, dcoef, vel)
+    if not (math.isfinite(params.r) and math.isfinite(params.eta)):
+        raise UsageError(f"r = {params.r}, eta = {params.eta}: dt, dx, --dcoef and --vel "
+                         "give no finite step")
+    return params
+
+
 def _bounded(steps: int, nx: int) -> int:
     """steps, unless steps x nx exceeds MAX_SAMPLE_STEPS, which is a usage error."""
     if steps * nx > MAX_SAMPLE_STEPS:
@@ -227,6 +238,8 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         raise UsageError("--dt must be positive")
     if args.tfinal is not None and args.tfinal <= 0:
         raise UsageError("--tfinal must be positive")
+    if args.profile == "gaussian" and not args.sigma > 0:
+        raise UsageError(f"--sigma must be positive for the gaussian profile, got {args.sigma}")
     steps = args.steps
     if steps is None and args.tfinal is not None:
         steps = max(1, _step_count(args.tfinal, args.dt))
@@ -242,9 +255,11 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     # physics the equation cannot use is zeroed so the r/eta echo is honest
     dcoef = 0.0 if equation is Equation.ADVECTION else args.dcoef
     vel = 0.0 if equation is Equation.DIFFUSION else args.vel
-    return Setup(equation, schemes, args.nx, args.xmin, args.xmax,
-                 dcoef, vel, args.dt, steps,
-                 args.profile, args.center, args.sigma, args.out)
+    setup = Setup(equation, schemes, args.nx, args.xmin, args.xmax,
+                  dcoef, vel, args.dt, steps,
+                  args.profile, args.center, args.sigma, args.out)
+    _step_params(args.dt, setup.dx, dcoef, vel)
+    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +334,7 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
     columns = ["dt"] + [s.name for s in setup.schemes]
     table = {s.name: [] for s in setup.schemes}
     for dt_used, steps in dts_used:
-        params = StepParams.from_physics(dt_used, setup.dx, setup.dcoef, setup.vel)
+        params = _step_params(dt_used, setup.dx, setup.dcoef, setup.vel)
         for scheme in setup.schemes:
             f = initial.copy()
             for _ in range(steps):

@@ -30,7 +30,12 @@ from typing import NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from . import coefficients as coef
-from .errors import InvalidCoefficientError, ParameterError, StabilityError
+from .errors import (
+    InvalidCoefficientError,
+    ParameterError,
+    SpatialAmplificationError,
+    StabilityError,
+)
 from .grid import Field1D
 from .sweep import PairUpdate, SweepDirection, sweep
 
@@ -207,7 +212,9 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
     before a field is touched; stepping, closed-form factors and the
     numeric readout all interpret the returned program.  r < 0 is
     rejected for every scheme that diffuses; an advection-diffusion
-    program with negative step fractions warns once when compiled at r > 0.
+    program with negative step fractions warns once when compiled at r > 0,
+    and raises if any sweep's recurrence coefficient b (beta ascending, lam
+    descending) has |b| >= 1, which amplifies along the sweep.
     """
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
@@ -217,9 +224,16 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
         warnings.warn(f"negative substeps diffuse backwards: {scheme.name} at r = {params.r} "
                       "is stable only for small r", RuntimeWarning, stacklevel=2)
     sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
-    return Program(scheme.substeps, tuple(
+    program = Program(scheme.substeps, tuple(
         (float(weight), power, tuple(stage.ops(sub) for stage in stages))
         for weight, power, stages in scheme.terms))
+    for head, arg in (op for _, _, stages in program.terms for stage in stages for op in stage):
+        b = (head.beta if arg.is_ascending else head.lam) if isinstance(head, PairUpdate) else 0.0
+        if abs(b) >= 1.0:
+            raise SpatialAmplificationError(
+                f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
+                f"sweeps has recurrence coefficient |b| = {abs(b)} >= 1 and amplifies along it")
+    return program
 
 
 def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:

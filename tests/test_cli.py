@@ -318,6 +318,20 @@ class TestNegativeDiffusion:
 
 
 class TestAdvDiffRange:
+    def test_spatial_amplification_exits_one_without_writing(self, tmp_path, capsys):
+        # r = 0.86: fr's negative-fraction stages sweep with |b| up to 1.9; the
+        # run used to exit 0 and write "# norm fr final=6.45e+72" (initially 12.53)
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # fr's negative-substep warning
+            code = main(["run", "--equation", "advdiff", "--scheme", "fr", "--dcoef", "0.086",
+                         "--vel", "1", "--dt", "0.1", "--nx", "120", "--steps", "10",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("numerical error:") and ">= 1 and amplifies along it" in err
+        assert not out.exists()
+
     def test_generalized_rw_at_large_r_runs(self, tmp_path, capsys):
         # r = 1e9, eta = 0.5: alpha's discriminant used to cancel to a negative
         # rounding error, and the run exited 1 with "no real alpha exists"
@@ -327,6 +341,42 @@ class TestAdvDiffRange:
                                "--out", str(out)], capsys)
         assert code == 0, err
         assert out.exists()
+
+
+class TestDerivedInput:
+    @pytest.mark.parametrize("command", [
+        ["run", "--steps", "1"],
+        ["ampfactor"],
+        ["converge", "--dts", "0.1,0.05"],
+        ["norms", "--steps", "1"],
+    ])
+    def test_underflowing_grid_spacing_is_usage_error(self, command, tmp_path, capsys):
+        # dx = 1e-160/120 squares to 0, so r = dt*dcoef/dx^2 has no finite value;
+        # this used to end in a ZeroDivisionError traceback
+        code, err = run_clean(command + ["--xmin", "0", "--xmax", "1e-160",
+                                         "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_overflowing_r_is_usage_error(self, tmp_path, capsys):
+        code, err = run_clean(["run", "--dcoef", "1e300", "--dt", "1e300", "--steps", "1",
+                               "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "r = inf" in err
+
+    @pytest.mark.parametrize("sigma", ["0", "-0.5"])
+    def test_non_positive_gaussian_width_is_usage_error(self, sigma, tmp_path, capsys):
+        # used to exit 1 with "numerical error: sigma must be positive"
+        code, err = run_clean(["run", "--sigma", sigma, "--steps", "1",
+                               "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "--sigma" in err
+
+    def test_sextic_profile_ignores_sigma(self, tmp_path, capsys):
+        code, err = run_clean(["run", "--profile", "sextic", "--sigma", "0", "--steps", "1",
+                               "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 0, err
 
 
 class TestStepCounts:

@@ -419,6 +419,15 @@ class TestCompiledPrograms:
         with pytest.raises(StabilityError):
             compile_scheme(resolve_preset(name, equation), StepParams(r=-0.05, eta=0.4))
 
+    @pytest.mark.parametrize("name,params", [("fr", StepParams(r=0.86, eta=1.0)),
+                                             ("2xfr", StepParams(r=1.72, eta=2.0))])
+    def test_recurrence_coefficient_beyond_one_rejected(self, name, params):
+        # advdiff fr's negative-fraction stages run at r < 0, where a sweep's
+        # recurrence coefficient reaches |b| = 1.9 and amplifies along the sweep:
+        # the CLI run at these parameters used to exit 0 with a norm of 6e72
+        with pytest.raises(SpatialAmplificationError, match=r"\|b\| = .* >= 1"):
+            compile_scheme(resolve_preset(name, Equation.ADV_DIFF), params)
+
     def test_program_is_memoised(self):
         scheme = resolve_preset("y6", Equation.ADVECTION)
         assert compile_scheme(scheme, StepParams(eta=0.8)) is compile_scheme(

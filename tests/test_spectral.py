@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from sweepfd import (
     Comparator,
     DiffusionVariant,
     Equation,
+    PairUpdate,
     StepParams,
+    compile_scheme,
     exact_phase,
     numeric_amplification,
     phase_curve,
@@ -18,7 +22,7 @@ from sweepfd import (
     resolve_preset,
     scheme_factor,
 )
-from sweepfd.errors import ParameterError
+from sweepfd.errors import NumericsError, ParameterError
 
 from oracles import (
     diffusion_t2_factor,
@@ -339,6 +343,46 @@ class TestNumericAmplification:
         with pytest.raises(ParameterError):
             numeric_amplification(preset("d2s", Equation.DIFFUSION), StepParams(r=1.0),
                                   0.1, 64)
+
+
+EVERY_SCHEME = [(eq, prefix + name) for eq in Equation for name in preset_names(eq)
+                for prefix in ("", "2x")]
+
+
+class TestClosedFormProperty:
+    @pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sampled_from(EVERY_SCHEME), st.floats(0.0, 1.0), st.floats(-0.9, 0.9),
+           st.integers(1, 127))
+    def test_every_compiled_preset_matches_closed_form(self, case, r, eta, m):
+        # wherever a program compiles, its sweeps step the mode as its closed
+        # form says: the tolerance of the criterion-5 points above
+        eq, name = case
+        params = StepParams(r=0.0 if eq is Equation.ADVECTION else r,
+                            eta=0.0 if eq is Equation.DIFFUSION else eta)
+        scheme = preset(name, eq)
+        try:
+            program = compile_scheme(scheme, params)
+        except NumericsError:
+            reject()
+        theta = 2 * math.pi * m / 256
+        closed = scheme_factor(scheme, params, theta)
+        if Comparator.CRANK_NICOLSON in scheme.terms[0][2]:   # no explicit stepper
+            with pytest.raises(ParameterError):
+                numeric_amplification(scheme, params, theta, 256)
+            return
+        # the readout sits n/2 samples from the sweep seams, where a seam
+        # transient has decayed like b^(n/2), b the largest recurrence
+        # coefficient (beta ascending, lam descending): read the same mode on
+        # enough samples for it to fall below 1e-14
+        b = max((abs(head.beta if arg.is_ascending else head.lam)
+                 for _, _, stages in program.terms for stage in stages
+                 for head, arg in stage if isinstance(head, PairUpdate)), default=0.0)
+        n = 256
+        while b < 1.0 and b ** (n // 2) > 1e-14 and n < 2 ** 16:
+            n *= 2
+        num = numeric_amplification(scheme, params, theta, n)
+        assert abs(num.g - closed) <= 1e-12
 
 
 class TestRichardsonLimit:
