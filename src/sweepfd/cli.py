@@ -46,22 +46,16 @@ class Setup:
     nx: int
     xmin: float
     xmax: float
+    dx: float
     dcoef: float
     vel: float
     dt: float
+    params: StepParams
     steps: int
     profile: str
     center: float
     sigma: float
     out: Optional[str]
-
-    @property
-    def dx(self) -> float:
-        return (self.xmax - self.xmin) / self.nx
-
-    @property
-    def params(self) -> StepParams:
-        return StepParams.from_physics(self.dt, self.dx, self.dcoef, self.vel)
 
     def field(self) -> Field1D:
         if self.profile == "gaussian":
@@ -255,11 +249,10 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     # physics the equation cannot use is zeroed so the r/eta echo is honest
     dcoef = 0.0 if equation is Equation.ADVECTION else args.dcoef
     vel = 0.0 if equation is Equation.DIFFUSION else args.vel
-    setup = Setup(equation, schemes, args.nx, args.xmin, args.xmax,
-                  dcoef, vel, args.dt, steps,
-                  args.profile, args.center, args.sigma, args.out)
-    _step_params(args.dt, setup.dx, dcoef, vel)
-    return setup
+    dx = (args.xmax - args.xmin) / args.nx
+    return Setup(equation, schemes, args.nx, args.xmin, args.xmax, dx,
+                 dcoef, vel, args.dt, _step_params(args.dt, dx, dcoef, vel), steps,
+                 args.profile, args.center, args.sigma, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,8 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
     numeric readout all interpret the returned program.  r < 0 is
     rejected for every scheme that diffuses; an advection-diffusion
     program with negative step fractions warns once when compiled at r > 0,
-    and raises if any sweep's recurrence coefficient b (beta ascending, lam
-    descending) has |b| >= 1, which amplifies along the sweep.
+    and raises if any sweep's recurrence coefficient b has |b| >= 1, which
+    amplifies along the sweep.
     """
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
@@ -228,11 +228,11 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
         (float(weight), power, tuple(stage.ops(sub) for stage in stages))
         for weight, power, stages in scheme.terms))
     for head, arg in (op for _, _, stages in program.terms for stage in stages for op in stage):
-        b = (head.beta if arg.is_ascending else head.lam) if isinstance(head, PairUpdate) else 0.0
-        if abs(b) >= 1.0:
+        if isinstance(head, PairUpdate) and abs(head.recurrence(arg)) >= 1.0:
             raise SpatialAmplificationError(
                 f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
-                f"sweeps has recurrence coefficient |b| = {abs(b)} >= 1 and amplifies along it")
+                f"sweeps has recurrence coefficient |b| = {abs(head.recurrence(arg))} >= 1 "
+                "and amplifies along it")
     return program
 
 

@@ -70,6 +70,10 @@ class PairUpdate:
         """Determinant alpha^2 - beta*lam of the update matrix."""
         return self.alpha * self.alpha - self.beta * self.lam
 
+    def recurrence(self, direction: SweepDirection) -> float:
+        """Coefficient b of the sweep's one-sided recurrence: beta ascending, lam descending."""
+        return self.beta if direction.is_ascending else self.lam
+
     def factor(self, direction: SweepDirection, theta):
         """Interior per-mode factor of one sweep at theta (a float or an array).
 
@@ -86,12 +90,12 @@ class PairUpdate:
     def boundary_weight(self, direction: SweepDirection) -> float:
         """Weight chi = alpha/(1 - b) of the seam sample in the conserved modified norm.
 
-        b is the recurrence coefficient, beta ascending and lam descending.
-        Where beta + gamma + lam = 1, a sweep conserves sum(u) + (chi - 1) u_0
-        rather than sum(u).  As b -> 1 the quantity loses digits: over random
-        fields its relative drift reached 5e-12 at 1 - b = 1e-4 and 7e-11 at 1e-6.
+        b is the recurrence coefficient.  Where beta + gamma + lam = 1, a
+        sweep conserves sum(u) + (chi - 1) u_0 rather than sum(u).  As b -> 1
+        the quantity loses digits: over random fields its relative drift
+        reached 5e-12 at 1 - b = 1e-4 and 7e-11 at 1e-6.
         """
-        denom = 1.0 - (self.beta if direction.is_ascending else self.lam)
+        denom = 1.0 - self.recurrence(direction)
         if denom == 0.0:
             raise SingularCoefficientError("modified norm weight has a vanishing denominator")
         return self.alpha / denom

@@ -372,12 +372,12 @@ class TestClosedFormProperty:
                 numeric_amplification(scheme, params, theta, 256)
             return
         # the readout sits n/2 samples from the sweep seams, where a seam
-        # transient has decayed like b^(n/2), b the largest recurrence
-        # coefficient (beta ascending, lam descending): read the same mode on
-        # enough samples for it to fall below 1e-14
-        b = max((abs(head.beta if arg.is_ascending else head.lam)
-                 for _, _, stages in program.terms for stage in stages
-                 for head, arg in stage if isinstance(head, PairUpdate)), default=0.0)
+        # transient has decayed like b^(n/2), b the largest |recurrence
+        # coefficient|: read the same mode on enough samples for it to fall
+        # below 1e-14
+        b = max((abs(head.recurrence(arg)) for _, _, stages in program.terms
+                 for stage in stages for head, arg in stage if isinstance(head, PairUpdate)),
+                default=0.0)
         n = 256
         while b < 1.0 and b ** (n // 2) > 1e-14 and n < 2 ** 16:
             n *= 2
