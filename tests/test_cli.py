@@ -319,7 +319,7 @@ class TestNegativeDiffusion:
 
 class TestAdvDiffRange:
     def test_spatial_amplification_exits_one_without_writing(self, tmp_path, capsys):
-        # r = 0.86: fr's negative-fraction stages sweep with |b| up to 1.9; the
+        # r = 0.86: fr's negative-fraction stages sweep with |b| up to 1.24; the
         # run used to exit 0 and write "# norm fr final=6.45e+72" (initially 12.53)
         out = tmp_path / "run.csv"
         with warnings.catch_warnings():

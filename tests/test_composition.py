@@ -423,7 +423,7 @@ class TestCompiledPrograms:
                                              ("2xfr", StepParams(r=1.72, eta=2.0))])
     def test_recurrence_coefficient_beyond_one_rejected(self, name, params):
         # advdiff fr's negative-fraction stages run at r < 0, where a sweep's
-        # recurrence coefficient reaches |b| = 1.9 and amplifies along the sweep:
+        # recurrence coefficient reaches |b| = 1.24 and amplifies along the sweep:
         # the CLI run at these parameters used to exit 0 with a norm of 6e72
         with pytest.raises(SpatialAmplificationError, match=r"\|b\| = .* >= 1"):
             compile_scheme(resolve_preset(name, Equation.ADV_DIFF), params)
