@@ -5,8 +5,8 @@ each op of its compiled program gives its own (a sweep's comes from
 inserting a Fourier mode into its one-sided recurrence), and
 scheme_factor combines them along the program.  The exact reference is
 the amplification factor of the semi-discretised equation, not the
-continuum one.  numeric_amplification cross-checks
-the closed forms against the actual sweep engine.
+continuum one.  numeric_amplification cross-checks the closed forms
+against the actual sweep engine.
 """
 
 from __future__ import annotations
