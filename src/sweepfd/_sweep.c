@@ -1,16 +1,28 @@
 /* One periodic pair sweep in place: the compiled kernel behind sweep.sweep().
  *
- * Each function repeats, sample for sample and operation for operation,
- * the arithmetic of the lfilter body in sweep.py, so the two kernels give
- * the same bits.  The starred chain (first touches) is the order-1
- * direct-form-II-transposed filter that scipy.signal.lfilter evaluates,
- * written literally: y = z + a*x, then z = 0.0*x - (-b)*y.  The second
- * touch of sample j is written as soon as the chain has read u_{j+1}
- * (ascending) or u_{j-1} (descending), so no temporary array is needed.
+ * Each function gives, sample for sample, the bits of the lfilter body in
+ * sweep.py.  The starred chain (first touches) is the order-1
+ * direct-form-II-transposed filter that scipy.signal.lfilter evaluates:
+ * y = z + a*x, then z = 0.0*x - (-b)*y.  The chain carries z = b*y
+ * instead, two dependent flops per sample rather than three.  The two
+ * agree bit for bit whenever b*y is nonzero and not nan and x is finite:
+ * then 0.0*x is a zero and adding a zero to b*y returns b*y.  Otherwise
+ * (a signed zero, a nan, or x = +-inf) a rarely taken, well predicted
+ * branch recomputes the literal form.  The second touch of sample j is
+ * written as soon as the chain has read u_{j+1} (ascending) or u_{j-1}
+ * (descending), so no temporary array is needed.
  *
  * Build with -ffp-contract=off: a fused multiply-add changes the bits.
  * Callers pass a C-contiguous float64 array with n >= 3.
  */
+
+/* the next chain state after y, computed from input sample x */
+#define NEXT_Z(z, x, b, y)                          \
+    do {                                            \
+        (z) = (b) * (y);                            \
+        if (!((z) != 0.0) || (x) - (x) != 0.0)      \
+            (z) = 0.0 * (x) - (-(b)) * (y);         \
+    } while (0)
 
 /* pairs (0,1), (1,2), ..., (n-1,0) */
 void sweep_asc(double *v, long n, double a, double b, double l)
@@ -20,13 +32,13 @@ void sweep_asc(double *v, long n, double a, double b, double l)
     double z = b * s1;
     double x = v[2];
     double y = z + a * x;               /* star_2 */
-    z = 0.0 * x - (-b) * y;
+    NEXT_Z(z, x, b, y);
     v[1] = a * s1 + l * x;
     for (long j = 3; j < n; j++) {
         double star_prev = y;
         x = v[j];
         y = z + a * x;                  /* star_j */
-        z = 0.0 * x - (-b) * y;
+        NEXT_Z(z, x, b, y);
         v[j - 1] = a * star_prev + l * x;
     }
     v[0] = b * y + a * s0;
@@ -41,13 +53,13 @@ void sweep_desc(double *v, long n, double a, double b, double l)
     double z = l * sn;
     double x = v[n - 2];
     double y = z + a * x;               /* star_{n-2} */
-    z = 0.0 * x - (-l) * y;
+    NEXT_Z(z, x, l, y);
     v[n - 1] = b * x + a * sn;
     for (long j = n - 3; j >= 1; j--) {
         double star_prev = y;
         x = v[j];
         y = z + a * x;                  /* star_j */
-        z = 0.0 * x - (-l) * y;
+        NEXT_Z(z, x, l, y);
         v[j + 1] = b * x + a * star_prev;
     }
     v[1] = b * s0 + a * y;              /* final pair (0,1) */

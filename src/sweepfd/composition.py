@@ -237,23 +237,50 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
 
 
 def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
-    """Advance f in place by one step of scheme, running its compiled sweep program."""
+    """Advance f in place by one step of scheme, running its compiled sweep program.
+
+    A multi-term program runs each term but the last in a copy of f.  The
+    copies live for this call only: the first term's becomes the
+    accumulator, and one more buffer takes each further term, both refilled
+    on every substep.  The last term runs in place on f, which becomes
+    acc + w_last*f.  Summation starts from 0.0, so a -0.0 sample turns
+    +0.0 and the bits equal summing term copies into zeros.  The first
+    copy checks that f is finite on entry.
+    """
     program = compile_scheme(scheme, params)
-    weighted = len(program.terms) > 1
+    *rest, (last_weight, last_power, last_stages) = program.terms
+    acc = term = None
     for _ in range(program.substeps):
-        acc = np.zeros_like(f.values) if weighted else None
-        for weight, power, stages in program.terms:
-            term = f.copy() if weighted else f
-            for stage in stages * power:
-                for head, arg in stage:
-                    if isinstance(head, PairUpdate):
-                        sweep(term, head, arg)   # by name, so a sweep costs no extra frame
-                    else:
-                        head.step(term, arg)
-            if weighted:
-                np.add(acc, np.multiply(weight, term.values, out=term.values), out=acc)
-        if weighted:
-            f.values[:] = acc
+        for k, (weight, power, stages) in enumerate(rest):
+            if k == 0:
+                acc = buf = _fill(acc, f)
+            else:
+                term = buf = _fill(term, f)
+            _run(buf, stages * power)
+            np.multiply(weight, buf.values, out=buf.values)
+            np.add(0.0 if k == 0 else acc.values, buf.values, out=acc.values)
+        _run(f, last_stages * last_power)
+        if rest:
+            np.multiply(last_weight, f.values, out=f.values)
+            np.add(acc.values, f.values, out=f.values)
+
+
+def _fill(buf: Union[Field1D, None], f: Field1D) -> Field1D:
+    """buf refilled with f's samples, or a new copy of f when there is no buf yet."""
+    if buf is None:
+        return f.copy()
+    np.copyto(buf.values, f.values)
+    return buf
+
+
+def _run(f: Field1D, stages) -> None:
+    """Run the ops of stages on f in place, in order."""
+    for stage in stages:
+        for head, arg in stage:
+            if isinstance(head, PairUpdate):
+                sweep(f, head, arg)   # by name, so a sweep costs no extra frame
+            else:
+                head.step(f, arg)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ compiler on the first sweep and cached per user under
 $XDG_CACHE_HOME/sweepfd (default ~/.cache/sweepfd), keyed by the sha256
 of the source and the compiler flags.  Without a compiler or a writable
 private cache it runs the same recurrence through scipy.signal.lfilter;
-both kernels give bit-identical results, and scipy is imported only on
-that fallback.
+both kernels give bit-identical results on fields with no nan on entry,
+and scipy is imported only on that fallback.
 """
 
 from __future__ import annotations
@@ -150,8 +150,13 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
 
     The pass runs in the compiled C kernel, built on the first call.  When
     it cannot be built, or f.values is not a writeable C-contiguous float64
-    vector, the same arithmetic runs through scipy's lfilter instead; the
-    two give bit-identical results, signed zeros and inf/nan included.
+    vector, the same arithmetic runs through scipy's lfilter instead.  The
+    C chain carries z = b*y where lfilter computes 0.0*x - (-b)*y, and
+    falls back to that literal form when b*y is zero or nan or x is not
+    finite, so the two give bit-identical results on every field Field1D
+    admits: signed zeros, infinities and nans born inside the sweep
+    included.  A nan written into f.values beforehand may leave nans of
+    different signs in the two kernels.
     """
     global _kernel
     if _kernel is _UNBUILT:

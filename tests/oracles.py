@@ -1,7 +1,8 @@
 """Independent references the tests compare the library against.
 
 None of these is part of sweepfd: dense generator and sweep matrices,
-the classic fixed-end one-sided sweep, single-theta amplification and
+the classic fixed-end one-sided sweep, the copy-per-term stepper that
+multi-term steps must match bit for bit, single-theta amplification and
 phase samples, the theta -> 0 Richardson limit, the symmetric diffusion
 step's closed form at either sign of r, and the composition power sums.
 Test modules import them with `from oracles import ...`; pytest puts
@@ -17,8 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sweepfd import coefficients as coef
-from sweepfd.composition import Equation, Scheme, StepParams
+from sweepfd.composition import Equation, Scheme, StepParams, compile_scheme
 from sweepfd.errors import ParameterError, SizeError
+from sweepfd.grid import Field1D
 from sweepfd.spectral import (
     AmplificationSample,
     Thetas,
@@ -26,7 +28,7 @@ from sweepfd.spectral import (
     phase_curve,
     scheme_factor,
 )
-from sweepfd.sweep import PairUpdate, SweepDirection
+from sweepfd.sweep import PairUpdate, SweepDirection, sweep
 
 MATRIX_ORACLE_MAX = 64
 
@@ -69,6 +71,34 @@ def sweep_as_matrix(u: PairUpdate, direction: SweepDirection, n: int) -> np.ndar
         factor[k, k] = u.alpha
         m = factor @ m
     return m
+
+
+# ---------------------------------------------------------------------------
+# stepping oracle
+
+def apply_scheme_by_copies(f: Field1D, scheme: Scheme, params: StepParams) -> None:
+    """One step of scheme, each term of each substep run in a fresh copy of f.
+
+    The weighted terms are summed into a zeroed accumulator that is then
+    copied back into f.  apply_scheme reuses its buffers and runs the last
+    term in place, and must give these bits.
+    """
+    program = compile_scheme(scheme, params)
+    weighted = len(program.terms) > 1
+    for _ in range(program.substeps):
+        acc = np.zeros_like(f.values) if weighted else None
+        for weight, power, stages in program.terms:
+            term = f.copy() if weighted else f
+            for stage in stages * power:
+                for head, arg in stage:
+                    if isinstance(head, PairUpdate):
+                        sweep(term, head, arg)
+                    else:
+                        head.step(term, arg)
+            if weighted:
+                np.add(acc, np.multiply(weight, term.values, out=term.values), out=acc)
+        if weighted:
+            f.values[:] = acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Composed time steppers: plans, presets, order conditions."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -8,8 +9,11 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from sweepfd import (
     FOREST_RUTH,
@@ -47,7 +51,7 @@ from sweepfd.errors import (
     StabilityError,
 )
 
-from oracles import validate_order_conditions
+from oracles import apply_scheme_by_copies, validate_order_conditions
 
 
 SM = DiffusionVariant.SAULYEV_MATCHED
@@ -296,6 +300,68 @@ class TestMpeBehaviour:
         before = norm(f)
         apply_scheme(f, d2s_spec(expansion(SM, MPE_T6)), StepParams(r=2.0))
         assert norm(f) == pytest.approx(before, rel=1e-13)
+
+
+# every weight positive: an all -0.0 field weights every term to -0.0, so only
+# a sum started from 0.0 (as in a sum into zeros) ends in +0.0
+POSITIVE_MIX = Scheme("mix", Equation.DIFFUSION, (
+    (Fraction(1, 4), 1, (Stage(SM),)),
+    (Fraction(1, 4), 2, (Stage(SM, BaseStep.T2, 0.5),)),
+    (Fraction(1, 2), 1, (Stage(DiffusionVariant.EXPONENTIAL),))))
+
+MULTI_TERM = [resolve_preset(prefix + name, equation) for equation, name in
+              ((Equation.DIFFUSION, "t4"), (Equation.DIFFUSION, "t6"),
+               (Equation.DIFFUSION, "t8"), (Equation.ADV_DIFF, "t4"))
+              for prefix in ("", "2x", "3x")]
+
+
+@st.composite
+def multi_term_cases(draw):
+    scheme = draw(st.sampled_from(MULTI_TERM + [POSITIVE_MIX,
+                                                dataclasses.replace(POSITIVE_MIX, substeps=2)]))
+    eta = draw(st.floats(-3.0, 3.0)) if scheme.equation is Equation.ADV_DIFF else 0.0
+    params = StepParams(draw(st.floats(0.0, 50.0)), eta)
+    n = draw(st.integers(3, 60))
+    sample = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+    values = draw(hnp.arrays(np.float64, n, elements=sample))
+    # a run of signed zeros, often the whole field
+    start, stop = (0, n) if draw(st.booleans()) else sorted(draw(st.integers(0, n))
+                                                            for _ in range(2))
+    values[start:stop] = draw(hnp.arrays(np.float64, stop - start,
+                                         elements=st.sampled_from([0.0, -0.0])))
+    return scheme, params, values
+
+
+class TestMultiTermStepping:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(multi_term_cases())
+    def test_matches_copy_per_term_stepping_bit_for_bit(self, case):
+        scheme, params, values = case
+        f, ref = Field1D(values, dx=1.0), Field1D(values, dx=1.0)
+        storage = f.values
+        try:
+            apply_scheme(f, scheme, params)
+        except SpatialAmplificationError:
+            reject()   # an advdiff sweep with |b| >= 1
+        apply_scheme_by_copies(ref, scheme, params)
+        assert f.values is storage
+        assert np.array_equal(f.values, ref.values)
+        assert np.array_equal(np.signbit(f.values), np.signbit(ref.values))
+
+    def test_all_negative_zero_field_sums_to_positive_zero(self):
+        f = Field1D(np.full(8, -0.0), dx=1.0)
+        apply_scheme(f, POSITIVE_MIX, StepParams(r=0.5))
+        assert not np.any(np.signbit(f.values))
+
+    @pytest.mark.parametrize("scheme", MULTI_TERM, ids=lambda s: f"{s.equation.value}-{s.name}")
+    def test_non_finite_sample_on_entry_rejected(self, scheme):
+        # Field1D rejects non-finite samples; a caller can still write one into values
+        f = gaussian_profile(40, -5.0, 0.25, 0.0, 1.0)
+        f.values[7] = np.inf
+        before = f.values.copy()
+        with pytest.raises(ParameterError, match="finite"):
+            apply_scheme(f, scheme, StepParams(r=0.5, eta=0.3))
+        assert np.array_equal(f.values, before)
 
 
 class TestPresets:

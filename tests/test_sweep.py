@@ -432,23 +432,50 @@ class TestConservationProperty:
 
 def run_on(handle, u, direction, values):
     """The swept values under one kernel handle (None: the lfilter fallback)."""
-    f = Field1D(values, dx=1.0)
+    f = Field1D(np.zeros(values.size), dx=1.0)
+    f.values = np.array(values)   # Field1D would reject the infinities drawn here
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(sweep_module, "_kernel", handle)
         sweep(f, u, direction)
     return f.values
 
 
+# the values on which the C chain z = b*y takes its literal fallback, or
+# which probe it: signed zeros, infinities, subnormals and the edge of overflow
+SPECIAL_SAMPLES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                   1e308, -1e308)
+SPECIAL_COEFFICIENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300)
+
+
 @st.composite
 def kernel_cases(draw):
-    # coefficients and samples up to 1e300 overflow to inf/nan; ±0.0 are drawn too
-    coeff = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e300, 1e300))
+    # coefficients and samples up to 1e300 overflow to inf/nan; no nan on entry
+    coeff = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e300, 1e300),
+                      st.sampled_from(SPECIAL_COEFFICIENTS))
     u = PairUpdate(draw(coeff), draw(coeff), draw(coeff))
     n = draw(st.integers(3, 2000))
     values = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e300, 1e300)))
     noise = draw(st.sampled_from([0.0, 1e-300, 1.0, 1e300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return u, draw(st.sampled_from([ASC, DESC])), values + noise * rng.normal(size=n)
+    values = values + noise * rng.normal(size=n)
+    for j, x in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIAL_SAMPLES)),
+                              max_size=8)):
+        values[j] = x
+    return u, draw(st.sampled_from([ASC, DESC])), values
+
+
+def adversarial_cases(direction, count, seed):
+    """Short seeded sweeps dense in special samples and coefficients, none of them nan."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 61))
+        values = rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 4))
+        special = rng.random(n) < rng.random()
+        values[special] = rng.choice(SPECIAL_SAMPLES, size=special.sum())
+        coeffs = rng.uniform(-2.0, 2.0, size=3)
+        special = rng.random(3) < 0.3
+        coeffs[special] = rng.choice(SPECIAL_COEFFICIENTS, size=special.sum())
+        yield PairUpdate(*map(float, coeffs)), direction, values
 
 
 class TestKernelChoice:
@@ -461,6 +488,16 @@ class TestKernelChoice:
         c, fallback = run_on(handle, *case), run_on(None, *case)
         assert np.array_equal(c, fallback, equal_nan=True)
         assert np.array_equal(np.signbit(c), np.signbit(fallback))
+
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_c_kernel_matches_lfilter_on_adversarial_sweeps(self, direction):
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+        for case in adversarial_cases(direction, 1500, 17 + direction.is_ascending):
+            c, fallback = run_on(handle, *case), run_on(None, *case)
+            assert np.array_equal(c, fallback, equal_nan=True), case
+            assert np.array_equal(np.signbit(c), np.signbit(fallback)), case
 
     @pytest.mark.parametrize("setup", ["no compiler", "compiler fails", "cache is a file",
                                        "cache is shared"])
