@@ -38,11 +38,18 @@ class AdvDiffVariant(Enum):
 # ---------------------------------------------------------------------------
 # diffusion
 
+def _saulyev_ratio(x: float) -> float:
+    """(1 - x)/(1 + x); its pole x = -1 is no usable update and raises."""
+    if 1.0 + x == 0.0:
+        raise SpatialAmplificationError(f"gamma = (1 - x)/(1 + x) meets its pole at x = {x}")
+    return (1.0 - x) / (1.0 + x)
+
+
 def diffusion_gamma(variant: DiffusionVariant, r: float) -> float:
-    """Damping factor gamma(r); pure function, defined for either sign of r."""
+    """Damping factor gamma(r); pure function, defined for either sign of r but r = -1."""
     if variant is DiffusionVariant.EXPONENTIAL:
         return math.exp(-2.0 * r)
-    return (1.0 - r) / (1.0 + r)
+    return _saulyev_ratio(r)
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +134,14 @@ def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:
         if denom <= 0.0:
             raise ParameterError(f"ascending weight undefined at eta = {eta}")
         w = 2.0 / denom
-        gamma = (1.0 - w * r) / (1.0 + w * r)
+        gamma = _saulyev_ratio(w * r)
         beta = (1.0 - gamma + eta) / (2.0 + eta)
     else:
         denom = 2.0 - eta * (3.0 - eta)
         if denom <= 0.0:
             raise ParameterError(f"descending weight undefined at eta = {eta}")
         w = 2.0 / denom
-        gamma = (1.0 - w * r) / (1.0 + w * r)
+        gamma = _saulyev_ratio(w * r)
         beta = (1.0 - gamma + gamma * eta) / (2.0 - eta)
     lam = 1.0 - gamma - beta
     asc = direction.is_ascending
@@ -158,7 +165,7 @@ def _ad2c_update(r: float, eta: float) -> PairUpdate:
     s = matched_cn_s(eta)
     s_sq = s * s
     w = (1.0 - s_sq) ** 2 / (1.0 + 3.0 * s_sq)
-    gamma = (1.0 - 0.5 * w * r) / (1.0 + 0.5 * w * r)
+    gamma = _saulyev_ratio(0.5 * w * r)
     beta = 0.5 * (1.0 - gamma) + 0.5 * (1.0 + gamma) * s
     lam = 0.5 * (1.0 - gamma) - 0.5 * (1.0 + gamma) * s
     return PairUpdate(abs(1.0 + gamma) * math.sqrt(1.0 - s_sq) / 2.0, beta, lam)

@@ -332,6 +332,21 @@ class TestAdvDiffRange:
         assert err.startswith("numerical error:") and ">= 1 and amplifies along it" in err
         assert not out.exists()
 
+    def test_pole_of_the_rational_gamma_exits_one_without_writing(self, tmp_path, capsys):
+        # fr's middle stage runs at r = -1.7024 * 1.1748 = -2 exactly, the pole of
+        # AD2C's gamma = (1 - r/2)/(1 + r/2); the run used to end in a ZeroDivisionError
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # fr's negative-substep warning
+            code = main(["run", "--equation", "advdiff", "--scheme", "fr", "--dcoef",
+                         "1.1748021039363987", "--vel", "0", "--dt", "1", "--xmin", "0",
+                         "--xmax", "120", "--nx", "120", "--steps", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("numerical error:") and "pole" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_generalized_rw_at_large_r_runs(self, tmp_path, capsys):
         # r = 1e9, eta = 0.5: alpha's discriminant used to cancel to a negative
         # rounding error, and the run exited 1 with "no real alpha exists"

@@ -195,6 +195,30 @@ class TestSplitDerived:
         assert sinhc(-0.16) == pytest.approx(math.sin(0.4) / 0.4, rel=1e-14)
 
 
+class TestRationalPole:
+    """gamma = (1 - x)/(1 + x) at x = -1, which negative-fraction stages can reach exactly."""
+
+    # half-sweeps at r = -2, eta = 0: Saul'yev and generalized RW halve r to x = -1
+    # (w = 1 at eta = 0); AD2C keeps r and takes x = w r / 2
+    @pytest.mark.parametrize("variant", [DiffusionVariant.SAULYEV_MATCHED,
+                                         AdvDiffVariant.GENERALIZED_RW,
+                                         AdvDiffVariant.MATCHED_AD2C])
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_pole_raises_spatial_amplification(self, variant, direction):
+        with pytest.raises(SpatialAmplificationError, match="pole"):
+            pair_update(variant, -2.0, 0.0, direction, half=True)
+
+    def test_diffusion_gamma_pole(self):
+        with pytest.raises(SpatialAmplificationError, match="pole"):
+            diffusion_gamma(DiffusionVariant.SAULYEV_MATCHED, -1.0)
+
+    def test_negative_r_away_from_the_pole_keeps_its_closed_form(self):
+        assert diffusion_gamma(DiffusionVariant.SAULYEV_MATCHED, -0.5) == 3.0
+        assert diffusion_gamma(DiffusionVariant.SAULYEV_MATCHED, -3.0) == -2.0
+        u = pair_update(AdvDiffVariant.MATCHED_AD2C, -1.0, 0.0, ASC)
+        assert (u.alpha, u.beta, u.lam) == (2.0, -1.0, -1.0)
+
+
 def rw_alpha_exact(r, eta, direction):
     """Generalized RW alpha = sqrt(1 +- eta) |1 - b| with 1 - b in exact rationals."""
     r, eta = Fraction(r), Fraction(eta)
