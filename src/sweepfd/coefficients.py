@@ -109,11 +109,21 @@ def _split_update(r: float, eta: float) -> PairUpdate:
     """Exponential of the combined 2x2 generator (not norm-conserving).
 
     alpha = e^-r cosh(psi), beta/lam = e^-r (r +- eta/2) sinh(psi)/psi with
-    psi^2 = r^2 - (eta/2)^2; determinant stays exactly e^-2r.
+    psi^2 = r^2 - (eta/2)^2; determinant stays exactly e^-2r.  For r > 0
+    and psi >= 1, e^-r cosh(psi) = (e^{psi-r} + e^{-psi-r})/2 and
+    e^-r sinh(psi)/psi = (e^{psi-r} - e^{-psi-r})/(2 psi), with
+    psi - r = -(eta/2)^2/(psi + r): neither exponential overflows, which
+    cosh(psi) does above psi = 710.
     """
-    damp = math.exp(-r)
     half_eta = 0.5 * eta
     psi_squared = r * r - half_eta * half_eta
+    if psi_squared >= 1.0 and r > 0.0:
+        psi = math.sqrt(psi_squared)
+        grow = math.exp(-half_eta * half_eta / (psi + r))
+        decay = math.exp(-psi - r)
+        shc = (grow - decay) / (2.0 * psi)
+        return PairUpdate(0.5 * (grow + decay), (r + half_eta) * shc, (r - half_eta) * shc)
+    damp = math.exp(-r)
     shc = sinhc(psi_squared)
     return PairUpdate(damp * _cosh_from_square(psi_squared),
                       damp * (r + half_eta) * shc,

@@ -347,6 +347,17 @@ class TestAdvDiffRange:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["split1a", "split1b"])
+    def test_split_at_large_r_runs(self, scheme, tmp_path, capsys):
+        # r = 2e5: e^-r cosh(psi) used to end in an OverflowError traceback
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--equation", "advdiff", "--scheme", scheme, "--dcoef",
+                               "2e3", "--vel", "1", "--dt", "0.6", "--nx", "10", "--steps", "1",
+                               "--out", str(out)], capsys)
+        assert code == 0, err
+        _, _, rows = read_csv(out)
+        assert np.all(np.isfinite(rows))
+
     def test_generalized_rw_at_large_r_runs(self, tmp_path, capsys):
         # r = 1e9, eta = 0.5: alpha's discriminant used to cancel to a negative
         # rounding error, and the run exited 1 with "no real alpha exists"

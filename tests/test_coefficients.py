@@ -1,6 +1,7 @@
 """Coefficient constructors for every scheme variant."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,40 @@ class TestSplitDerived:
         eta = 2.0 * r * frac
         u = pair_update(AdvDiffVariant.SPLIT_DERIVED, r, eta, ASC)
         assert u.gamma == pytest.approx(math.exp(-2.0 * r), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [2e3, 1e9])
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_large_r_builds_without_overflow(self, r, direction):
+        # e^-r cosh(psi) used to overflow in math.cosh above r of about 710
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, r, 1.0, direction)
+        assert u.alpha == pytest.approx(0.5, rel=1e-4)
+        assert u.beta == pytest.approx(0.5, rel=1e-3)
+        assert u.lam == pytest.approx(0.5, rel=1e-3)
+        assert u.beta > u.lam
+
+    @pytest.mark.parametrize("r", [2.0, 5.0, 40.0, 630.0, 2e3])
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 0.6])
+    def test_overflow_free_form_matches_exact_values(self, r, frac):
+        # against (e^{psi-r} +- e^{-psi-r})/2 in 50-digit decimals at psi >= 1; the
+        # cosh/sinh form missed these by up to 5.5e-14 (r = 630, frac = 0.3)
+        eta = 2.0 * r * frac
+        with localcontext() as ctx:
+            ctx.prec = 50
+            big_r, half_eta = Decimal(r), Decimal(0.5 * eta)
+            psi = (big_r * big_r - half_eta * half_eta).sqrt()
+            grow, decay = (psi - big_r).exp(), (-psi - big_r).exp()
+            shc = (grow - decay) / (2 * psi)
+            exact = ((grow + decay) / 2, (big_r + half_eta) * shc, (big_r - half_eta) * shc)
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, r, eta, ASC)
+        for value, reference in zip((u.alpha, u.beta, u.lam), exact):
+            assert value == pytest.approx(float(reference), rel=4e-15)
+
+    def test_negative_r_keeps_the_cosh_sinh_form(self):
+        # r < 0 runs inside advection-diffusion compositions' negative fractions;
+        # psi + r vanishes there, so the overflow-free form is for r > 0 only
+        u = pair_update(AdvDiffVariant.SPLIT_DERIVED, -2.0, 0.0, ASC)
+        assert u.alpha == math.exp(2.0) * math.cosh(2.0)
+        assert u.beta == u.lam == math.exp(2.0) * -2.0 * (math.sinh(2.0) / 2.0)
 
     def test_sinhc_branches_are_smooth(self):
         assert sinhc(0.0) == 1.0
