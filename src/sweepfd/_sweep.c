@@ -8,7 +8,10 @@
  * agree bit for bit whenever b*y is nonzero and not nan and x is finite:
  * then 0.0*x is a zero and adding a zero to b*y returns b*y.  Otherwise
  * (a signed zero, a nan, or x = +-inf) a rarely taken, well predicted
- * branch recomputes the literal form.  The second touch of sample j is
+ * branch recomputes the literal form.  This covers every field without
+ * a nan on entry; where two nans meet, the sign of the result depends on
+ * code generation, so a nan written into the field beforehand may leave
+ * nans of another sign than lfilter's.  The second touch of sample j is
  * written as soon as the chain has read u_{j+1} (ascending) or u_{j-1}
  * (descending), so no temporary array is needed.
  *
@@ -16,13 +19,14 @@
  * Callers pass a C-contiguous float64 array with n >= 3.
  */
 
-/* the next chain state after y, computed from input sample x */
-#define NEXT_Z(z, x, b, y)                          \
-    do {                                            \
-        (z) = (b) * (y);                            \
-        if (!((z) != 0.0) || (x) - (x) != 0.0)      \
-            (z) = 0.0 * (x) - (-(b)) * (y);         \
-    } while (0)
+/* the chain state after star y of input sample x, recurrence coefficient b */
+static inline double next_z(double x, double b, double y)
+{
+    double z = b * y;
+    if (!(z != 0.0) || x - x != 0.0)    /* b*y is +-0 or nan, or x is not finite */
+        z = 0.0 * x - (-b) * y;
+    return z;
+}
 
 /* pairs (0,1), (1,2), ..., (n-1,0) */
 void sweep_asc(double *v, long n, double a, double b, double l)
@@ -32,13 +36,13 @@ void sweep_asc(double *v, long n, double a, double b, double l)
     double z = b * s1;
     double x = v[2];
     double y = z + a * x;               /* star_2 */
-    NEXT_Z(z, x, b, y);
+    z = next_z(x, b, y);
     v[1] = a * s1 + l * x;
     for (long j = 3; j < n; j++) {
         double star_prev = y;
         x = v[j];
         y = z + a * x;                  /* star_j */
-        NEXT_Z(z, x, b, y);
+        z = next_z(x, b, y);
         v[j - 1] = a * star_prev + l * x;
     }
     v[0] = b * y + a * s0;
@@ -53,13 +57,13 @@ void sweep_desc(double *v, long n, double a, double b, double l)
     double z = l * sn;
     double x = v[n - 2];
     double y = z + a * x;               /* star_{n-2} */
-    NEXT_Z(z, x, l, y);
+    z = next_z(x, l, y);
     v[n - 1] = b * x + a * sn;
     for (long j = n - 3; j >= 1; j--) {
         double star_prev = y;
         x = v[j];
         y = z + a * x;                  /* star_j */
-        NEXT_Z(z, x, l, y);
+        z = next_z(x, l, y);
         v[j + 1] = b * x + a * star_prev;
     }
     v[1] = b * s0 + a * y;              /* final pair (0,1) */
