@@ -17,6 +17,7 @@ and the numeric readout read one program without interpreting its ops.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -106,8 +107,12 @@ class Comparator(Enum):
         else:
             raise ParameterError("the implicit comparator has no explicit stepper")
 
-    def factor(self, params: StepParams, theta):
-        """Per-mode amplification factor of one step at theta (a float or an array)."""
+    def factor(self, params: StepParams, theta, z=None):
+        """Per-mode amplification factor of one step at theta (a float or an array).
+
+        These closed forms are written in theta; the mode z = e^{i theta}
+        that PairUpdate.factor takes is not read.
+        """
         s2 = np.sin(0.5 * np.asarray(theta)) ** 2
         if self is Comparator.EULER:
             return (1.0 - 4.0 * params.r * s2) + 0j
@@ -239,38 +244,41 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
 def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
     """Advance f in place by one step of scheme, running its compiled sweep program.
 
-    A multi-term program runs each term but the last in a copy of f.  The
-    copies live for this call only: the first term's becomes the
-    accumulator, and one more buffer takes each further term, both refilled
-    on every substep.  The last term runs in place on f, which becomes
-    acc + w_last*f.  Summation starts from 0.0, so a -0.0 sample turns
-    +0.0 and the bits equal summing term copies into zeros.  The first
-    copy checks that f is finite on entry.
+    A multi-term program checks once that f is finite on entry, then runs
+    each term but the last in one of at most two scratch buffers made for
+    this call: the term's first sweep reads f and its last stores
+    acc + w*term, where acc is the buffer of the term before (0.0 for the
+    first term), so that buffer becomes the new acc.  The last term runs in
+    place on f, and its last sweep leaves acc + w_last*f.  Summation starts
+    from 0.0, so a -0.0 sample turns +0.0 and the bits equal summing term
+    copies into zeros.  Every term's first sweep reads f, so substeps need
+    no refill.  A multi-term program holds only T2 sweeps (Scheme allows
+    no other multi-stage plan), so each term has a first and a last sweep.
     """
     program = compile_scheme(scheme, params)
-    *rest, (last_weight, last_power, last_stages) = program.terms
-    acc = term = None
+    if len(program.terms) == 1:
+        (_, power, stages), = program.terms
+        for _ in range(program.substeps):
+            _run(f, stages * power)
+        return
+    v = f.values
+    if not np.isfinite(v).all():
+        raise ParameterError("all samples must be finite")
+    scratch = [copy.copy(f) for _ in program.terms[1:3]]   # no copy of the samples, no scan
+    for buf in scratch:
+        buf.values = np.empty_like(v)
+    bufs = [scratch[k % 2] for k in range(len(program.terms) - 1)] + [f]
+    plan = []
+    for buf, (weight, power, stages) in zip(bufs, program.terms):
+        first, *middle, final = [op for stage in stages * power for op in stage]
+        plan.append((buf, None if buf is f else v, weight, first, middle, final))
     for _ in range(program.substeps):
-        for k, (weight, power, stages) in enumerate(rest):
-            if k == 0:
-                acc = buf = _fill(acc, f)
-            else:
-                term = buf = _fill(term, f)
-            _run(buf, stages * power)
-            np.multiply(weight, buf.values, out=buf.values)
-            np.add(0.0 if k == 0 else acc.values, buf.values, out=acc.values)
-        _run(f, last_stages * last_power)
-        if rest:
-            np.multiply(last_weight, f.values, out=f.values)
-            np.add(acc.values, f.values, out=f.values)
-
-
-def _fill(buf: Union[Field1D, None], f: Field1D) -> Field1D:
-    """buf refilled with f's samples, or a new copy of f when there is no buf yet."""
-    if buf is None:
-        return f.copy()
-    np.copyto(buf.values, f.values)
-    return buf
+        acc = None
+        for buf, source, weight, first, middle, final in plan:
+            sweep(buf, *first, source=source)
+            _run(buf, (middle,))
+            sweep(buf, *final, weight=weight, offset=acc)
+            acc = buf.values
 
 
 def _run(f: Field1D, stages) -> None:

@@ -78,16 +78,19 @@ def exact_factor(equation: Equation, params: StepParams, theta: Thetas):
 def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
     """Closed-form factor of a scheme, read off its sweep program.
 
-    Each op's head gives its factor (PairUpdate.factor, Comparator.factor);
-    op factors multiply within a stage, stage products multiply, each
+    Each op's head gives its factor (PairUpdate.factor, Comparator.factor),
+    once per distinct op, from theta and the mode z = e^{i theta} computed
+    once; op factors multiply within a stage, stage products multiply, each
     term's product is raised to its power, the terms add with their
     weights (a single term unweighted) and the sum is raised to substeps.
     """
     program = compile_scheme(scheme, params)
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    ops = dict.fromkeys(op for _, _, stages in program.terms for stage in stages for op in stage)
+    factors = {(head, arg): head.factor(arg, theta, z) for head, arg in ops}
     terms = []
     for weight, power, stages in program.terms:
-        product = reduce(mul, (reduce(mul, (head.factor(arg, theta) for head, arg in stage))
-                               for stage in stages))
+        product = reduce(mul, (reduce(mul, (factors[op] for op in stage)) for stage in stages))
         terms.append((weight, product ** power))
     g = terms[0][1] if len(terms) == 1 else sum(weight * term for weight, term in terms)
     return g ** program.substeps

@@ -30,6 +30,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -74,14 +75,18 @@ class PairUpdate:
         """Coefficient b of the sweep's one-sided recurrence: beta ascending, lam descending."""
         return self.beta if direction.is_ascending else self.lam
 
-    def factor(self, direction: SweepDirection, theta):
+    def factor(self, direction: SweepDirection, theta, z=None):
         """Interior per-mode factor of one sweep at theta (a float or an array).
 
-        Ascending: (gamma + lam e^{i theta}) / (1 - beta e^{-i theta});
-        descending mirrors the exponents.  Boundary corrections decay
-        geometrically into the interior and do not enter this form.
+        Ascending: (gamma + lam z) / (1 - beta / z) with the mode
+        z = e^{i theta}; descending mirrors the exponents.  A caller that
+        evaluates many factors at one theta passes z = np.exp(1j*theta)
+        (theta as a float array) and theta is not read.  Boundary
+        corrections decay geometrically into the interior and do not enter
+        this form.
         """
-        z = np.exp(1j * np.asarray(theta, dtype=float))
+        if z is None:
+            z = np.exp(1j * np.asarray(theta, dtype=float))
         gamma = self.gamma
         if direction.is_ascending:
             return (gamma + self.lam * z) / (1.0 - self.beta / z)
@@ -131,15 +136,21 @@ def _build_kernel():
         kernel = ctypes.CDLL(str(lib))
     except (OSError, subprocess.CalledProcessError):
         return None
+    coefficients = (ctypes.c_double,) * 3
     for fn in (kernel.sweep_asc, kernel.sweep_desc):
-        fn.argtypes = (ctypes.c_void_p, ctypes.c_long,
-                       ctypes.c_double, ctypes.c_double, ctypes.c_double)
+        fn.argtypes = (ctypes.c_void_p, ctypes.c_long, *coefficients)
+        fn.restype = None
+    for fn in (kernel.sweep_asc_term, kernel.sweep_desc_term):
+        fn.argtypes = ((ctypes.c_void_p,) * 3 + (ctypes.c_long, *coefficients)
+                       + (ctypes.c_double, ctypes.c_int))
         fn.restype = None
     return kernel
 
 
-def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
-    """Apply one full pair sweep in place.
+def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
+          source: Optional[np.ndarray] = None, weight: Optional[float] = None,
+          offset: Optional[np.ndarray] = None) -> None:
+    """Apply one full pair sweep to f.
 
     The second touch of each sample is equivalent to the one-sided
     recurrence u_j' = beta u'_{j-1} + gamma u_j + lam u_{j+1} (ascending)
@@ -148,8 +159,17 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
     write every second touch a*star_j + l*u_{j+1} (ascending) or
     b*u_{j-1} + a*star_j (descending) in that operand order.
 
+    By default the sweep runs in place.  The keywords fold a multi-term
+    step's bookkeeping into its sweeps: the sweep reads source (default
+    f.values; any other source is left untouched), and with a weight w
+    stores offset_j + w*s_j in place of each swept sample s_j, or
+    0.0 + w*s_j without an offset.  Those are the bits of sweeping a copy
+    of source and then numpy's multiply and add.  source and offset are
+    numpy arrays of f's shape; neither may overlap f.values, except that
+    source may be f.values itself.
+
     The pass runs in the compiled C kernel, built on the first call.  When
-    it cannot be built, or f.values is not a writeable C-contiguous float64
+    it cannot be built, or an array is not a writeable C-contiguous float64
     vector, the same arithmetic runs through scipy's lfilter instead.  The
     C chain carries z = b*y where lfilter computes 0.0*x - (-b)*y, and
     falls back to that literal form when b*y is zero or nan or x is not
@@ -162,13 +182,46 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
     if _kernel is _UNBUILT:
         _kernel = _build_kernel()
     v = f.values
-    if (_kernel is not None and v.dtype == np.float64 and v.ndim == 1 and v.size >= 3
-            and v.flags.c_contiguous and v.flags.writeable):
-        run = _kernel.sweep_asc if direction.is_ascending else _kernel.sweep_desc
-        # a c_char view of the buffer is the cheapest pointer ctypes builds
-        run(ctypes.byref(ctypes.c_char.from_buffer(v)), v.size, u.alpha, u.beta, u.lam)
-    else:
-        _lfilter_sweep(v, u, direction)
+    if source is None and weight is None and offset is None:
+        # _fits(v) written out: this path runs once per sweep of every one-term step
+        if (_kernel is not None and v.dtype == np.float64 and v.ndim == 1 and v.size >= 3
+                and v.flags.c_contiguous and v.flags.writeable):
+            run = _kernel.sweep_asc if direction.is_ascending else _kernel.sweep_desc
+            # a c_char view of the buffer is the cheapest pointer ctypes builds
+            run(ctypes.byref(ctypes.c_char.from_buffer(v)), v.size, u.alpha, u.beta, u.lam)
+        else:
+            _lfilter_sweep(v, u, direction)
+        return
+    if weight is None and offset is not None:
+        raise TypeError("an offset needs a weight")
+    if source is v:
+        source = None
+    for name, x in (("source", source), ("offset", offset)):
+        if x is not None and (x.shape != v.shape or np.may_share_memory(x, v)):
+            raise ValueError(f"{name} must have the field's shape and not overlap its samples")
+    if (_kernel is not None and _fits(v) and (source is None or _fits(source))
+            and (offset is None or _fits(offset))):
+        run = _kernel.sweep_asc_term if direction.is_ascending else _kernel.sweep_desc_term
+        run(_pointer(v), None if source is None else _pointer(source),
+            None if offset is None else _pointer(offset), v.size, u.alpha, u.beta, u.lam,
+            0.0 if weight is None else weight, weight is not None)
+        return
+    if source is not None:
+        np.copyto(v, source)
+    _lfilter_sweep(v, u, direction)
+    if weight is not None:
+        np.multiply(weight, v, out=v)
+        np.add(0.0 if offset is None else offset, v, out=v)
+
+
+def _fits(x: np.ndarray) -> bool:
+    """Whether the C kernel takes x: a writeable C-contiguous float64 vector of >= 3 samples."""
+    return (x.dtype == np.float64 and x.ndim == 1 and x.size >= 3
+            and x.flags.c_contiguous and x.flags.writeable)
+
+
+def _pointer(x: np.ndarray):
+    return ctypes.byref(ctypes.c_char.from_buffer(x))
 
 
 def _lfilter_sweep(v: np.ndarray, u: PairUpdate, direction: SweepDirection) -> None:

@@ -364,6 +364,24 @@ class TestMultiTermStepping:
         assert np.array_equal(f.values, before)
 
 
+class TestMultiTermScratch:
+    @pytest.mark.parametrize("equation,name", [
+        (Equation.DIFFUSION, "t4"), (Equation.DIFFUSION, "t6"), (Equation.DIFFUSION, "t8"),
+        (Equation.DIFFUSION, "2xt4"), (Equation.ADV_DIFF, "t4")])
+    def test_steps_without_copying_the_field(self, equation, name, monkeypatch):
+        # each term's first sweep reads f into a scratch buffer, so f is never copied
+        scheme, params = resolve_preset(name, equation), StepParams(r=0.5, eta=0.3)
+        f = gaussian_profile(64, -5.0, 0.25, 0.0, 1.0)
+        ref = f.copy()
+        apply_scheme_by_copies(ref, scheme, params)
+
+        def no_copy(self):
+            raise AssertionError("a multi-term step copied its field")
+        monkeypatch.setattr(Field1D, "copy", no_copy)
+        apply_scheme(f, scheme, params)
+        assert np.array_equal(f.values, ref.values)
+
+
 class TestPresets:
     @pytest.mark.parametrize("equation,name", [
         (Equation.DIFFUSION, n) for n in

@@ -77,6 +77,37 @@ def advection_update(rng) -> PairUpdate:
     return PairUpdate(math.sqrt(1 - s * s), s, -s)
 
 
+def assert_same_bits(x, y, case=None):
+    assert np.array_equal(x, y, equal_nan=True), case
+    assert np.array_equal(np.signbit(x), np.signbit(y)), case
+
+
+# the keyword forms of a multi-term step's sweeps besides the in-place sweep
+TERM_FORMS = ("source", "weight", "weight offset", "source weight offset")
+SPECIAL_WEIGHTS = (1.0, -1.0, 0.0, -0.0, 5e-324, 1e300, -1e300)
+
+
+def term_keywords(form, values, rng):
+    """(start, keywords) of form for a sweep of values; start is None unless form reads a source.
+
+    The offset holds signed zeros and finite samples up to 1e300, so a weighted sum
+    can overflow but meets no nan on entry.
+    """
+    n = values.size
+    start, keywords = None, {}
+    if "source" in form:
+        start, keywords["source"] = rng.normal(size=n), values
+    if "weight" in form:
+        keywords["weight"] = float(rng.choice(SPECIAL_WEIGHTS) if rng.random() < 0.3
+                                   else rng.uniform(-2.0, 2.0))
+    if "offset" in form:
+        offset = rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 301))
+        zeros = rng.random(n) < rng.random()
+        offset[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+        keywords["offset"] = offset
+    return start, keywords
+
+
 class TestSweepBasics:
     def test_identity_update_leaves_field_unchanged(self):
         f = Field1D([1.0, 2.0, 3.0, 4.0], dx=1.0)
@@ -89,6 +120,24 @@ class TestSweepBasics:
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(InvalidCoefficientError):
             PairUpdate(math.nan, 0.0, 0.0)
+
+    def test_term_keywords_validated(self):
+        f = Field1D(np.arange(6.0), dx=1.0)
+        u = PairUpdate(0.6, 0.2, 0.2)
+        other = np.ones(6)
+        with pytest.raises(TypeError, match="weight"):
+            sweep(f, u, ASC, offset=other)
+        with pytest.raises(ValueError, match="shape"):
+            sweep(f, u, ASC, source=np.ones(5))
+        with pytest.raises(ValueError, match="shape"):
+            sweep(f, u, ASC, weight=0.5, offset=np.ones(7))
+        with pytest.raises(ValueError, match="overlap"):
+            sweep(f, u, ASC, weight=0.5, offset=f.values)
+        wide = np.arange(7.0)
+        f.values = wide[1:]
+        with pytest.raises(ValueError, match="overlap"):
+            sweep(f, u, ASC, source=wide[:6])
+        assert np.array_equal(wide, np.arange(7.0))
 
     def test_norm_conserved_by_diffusion_updates(self):
         rng = np.random.default_rng(0)
@@ -200,6 +249,44 @@ class TestInPlaceKernel:
             values[rng.integers(0, n)] = 1e308
             swept = self.assert_bit_identical(u, direction, values)
             assert not np.all(np.isfinite(swept))
+
+
+@both_kernels
+class TestTermForms:
+    """A sweep reading a source, or weighted, equals sweeping a copy and then numpy's sum."""
+
+    @pytest.mark.parametrize("form", TERM_FORMS)
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_matches_sweep_of_a_copy_then_multiply_and_add(self, direction, form):
+        rng = np.random.default_rng(29)
+        for n in (3, 4, 5, 7, 64) * 4:
+            values = rng.normal(size=n)
+            values[rng.integers(0, n, 2)] = -0.0
+            u = random_update(rng)
+            start, keywords = term_keywords(form, values, rng)
+            source = np.array(values)
+            f = Field1D(values if start is None else start, dx=1.0)
+            storage = f.values
+            ref = Field1D(values, dx=1.0)
+            with np.errstate(over="ignore"):
+                sweep(f, u, direction, **keywords)
+                _reference_sweep(ref, u, direction)
+                expected = ref.values
+                if "weight" in keywords:
+                    expected = np.add(keywords.get("offset", 0.0),
+                                      np.multiply(keywords["weight"], expected))
+            assert f.values is storage
+            assert_same_bits(f.values, expected)
+            assert_same_bits(values, source)
+
+    def test_weighted_sum_without_offset_starts_from_positive_zero(self):
+        # the swept -0.0 samples stay -0.0 in place; 0.0 + w*(-0.0) is +0.0
+        u = PairUpdate(0.6, 0.2, 0.2)
+        for direction in (ASC, DESC):
+            f, g = Field1D(np.full(9, -0.0), dx=1.0), Field1D(np.full(9, -0.0), dx=1.0)
+            sweep(f, u, direction)
+            sweep(g, u, direction, weight=1.0)
+            assert np.all(np.signbit(f.values)) and not np.any(np.signbit(g.values))
 
 
 class TestSaulyevFormEquivalence:
@@ -430,13 +517,21 @@ class TestConservationProperty:
         assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
-def run_on(handle, u, direction, values):
-    """The swept values under one kernel handle (None: the lfilter fallback)."""
+def run_on(handle, u, direction, values, start=None, **keywords):
+    """The swept values under one kernel handle (None: the lfilter fallback).
+
+    f holds values, or start when a source is given; keywords go to sweep,
+    and a source must come back untouched.
+    """
     f = Field1D(np.zeros(values.size), dx=1.0)
-    f.values = np.array(values)   # Field1D would reject the infinities drawn here
+    f.values = np.array(values if start is None else start)   # Field1D would reject infinities
+    keywords = {key: np.array(x) if isinstance(x, np.ndarray) else x
+                for key, x in keywords.items()}
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(sweep_module, "_kernel", handle)
-        sweep(f, u, direction)
+        sweep(f, u, direction, **keywords)
+    if "source" in keywords:
+        assert_same_bits(keywords["source"], values)
     return f.values
 
 
@@ -485,9 +580,17 @@ class TestKernelChoice:
         handle = c_kernel()
         if handle is None:
             pytest.skip("the C sweep kernel cannot be built here")
-        c, fallback = run_on(handle, *case), run_on(None, *case)
-        assert np.array_equal(c, fallback, equal_nan=True)
-        assert np.array_equal(np.signbit(c), np.signbit(fallback))
+        assert_same_bits(run_on(handle, *case), run_on(None, *case))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(kernel_cases(), st.sampled_from(TERM_FORMS), st.integers(0, 2**32 - 1))
+    def test_c_term_forms_match_lfilter_bit_for_bit(self, case, form, seed):
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+        start, keywords = term_keywords(form, case[2], np.random.default_rng(seed))
+        c = run_on(handle, *case, start, **keywords)
+        assert_same_bits(c, run_on(None, *case, start, **keywords))
 
     @pytest.mark.parametrize("direction", [ASC, DESC])
     def test_c_kernel_matches_lfilter_on_adversarial_sweeps(self, direction):
@@ -495,9 +598,19 @@ class TestKernelChoice:
         if handle is None:
             pytest.skip("the C sweep kernel cannot be built here")
         for case in adversarial_cases(direction, 1500, 17 + direction.is_ascending):
-            c, fallback = run_on(handle, *case), run_on(None, *case)
-            assert np.array_equal(c, fallback, equal_nan=True), case
-            assert np.array_equal(np.signbit(c), np.signbit(fallback)), case
+            assert_same_bits(run_on(handle, *case), run_on(None, *case), case)
+
+    @pytest.mark.parametrize("form", TERM_FORMS)
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_c_term_forms_match_lfilter_on_adversarial_sweeps(self, direction, form):
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+        rng = np.random.default_rng(19)
+        for case in adversarial_cases(direction, 150, 23 + direction.is_ascending):
+            start, keywords = term_keywords(form, case[2], rng)
+            c = run_on(handle, *case, start, **keywords)
+            assert_same_bits(c, run_on(None, *case, start, **keywords), (case, keywords))
 
     @pytest.mark.parametrize("setup", ["no compiler", "compiler fails", "cache is a file",
                                        "cache is shared"])
