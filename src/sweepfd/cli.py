@@ -8,11 +8,12 @@ in the README is a single command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +32,8 @@ MAX_SAMPLE_STEPS = 10**10
 MAX_NX = 10**7
 # ceiling on --ntheta, so the CSV rows of many schemes' factors fit in memory
 MAX_NTHETA = 10**5
+# rows per block of write_csv
+CSV_BLOCK_ROWS = 1024
 
 
 class UsageError(Exception):
@@ -79,22 +82,21 @@ def fmt(x: float) -> str:
     return f"{x + 0.0:.17g}"  # +0.0 folds -0.0 into 0.0
 
 
-def write_csv(out: Optional[str], header: Sequence[str], columns: Sequence[str],
-              rows: Sequence[Sequence[float]], footer: Sequence[str] = ()) -> None:
-    def emit(stream: TextIO) -> None:
-        for line in header:
-            stream.write(line + "\n")
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(fmt(v) for v in row) + "\n")
-        for line in footer:
-            stream.write(line + "\n")
+def write_csv(out: Optional[str], header: Sequence[str], names: Sequence[str],
+              columns: Sequence[Sequence[float]], footer: Sequence[str] = ()) -> None:
+    """Write the header lines, the column names, the table and the footer lines.
 
-    if out is None:
-        emit(sys.stdout)
-    else:
-        with open(out, "w") as stream:
-            emit(stream)
+    The table is given as columns of one length.  Its rows are built and
+    written CSV_BLOCK_ROWS at a time, each value as fmt writes it, so the
+    writer holds one block of rows beside the columns at any table length.
+    """
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as stream:
+        stream.write("".join(text + "\n" for text in [*header, ",".join(names)]))
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]) + 0.0
+            stream.write("".join(line % tuple(row) for row in block.tolist()))
+        stream.write("".join(text + "\n" for text in footer))
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +262,16 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
 
 def cmd_ampfactor(setup: Setup, ntheta: int) -> None:
     thetas = np.linspace(0.0, np.pi, ntheta)
-    columns = ["theta", "exact_re", "exact_im", "exact_abs", "exact_phase"]
+    names, columns = ["theta"], [thetas]
     with np.errstate(all="ignore"):   # overflow surfaces as a non-finite factor below
-        factors = [spectral.exact_factor(setup.equation, setup.params, thetas)]
+        factors = [("exact", spectral.exact_factor(setup.equation, setup.params, thetas))]
         for scheme in setup.schemes:
-            columns += [f"{scheme.name}_re", f"{scheme.name}_im",
-                        f"{scheme.name}_abs", f"{scheme.name}_phase"]
-            factors.append(_finite_curve(spectral.scheme_factor(scheme, setup.params, thetas),
-                                         scheme.name, thetas))
-    rows = []
-    for i, theta in enumerate(thetas):
-        row = [theta]
-        for g in factors:
-            gi = complex(g[i])
-            row += [gi.real, gi.imag, abs(gi), -np.angle(gi)]
-        rows.append(row)
-    write_csv(setup.out, setup.header("ampfactor"), columns, rows)
+            factors.append((scheme.name, _finite_curve(
+                spectral.scheme_factor(scheme, setup.params, thetas), scheme.name, thetas)))
+    for name, g in factors:
+        names += [f"{name}_re", f"{name}_im", f"{name}_abs", f"{name}_phase"]
+        columns += [g.real, g.imag, np.abs(g), -np.angle(g)]
+    write_csv(setup.out, setup.header("ampfactor"), names, columns)
 
 
 def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
@@ -285,9 +281,8 @@ def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
     marks = [_step_count(t, setup.dt) for t in times]
     if any(m < 1 or m > setup.steps for m in marks):   # the step loop starts at step 1
         raise UsageError("checkpoints must lie inside the run")
-    initial = setup.field()
-    columns = ["x", "u_initial"]
-    data = [initial.x, initial.values.copy()]
+    initial = setup.field()   # never stepped: each scheme steps its own copy
+    names, columns = ["x", "u_initial"], [initial.x, initial.values]
     norm_notes = [f"# norm initial={fmt(grid.norm(initial))}"]
     for scheme in setup.schemes:
         f = initial.copy()
@@ -295,16 +290,15 @@ def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
             composition.apply_scheme(f, scheme, setup.params)
             if step in marks:
                 t = step * setup.dt
-                columns.append(f"{scheme.name}_t{t:g}")
-                data.append(f.values.copy())
+                names.append(f"{scheme.name}_t{t:g}")
+                columns.append(f.values.copy())
                 norm = _finite(grid.norm(f), scheme, step)
                 norm_notes.append(f"# norm {scheme.name} t={fmt(t)}: {fmt(norm)}")
-        columns.append(f"{scheme.name}_final")
-        data.append(f.values.copy())
+        names.append(f"{scheme.name}_final")
+        columns.append(f.values)
         norm = _finite(grid.norm(f), scheme, setup.steps)
         norm_notes.append(f"# norm {scheme.name} final={fmt(norm)}")
-    rows = list(zip(*data))
-    write_csv(setup.out, setup.header("run") + norm_notes, columns, rows)
+    write_csv(setup.out, setup.header("run") + norm_notes, names, columns)
 
 
 def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
@@ -324,28 +318,27 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
                           RuntimeWarning)
         dts_used.append((dt_used, steps))
     initial = setup.field()
-    columns = ["dt"] + [s.name for s in setup.schemes]
-    table = {s.name: [] for s in setup.schemes}
+    dts = [dt for dt, _ in dts_used]
+    values = [[] for _ in setup.schemes]   # one column per --scheme entry, repeats included
     for dt_used, steps in dts_used:
         params = _step_params(dt_used, setup.dx, setup.dcoef, setup.vel)
-        for scheme in setup.schemes:
+        for scheme, column in zip(setup.schemes, values):
             f = initial.copy()
             for _ in range(steps):
                 composition.apply_scheme(f, scheme, params)
-            table[scheme.name].append(_finite(measure(f), scheme, steps))
-    rows = [[dt] + [table[s.name][i] for s in setup.schemes]
-            for i, (dt, _) in enumerate(dts_used)]
+            column.append(_finite(measure(f), scheme, steps))
     footer = []
-    for scheme in setup.schemes:
+    for scheme, column in zip(setup.schemes, values):
         try:
-            fit = oracle.fit_power_law([d for d, _ in dts_used], table[scheme.name])
+            fit = oracle.fit_power_law(dts, column)
         except NumericsError as exc:
             footer.append(f"# fit scheme={scheme.name} unavailable ({exc})")
         else:
             footer.append(f"# fit scheme={scheme.name} plateau={fmt(fit.plateau)} "
                           f"order={fmt(fit.order)}")
     header = setup.header("converge") + [f"# tfinal={fmt(total_time)} observable={observable}"]
-    write_csv(setup.out, header, columns, rows, footer)
+    write_csv(setup.out, header, ["dt"] + [s.name for s in setup.schemes], [dts] + values,
+              footer)
 
 
 def cmd_norms(setup: Setup) -> None:
@@ -353,7 +346,6 @@ def cmd_norms(setup: Setup) -> None:
     reference = grid.norm(initial)
     if reference == 0.0:
         raise DegenerateFieldError("relative norm errors of a zero-norm initial profile")
-    columns = ["t"] + [s.name for s in setup.schemes]
     traces = []
     for scheme in setup.schemes:
         f = initial.copy()
@@ -362,8 +354,9 @@ def cmd_norms(setup: Setup) -> None:
             composition.apply_scheme(f, scheme, setup.params)
             trace.append(_finite((grid.norm(f) - reference) / reference, scheme, step))
         traces.append(trace)
-    rows = [[(i + 1) * setup.dt] + [tr[i] for tr in traces] for i in range(setup.steps)]
-    write_csv(setup.out, setup.header("norms"), columns, rows)
+    times = np.arange(1, setup.steps + 1) * setup.dt
+    write_csv(setup.out, setup.header("norms"), ["t"] + [s.name for s in setup.schemes],
+              [times] + traces)
 
 
 def cmd_phase(setup: Setup, ntheta: int) -> None:
@@ -371,12 +364,11 @@ def cmd_phase(setup: Setup, ntheta: int) -> None:
         raise UsageError("phase errors are defined for --equation advection")
     thetas = np.linspace(0.0, np.pi, ntheta)
     reference = spectral.exact_phase(setup.params.eta, thetas)
-    columns = ["theta"] + [s.name for s in setup.schemes]
     with np.errstate(all="ignore"):   # overflow surfaces as a non-finite phase below
         curves = [_finite_curve(spectral.phase_curve(s, setup.params, thetas) - reference,
                                 s.name, thetas) for s in setup.schemes]
-    rows = [[thetas[i]] + [c[i] for c in curves] for i in range(ntheta)]
-    write_csv(setup.out, setup.header("phase"), columns, rows)
+    write_csv(setup.out, setup.header("phase"), ["theta"] + [s.name for s in setup.schemes],
+              [thetas] + curves)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -185,6 +185,23 @@ class TestConverge:
     def test_increasing_dts_is_usage_error(self):
         assert run_cli(["converge", "--scheme", "d2s", "--dts", "0.1,0.2"]) == 2
 
+    def test_repeated_scheme_writes_one_correct_column_each(self, tmp_path):
+        # a repeated name used to share one name-keyed list of values: the dt = 0.05 row
+        # read the dt = 0.1 value, both fits were unavailable, and the exit code was 0
+        argv = ["converge", "--equation", "diffusion", "--dt", "0.1", "--tfinal", "1",
+                "--dts", "0.1,0.05,0.025"]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert run_cli(argv + ["--scheme", "d2s", "--out", str(one)]) == 0
+        assert run_cli(argv + ["--scheme", "d2s,d2s", "--out", str(two)]) == 0
+        header1, _, rows1 = read_csv(one)
+        header2, columns, rows2 = read_csv(two)
+        assert columns == ["dt", "d2s", "d2s"]
+        assert rows1[1, 1] == 0.88679523989888265
+        assert np.array_equal(rows2, rows1[:, [0, 1, 1]])
+        fit = [line for line in header1 if line.startswith("# fit")]
+        assert len(fit) == 1 and "unavailable" not in fit[0]
+        assert [line for line in header2 if line.startswith("# fit")] == fit * 2
+
 
 class TestNorms:
     def test_diffusion_norm_error_stays_at_rounding(self, tmp_path):
