@@ -89,9 +89,16 @@ def write_csv(out: Optional[str], header: Sequence[str], names: Sequence[str],
     The table is given as columns of one length.  Its rows are built and
     written CSV_BLOCK_ROWS at a time, each value as fmt writes it, so the
     writer holds one block of rows beside the columns at any table length.
+    out=None writes to stdout.  Callers pass only numbers already computed
+    and checked, so a failed run opens no file; an out that cannot be
+    opened for writing is a usage error.
     """
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as stream:
+    try:
+        target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
+    except OSError as exc:
+        raise UsageError(f"--out {out!r} cannot be opened for writing: {exc.strerror}") from None
+    with target as stream:
         stream.write("".join(text + "\n" for text in [*header, ",".join(names)]))
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]) + 0.0
@@ -234,8 +241,10 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         raise UsageError("--dt must be positive")
     if args.tfinal is not None and args.tfinal <= 0:
         raise UsageError("--tfinal must be positive")
-    if args.profile == "gaussian" and not args.sigma > 0:
-        raise UsageError(f"--sigma must be positive for the gaussian profile, got {args.sigma}")
+    # sigma * |sigma| is the signed square of the width the profile divides by
+    if args.profile == "gaussian" and not 0 < args.sigma * abs(args.sigma) < math.inf:
+        raise UsageError(f"--sigma must be positive, with a square that neither overflows nor "
+                         f"underflows to 0, for the gaussian profile, got {args.sigma}")
     steps = args.steps
     if steps is None and args.tfinal is not None:
         steps = max(1, _step_count(args.tfinal, args.dt))

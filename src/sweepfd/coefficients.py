@@ -63,7 +63,10 @@ def matched_cn_s(eta: float) -> float:
     """
     if abs(eta) < 1e-4:
         return 0.25 * eta * (1.0 - eta * eta / 16.0)
-    return eta / (2.0 * (math.sqrt(1.0 + 0.25 * eta * eta) + 1.0))
+    root = math.sqrt(1.0 + 0.25 * eta * eta)
+    if root == math.inf:   # eta^2 overflows; s = 1 - 2/|eta| + ... rounded to +-1 long before
+        return math.copysign(1.0, eta)
+    return eta / (2.0 * (root + 1.0))
 
 
 def advection_s(variant: AdvectionVariant, eta: float, direction: SweepDirection) -> float:
@@ -117,6 +120,9 @@ def _split_update(r: float, eta: float) -> PairUpdate:
     """
     half_eta = 0.5 * eta
     psi_squared = r * r - half_eta * half_eta
+    if not math.isfinite(psi_squared):
+        raise ParameterError(f"split-derived update at r = {r}, eta = {eta}: "
+                             f"psi^2 = r^2 - (eta/2)^2 = {psi_squared} overflows")
     if psi_squared >= 1.0 and r > 0.0:
         psi = math.sqrt(psi_squared)
         grow = math.exp(-half_eta * half_eta / (psi + r))

@@ -102,8 +102,9 @@ class Comparator(Enum):
         if self is Comparator.EULER:
             v[:] = v + params.r * (np.roll(v, -1) - 2.0 * v + np.roll(v, 1))
         elif self is Comparator.LAX_WENDROFF:
+            eta_squared = _eta_squared(params)
             vp, vm = np.roll(v, -1), np.roll(v, 1)
-            v[:] = v - 0.5 * params.eta * (vp - vm) + 0.5 * params.eta ** 2 * (vp - 2.0 * v + vm)
+            v[:] = v - 0.5 * params.eta * (vp - vm) + 0.5 * eta_squared * (vp - 2.0 * v + vm)
         else:
             raise ParameterError("the implicit comparator has no explicit stepper")
 
@@ -118,7 +119,15 @@ class Comparator(Enum):
             return (1.0 - 4.0 * params.r * s2) + 0j
         if self is Comparator.CRANK_NICOLSON:
             return (1.0 - 2.0 * params.r * s2) / (1.0 + 2.0 * params.r * s2) + 0j
-        return 1.0 - 1j * params.eta * np.sin(theta) - 2.0 * params.eta ** 2 * s2
+        return 1.0 - 1j * params.eta * np.sin(theta) - 2.0 * _eta_squared(params) * s2
+
+
+def _eta_squared(params: StepParams) -> float:
+    """params.eta ** 2; a square beyond the float range is no usable step."""
+    try:
+        return params.eta ** 2
+    except OverflowError:
+        raise ParameterError(f"Lax-Wendroff at eta = {params.eta}: eta^2 overflows") from None
 
 
 # ---------------------------------------------------------------------------

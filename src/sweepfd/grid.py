@@ -58,8 +58,12 @@ def gaussian_profile(n: int, x0: float, dx: float, center: float, sigma: float) 
         raise ParameterError(f"sigma must be positive, got {sigma}")
     if not (dx > 0):
         raise ParameterError(f"dx must be positive, got {dx}")
+    try:
+        sigma_squared = sigma ** 2
+    except OverflowError:
+        raise ParameterError(f"sigma = {sigma}: sigma^2 overflows") from None
     x = x0 + dx * np.arange(n)
-    return Field1D(np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2)), dx, x0)
+    return Field1D(np.exp(-((x - center) ** 2) / (2.0 * sigma_squared)), dx, x0)
 
 
 def sextic_profile(n: int, x0: float, dx: float, center: float) -> Field1D:

@@ -4,7 +4,9 @@ None of these is part of sweepfd: dense generator and sweep matrices,
 the classic fixed-end one-sided sweep, the copy-per-term stepper that
 multi-term steps must match bit for bit, single-theta amplification and
 phase samples, the theta -> 0 Richardson limit, the symmetric diffusion
-step's closed form at either sign of r, and the composition power sums.
+step's closed form at either sign of r, the composition power sums, and
+the row-wise CSV writer the command line's streaming writer must match
+byte for byte.
 Test modules import them with `from oracles import ...`; pytest puts
 tests/ on sys.path, and this module holds no tests of its own.
 """
@@ -210,3 +212,22 @@ def validate_order_conditions(a: Sequence[float], target_order: int,
         target_order=target_order,
         tolerance=tolerance,
     )
+
+
+# ---------------------------------------------------------------------------
+# command line output
+
+def write_csv_by_rows(out: str, header: Sequence[str], names: Sequence[str],
+                      rows: Sequence[Sequence[float]], footer: Sequence[str] = ()) -> None:
+    """The CSV of sweepfd.cli.write_csv, written row by row and value by value."""
+    def fmt(x: float) -> str:
+        return f"{x + 0.0:.17g}"  # +0.0 folds -0.0 into 0.0
+
+    with open(out, "w") as stream:
+        for line in header:
+            stream.write(line + "\n")
+        stream.write(",".join(names) + "\n")
+        for row in rows:
+            stream.write(",".join(fmt(v) for v in row) + "\n")
+        for line in footer:
+            stream.write(line + "\n")

@@ -1,19 +1,26 @@
 """Command line drivers: CSV shape, determinism, exit codes."""
 
+import math
 import os
 import resource
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sweepfd
 import sweepfd.cli
-from sweepfd.cli import main
+from sweepfd import Equation, preset_names
+from sweepfd.cli import CSV_BLOCK_ROWS, main, write_csv
+
+from oracles import write_csv_by_rows
 
 CHILD_ADDRESS_SPACE = 2 * 1024 ** 3   # bytes; caps the subprocess, never the test runner
 
@@ -59,6 +66,35 @@ def read_csv(path):
             else:
                 rows.append([float(v) for v in line.split(",")])
     return header, columns, np.array(rows)
+
+
+class TestWriteCsv:
+    HEADER, FOOTER = ["# sweepfd test", "# deterministic"], ["# fit scheme=x unavailable"]
+
+    @pytest.mark.parametrize("length", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                        CSV_BLOCK_ROWS + 1])
+    def test_matches_the_row_wise_writer(self, length, tmp_path):
+        rng = np.random.default_rng(length)
+        signed_zeros = np.where(np.arange(length) % 3 == 0, -0.0, 0.0)
+        columns = [
+            np.arange(length) * 0.1,
+            rng.standard_normal(length) * 10.0 ** rng.integers(-320, 308, length),
+            signed_zeros,
+            list(-signed_zeros),                               # a list column, as converge's
+            rng.standard_normal(length).astype(np.float32),   # widened to float64 as written
+        ]
+        names = ["t", "wide", "zeros", "negated", "single"]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_csv(str(new), self.HEADER, names, columns, self.FOOTER)
+        write_csv_by_rows(str(ref), self.HEADER, names,
+                          [[float(v) for v in row] for row in zip(*columns)], self.FOOTER)
+        assert new.read_bytes() == ref.read_bytes()
+
+    def test_stdout_matches_the_file(self, tmp_path, capsys):
+        columns = [np.linspace(0.0, 1.0, 5), -np.linspace(0.0, 1.0, 5)]
+        write_csv(None, self.HEADER, ["a", "b"], columns, self.FOOTER)
+        write_csv(str(tmp_path / "out.csv"), self.HEADER, ["a", "b"], columns, self.FOOTER)
+        assert capsys.readouterr().out == (tmp_path / "out.csv").read_text()
 
 
 class TestAmpfactor:
@@ -275,6 +311,19 @@ class TestMalformedInput:
         assert err.startswith(f"usage error: {option} must be finite")
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("out", ["missing/dir/amp.csv", "", "."])
+    def test_unwritable_out_is_usage_error(self, out, tmp_path, monkeypatch, capsys):
+        # a missing directory, an empty name and a directory each used to end in an
+        # OSError traceback (exit 1) once every number had been computed
+        monkeypatch.chdir(tmp_path)
+        code, err = run_clean(["ampfactor", "--scheme", "d2s", "--ntheta", "3", "--out", out],
+                              capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNonFiniteOutput:
     @pytest.mark.parametrize("args,scheme", [
         (["run", "--equation", "diffusion", "--scheme", "euler", "--dt", "1",
@@ -422,6 +471,61 @@ class TestDerivedInput:
         assert code == 0, err
 
 
+class TestOverflowingSquares:
+    """Inputs whose square overflows (above about 1.34e154) exit 1 or 2, never 0 or a traceback."""
+
+    @pytest.mark.parametrize("command", [["run", "--steps", "1"], ["ampfactor", "--ntheta", "3"],
+                                         ["phase", "--ntheta", "3"]])
+    def test_lax_wendroff_at_overflowing_eta_exits_one(self, command, tmp_path, capsys):
+        # eta ** 2 used to raise OverflowError
+        out = tmp_path / "out.csv"
+        code, err = run_clean(command + ["--equation", "advection", "--scheme", "lw",
+                                         "--vel", "1e300", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("numerical error:") and "eta" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--scheme", "split1a", "--vel", "1e300"],              # psi^2 = -inf
+        ["--scheme", "split1b", "--vel", "1e300", "--dcoef", "1e300"],   # psi^2 = nan
+        ["--scheme", "split1a", "--dcoef", "1e300"],            # psi^2 = +inf
+    ])
+    def test_split_derived_at_overflowing_square_exits_one(self, args, tmp_path, capsys):
+        # the first used to end in "ValueError: math domain error"; the last used to
+        # run with beta = lam = 0 where both tend to 1/2, and exit 0
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--equation", "advdiff", "--nx", "102", "--steps", "1",
+                               "--out", str(out)] + args, capsys)
+        assert code == 1
+        assert err.startswith("numerical error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("equation,scheme", [("advection", "a2c"), ("advdiff", "ad2c")])
+    @pytest.mark.parametrize("vel", ["1e20", "1e150", "1e160", "1e300"])
+    def test_matched_cn_at_overflowing_eta_exits_one(self, equation, scheme, vel, tmp_path,
+                                                      capsys):
+        # above 1e154 s = 0 used to run the identity step and exit 0; s rounds to 1
+        # long before, which no sweep can use
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", "--equation", equation, "--scheme", scheme, "--nx", "8",
+                               "--steps", "2", "--vel", vel, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("numerical error:") and "= 1.0 >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e300", "-1e300", "1e-300"])
+    def test_gaussian_width_without_a_finite_square_is_usage_error(self, sigma, tmp_path,
+                                                                    capsys):
+        # 1e300 ** 2 used to raise OverflowError; 1e-300 squared to 0 and ended in a
+        # numerical error about non-finite samples
+        out = tmp_path / "run.csv"
+        code, err = run_clean(["run", f"--sigma={sigma}", "--steps", "1", "--out", str(out)],
+                              capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "--sigma" in err
+        assert not out.exists()
+
+
 class TestStepCounts:
     @pytest.mark.parametrize("args", [
         ["run", "--dt", "1e-320", "--tfinal", "1"],
@@ -531,3 +635,57 @@ class TestStepCounts:
         assert err.startswith("usage error:")
         assert "RuntimeWarning" not in err
         assert not out.exists()
+
+
+FUZZ_FLOATS = ["0", "-0", "1e-300", "-1e-300", "1e300", "-1e300", "1e160", "0.5", "700",
+               "1.1748021039363987"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of the subcommand grammar, with edge values in every float option."""
+    command = draw(st.sampled_from(["ampfactor", "run", "converge", "norms", "phase"]))
+    equation = draw(st.sampled_from(list(Equation)))
+    schemes = draw(st.lists(st.tuples(st.sampled_from(["", "2x", "3x"]),
+                                      st.sampled_from(preset_names(equation))),
+                            min_size=1, max_size=3))
+    steps = draw(st.integers(0, 20))
+    argv = [command, f"--equation={equation.value}",
+            "--scheme=" + ",".join(prefix + name for prefix, name in schemes),
+            f"--nx={draw(st.integers(3, 200))}", f"--steps={steps}",
+            f"--profile={draw(st.sampled_from(['gaussian', 'sextic']))}"]
+    dt = 0.1
+    options = ["--xmin", "--xmax", "--dcoef", "--vel", "--dt", "--center", "--sigma"]
+    for option in draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+        value = draw(st.sampled_from(FUZZ_FLOATS))
+        argv.append(f"{option}={value}")
+        dt = float(value) if option == "--dt" else dt
+    if command in ("ampfactor", "phase"):
+        argv.append(f"--ntheta={draw(st.integers(2, 40))}")
+    elif command == "run" and draw(st.booleans()):
+        argv.append(f"--checkpoints={draw(st.integers(0, 22)) * dt!r}")
+    elif command == "converge":
+        # dt/1 > dt/2 > ...: at most 4 x 20 steps a run, whatever --dt is
+        divisors = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3, unique=True))
+        argv.append("--dts=" + ",".join(repr(dt / k) for k in sorted(divisors)))
+        argv.append(f"--observable={draw(st.sampled_from(['abs-moment', 'abs-weighted-mean']))}")
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(argv=cli_argvs())
+    def test_exit_code_is_0_1_or_2_and_exit_0_writes_only_finite_numbers(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv + ["--out", str(out)])
+            assert code in (0, 1, 2)
+            if code != 0:
+                assert not out.exists()
+                return
+            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            values = [float(v) for line in lines[1:] for v in line.split(",")]
+            assert all(map(math.isfinite, values)), argv
+

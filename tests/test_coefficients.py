@@ -152,6 +152,15 @@ class TestMatchedCnS:
     def test_odd_in_eta(self):
         assert matched_cn_s(-0.7) == pytest.approx(-matched_cn_s(0.7), rel=1e-15)
 
+    @pytest.mark.parametrize("eta", [1e20, 1e150, 1e160, 1e300])
+    def test_rounds_to_one_at_large_eta(self, eta):
+        # once eta*eta overflows (above about 1.34e154) the quotient used to give 0.0;
+        # s = 1 - 2/eta + ... rounds to 1.0 from eta of about 2^54 on
+        assert matched_cn_s(eta) == 1.0
+        assert matched_cn_s(-eta) == -1.0
+        with pytest.raises(SpatialAmplificationError, match="= 1.0 >= 1"):
+            pair_update(AdvectionVariant.MATCHED_CN, 0.0, eta, ASC)
+
 
 class TestSplitDerived:
     def test_reduces_to_exponential_diffusion(self):
@@ -213,6 +222,14 @@ class TestSplitDerived:
         u = pair_update(AdvDiffVariant.SPLIT_DERIVED, r, eta, ASC)
         for value, reference in zip((u.alpha, u.beta, u.lam), exact):
             assert value == pytest.approx(float(reference), rel=4e-15)
+
+    @pytest.mark.parametrize("r,eta", [(0.5, 1e300), (1e300, 1.0), (1e300, 1e300),
+                                       (-1.0, 1e300)])
+    def test_overflowing_square_rejected(self, r, eta):
+        # psi^2 = r^2 - (eta/2)^2 at -inf used to end in a math domain error; at
+        # +inf it used to give beta = lam = 0 where both tend to 1/2
+        with pytest.raises(ParameterError, match="psi"):
+            pair_update(AdvDiffVariant.SPLIT_DERIVED, r, eta, ASC)
 
     def test_negative_r_keeps_the_cosh_sinh_form(self):
         # r < 0 runs inside advection-diffusion compositions' negative fractions;

@@ -99,6 +99,11 @@ class TestGaussianProfile:
         with pytest.raises(ParameterError):
             gaussian_profile(8, 0.0, 0.1, 0.0, sigma=0.0)
 
+    def test_rejects_sigma_whose_square_overflows(self):
+        # sigma ** 2 used to raise OverflowError
+        with pytest.raises(ParameterError, match="sigma"):
+            gaussian_profile(8, 0.0, 0.1, 0.0, sigma=1e300)
+
 
 class TestSexticProfile:
     def test_peak(self):

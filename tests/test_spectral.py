@@ -12,6 +12,7 @@ from sweepfd import (
     Comparator,
     DiffusionVariant,
     Equation,
+    Field1D,
     PairUpdate,
     StepParams,
     compile_scheme,
@@ -151,6 +152,14 @@ class TestComparators:
     def test_crank_nicolson_value(self):
         g = scheme_amplification(comparator("crank-nicolson"), StepParams(r=2.0), math.pi).g
         assert g == pytest.approx(-3.0 / 5.0, rel=1e-14)
+
+    def test_lax_wendroff_at_overflowing_eta_rejected(self):
+        # eta ** 2 used to raise OverflowError from both the factor and the step
+        lw, params = Comparator.LAX_WENDROFF, StepParams(eta=1e300)
+        with pytest.raises(ParameterError, match="eta"):
+            lw.factor(params, np.array([0.0, 1.0]))
+        with pytest.raises(ParameterError, match="eta"):
+            lw.step(Field1D(np.ones(4), dx=1.0), params)
 
     def test_lax_wendroff_exact_transport_limit(self):
         for theta in (0.3, 1.5, 2.8):
