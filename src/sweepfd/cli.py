@@ -28,11 +28,12 @@ NUMERICS_EXIT = 1
 # request beyond it (e.g. --dt 1e-300 --tfinal 1) would never finish
 MAX_SAMPLE_STEPS = 10**10
 # ceiling on --nx, so each N-sized float64 array takes at most 80 MB: a grid
-# the allocator cannot hold must be a usage error, not a traceback
+# the allocator cannot hold must be a usage error, not a traceback. run keeps
+# one such array per CSV column; write_csv adds one block of rows
 MAX_NX = 10**7
-# ceiling on --ntheta, so the CSV rows of many schemes' factors fit in memory
+# ceiling on --ntheta, so the factor columns of many schemes fit in memory
 MAX_NTHETA = 10**5
-# rows per block of write_csv
+# rows per block of write_csv: all it holds beside the columns it is given
 CSV_BLOCK_ROWS = 1024
 
 
@@ -86,12 +87,10 @@ def write_csv(out: Optional[str], header: Sequence[str], names: Sequence[str],
               columns: Sequence[Sequence[float]], footer: Sequence[str] = ()) -> None:
     """Write the header lines, the column names, the table and the footer lines.
 
-    The table is given as columns of one length.  Its rows are built and
-    written CSV_BLOCK_ROWS at a time, each value as fmt writes it, so the
-    writer holds one block of rows beside the columns at any table length.
-    out=None writes to stdout.  Callers pass only numbers already computed
-    and checked, so a failed run opens no file; an out that cannot be
-    opened for writing is a usage error.
+    columns is the table, column by column.  Its rows are written
+    CSV_BLOCK_ROWS at a time, each value as fmt formats it.  out=None is
+    stdout; an out that cannot be opened is a usage error.  Callers pass
+    numbers already computed and checked, so a failed run opens no file.
     """
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     try:
