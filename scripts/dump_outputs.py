@@ -6,8 +6,10 @@ For every preset, plain and as `2x`/`3x`, at each (r, eta) of POINTS the
 file records the compiled `Program` repr, the bytes of `scheme_factor` on
 33 thetas in [0, pi], the field bytes after 3 steps of `apply_scheme`,
 `numeric_amplification` at one lattice mode, the type and message of any
-error these raise, and every warning.  Only the public API is used, so the
-script runs on any checkout: run it on two and `diff -r` the directories
+error these raise, and every warning.  `oracle.txt` records the bytes of
+`exact_evolve` on a Gaussian at each N of ORACLE_NS and each (D, v, dt) of
+ORACLE_POINTS, so a change to the exact flow shows up in the same diff.
+Only the public API is used, so the script runs on any checkout: run it on two and `diff -r` the directories
 to check that a change leaves every scheme's numbers bit-identical.
 """
 
@@ -26,6 +28,9 @@ THETAS = np.linspace(0.0, math.pi, 33)
 N = 48
 STEPS = 3
 MODE = 5   # numeric_amplification reads the lattice mode theta = 2 pi MODE / N
+ORACLE_NS = (3, 17, 64, 800)
+# (D, v, dt): diffusion, advection-diffusion, and advection at eta = v dt N / 12 >= 100
+ORACLE_POINTS = ((0.5, 0.0, 0.2), (0.05, 0.7, 0.3), (0.0, 1.0, 400.0))
 
 
 def record(lines, label, fn):
@@ -58,6 +63,14 @@ def dump(scheme, lines):
             sf.numeric_amplification(scheme, params, 2.0 * math.pi * MODE / N, N)))
 
 
+def dump_oracle(lines):
+    for n in ORACLE_NS:
+        f = sf.gaussian_profile(n, -6.0, 12.0 / n, 0.0, 1.0)
+        for d, v, dt in ORACLE_POINTS:
+            record(lines, f"exact_evolve n={n} D={d} v={v} dt={dt}",
+                   lambda: sf.exact_evolve(f, d, v, dt).values.tobytes().hex())
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -70,6 +83,9 @@ def main(argv=None):
                 dump(sf.resolve_preset(prefix + name, equation), lines)
                 path = args.outdir / f"{equation.value}-{prefix}{name}.txt"
                 path.write_text("\n".join(lines) + "\n")
+    lines = []
+    dump_oracle(lines)
+    (args.outdir / "oracle.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 

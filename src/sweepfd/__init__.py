@@ -48,11 +48,7 @@ from .grid import (
     norm,
     sextic_profile,
 )
-from .oracle import (
-    CirculantSpectrum,
-    exact_evolve,
-    fit_power_law,
-)
+from .oracle import exact_evolve, fit_power_law
 from .spectral import (
     AmplificationSample,
     exact_phase,

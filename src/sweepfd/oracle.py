@@ -1,10 +1,12 @@
 """Ground truth: the exact circulant flow, and the power-law fit of a converging observable.
 
 The semi-discretised periodic system is a circulant ODE, so its exact
-flow is a per-Fourier-mode multiplier exp(dt*lambda_k).  That flow is
-the correct comparison target for every scheme here.  The transforms
-are numpy.fft's O(N log N) FFTs.  fit_power_law reads the plateau and
-order off an observable measured at decreasing dt (`sweepfd converge`).
+flow multiplies Fourier mode k by spectral.exact_factor at the lattice
+angle theta_k = 2*pi*k/N, the same exact factor the amplification
+tables compare each scheme with.  That flow is the correct comparison
+target for every scheme here.  The transforms are numpy.fft's
+O(N log N) FFTs.  fit_power_law reads the plateau and order off an
+observable measured at decreasing dt (`sweepfd converge`).
 """
 
 from __future__ import annotations
@@ -15,35 +17,21 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .composition import Equation, StepParams
 from .errors import ParameterError
 from .grid import Field1D
+from .spectral import exact_factor
 
 FLOOR_RELATIVE = 1e-13
 FIT_ITERATIONS = 40
 
 
-@dataclass(frozen=True)
-class CirculantSpectrum:
-    """Eigenvalues lambda_k of the periodic space-discretised generator."""
-
-    n: int
-    eigenvalues: np.ndarray
-
-    @classmethod
-    def build(cls, n: int, dx: float, diffusivity: float = 0.0,
-              velocity: float = 0.0) -> "CirculantSpectrum":
-        k = np.arange(n)
-        diffusive = -(4.0 * diffusivity / dx ** 2) * np.sin(math.pi * k / n) ** 2
-        advective = -1j * (velocity / dx) * np.sin(2.0 * math.pi * k / n)
-        return cls(n, diffusive + advective)
-
-
 def exact_evolve(f: Field1D, diffusivity: float, velocity: float, dt: float) -> Field1D:
     """Exact flow of the semi-discretised equations over one interval dt."""
-    spectrum = CirculantSpectrum.build(f.n, f.dx, diffusivity, velocity)
-    modes = np.fft.fft(f.values) * np.exp(dt * spectrum.eigenvalues)
-    values = np.fft.ifft(modes).real
-    return Field1D(values, f.dx, f.x0)
+    params = StepParams.from_physics(dt, f.dx, diffusivity, velocity)
+    theta = 2.0 * math.pi * np.arange(f.n) / f.n
+    modes = np.fft.fft(f.values) * exact_factor(Equation.ADV_DIFF, params, theta)
+    return Field1D(np.fft.ifft(modes).real, f.dx, f.x0)
 
 
 @dataclass(frozen=True)

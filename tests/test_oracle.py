@@ -1,4 +1,4 @@
-"""Circulant exact evolution and order fitting."""
+"""The exact semi-discrete factor, the circulant exact evolution and order fitting."""
 
 import importlib
 import math
@@ -6,46 +6,52 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from sweepfd import (
-    CirculantSpectrum,
+    Equation,
     Field1D,
+    StepParams,
     exact_evolve,
     fit_power_law,
     gaussian_profile,
 )
 from sweepfd.errors import ParameterError
+from sweepfd.spectral import exact_factor
 
 from oracles import advection_generator, diffusion_generator
 
 
-def _direct_dft(values, sign):
-    """O(N^2) discrete Fourier sum with exponent sign*2*pi*i*k*j/N (small-N oracle)."""
-    n = values.size
-    j = np.arange(n)
-    return np.array([np.sum(values * np.exp(sign * 2j * math.pi * k * j / n))
-                     for k in range(n)])
+def _lattice(n):
+    """The angles theta_k = 2 pi k / n of the n lattice modes exp(i theta_k j)."""
+    return 2.0 * math.pi * np.arange(n) / n
 
 
 class TestSpectrum:
+    """exact_factor on lattice modes is the exact flow of the dense generators."""
+
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_generators_reproduce_eigenvalues(self, n):
-        dx, D, v = 0.3, 0.7, 1.3
-        spectrum = CirculantSpectrum.build(n, dx, D, v)
-        a = diffusion_generator(n, dx, D) + advection_generator(n, dx, v)
+        dx, D, v, dt = 0.3, 0.7, 1.3, 0.1
+        g = exact_factor(Equation.ADV_DIFF, StepParams.from_physics(dt, dx, D, v), _lattice(n))
+        flow = expm(dt * (diffusion_generator(n, dx, D) + advection_generator(n, dx, v)))
         j = np.arange(n)
         for k in (0, 1, n // 3, n // 2, n - 1):
             mode = np.exp(2j * math.pi * k * j / n)
-            applied = a @ mode
-            assert np.max(np.abs(applied - spectrum.eigenvalues[k] * mode)) <= 1e-12 * n
+            assert np.max(np.abs(flow @ mode - g[k] * mode)) <= 1e-12 * n
 
     def test_diffusion_eigenvalues_real_nonpositive(self):
-        spectrum = CirculantSpectrum.build(32, 0.1, 0.5, 0.0)
-        assert np.all(spectrum.eigenvalues.imag == 0.0)
-        assert np.all(spectrum.eigenvalues.real <= 0.0)
+        # real eigenvalues <= 0: the factor exp(dt*lambda) is real and in (0, 1]
+        g = exact_factor(Equation.ADV_DIFF, StepParams.from_physics(0.01, 0.1, 0.5, 0.0),
+                         _lattice(32))
+        assert np.all(g.imag == 0.0)
+        assert np.all((g.real > 0.0) & (g.real <= 1.0))
 
     def test_advection_eigenvalues_imaginary(self):
-        spectrum = CirculantSpectrum.build(32, 0.1, 0.0, 1.0)
-        assert np.all(spectrum.eigenvalues.real == 0.0)
+        # imaginary eigenvalues: the factor has |g| = 1 to rounding
+        g = exact_factor(Equation.ADV_DIFF, StepParams.from_physics(0.05, 0.1, 0.0, 1.0),
+                         _lattice(32))
+        assert np.max(np.abs(np.abs(g) - 1.0)) <= 2.0 * np.finfo(float).eps
 
 
 class TestExactEvolve:
@@ -94,9 +100,8 @@ class TestExactEvolve:
         rng = np.random.default_rng(n)
         f = Field1D(rng.normal(size=n), dx=0.2)
         dt, D, v = 0.3, 0.05, 0.7
-        spectrum = CirculantSpectrum.build(n, f.dx, D, v)
-        modes = _direct_dft(f.values, -1.0) * np.exp(dt * spectrum.eigenvalues)
-        expected = _direct_dft(modes, +1.0).real / n
+        a = diffusion_generator(n, f.dx, D) + advection_generator(n, f.dx, v)
+        expected = expm(dt * a) @ f.values
         out = exact_evolve(f, D, v, dt)
         assert np.max(np.abs(out.values - expected)) <= 1e-12
 
@@ -154,7 +159,7 @@ class TestLibrarySurface:
         sweep = importlib.import_module("sweepfd.sweep")   # `sweepfd.sweep` is the function
 
         gone = {
-            sweepfd: ("observed_order", "OrderEstimate", "richardson_reference",
+            sweepfd: ("CirculantSpectrum", "observed_order", "OrderEstimate", "richardson_reference",
                       "nominal_order", "sweep_as_matrix", "saulyev_sweep_fixed",
                       "diffusion_generator", "advection_generator",
                       "exact_amplification", "scheme_amplification",
@@ -162,7 +167,7 @@ class TestLibrarySurface:
                       "OrderConditionReport", "validate_order_conditions",
                       "ModifiedNormTag", "euler_step", "lax_wendroff_step",
                       "sweep_factor", "comparator_factor"),
-            oracle: ("observed_order", "OrderEstimate", "richardson_reference",
+            oracle: ("CirculantSpectrum", "observed_order", "OrderEstimate", "richardson_reference",
                      "diffusion_generator", "advection_generator"),
             composition: ("nominal_order", "_spec_order", "OrderConditionReport",
                           "validate_order_conditions", "euler_step", "lax_wendroff_step"),
