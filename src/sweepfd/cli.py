@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .errors import DegenerateFieldError, NonFiniteResultError, NumericsError
 from .grid import Field1D
 
 USAGE_EXIT = 2
-NUMERICS_EXIT = 1
+FAILURE_EXIT = 1   # a numerical failure, or a CSV that could not be written
 # ceiling on steps x nx of one scheme's run: hours of CPU time at any nx; a
 # request beyond it (e.g. --dt 1e-300 --tfinal 1) would never finish
 MAX_SAMPLE_STEPS = 10**10
@@ -39,6 +41,10 @@ CSV_BLOCK_ROWS = 1024
 
 class UsageError(Exception):
     pass
+
+
+class WriteError(Exception):
+    """The CSV could not be written; no message when stdout's reader has gone."""
 
 
 @dataclass
@@ -91,18 +97,36 @@ def write_csv(out: Optional[str], header: Sequence[str], names: Sequence[str],
     CSV_BLOCK_ROWS at a time, each value as fmt formats it.  out=None is
     stdout; an out that cannot be opened is a usage error.  Callers pass
     numbers already computed and checked, so a failed run opens no file.
+    A write that fails (a full disk, a file-size limit, a closed pipe) is a
+    WriteError; it removes a partial regular file, never a device or a FIFO.
     """
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     try:
         target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
     except OSError as exc:
         raise UsageError(f"--out {out!r} cannot be opened for writing: {exc.strerror}") from None
-    with target as stream:
-        stream.write("".join(text + "\n" for text in [*header, ",".join(names)]))
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]) + 0.0
-            stream.write("".join(line % tuple(row) for row in block.tolist()))
-        stream.write("".join(text + "\n" for text in footer))
+    try:
+        with target as stream:
+            stream.write("".join(text + "\n" for text in [*header, ",".join(names)]))
+            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]) + 0.0
+                stream.write("".join(line % tuple(row) for row in block.tolist()))
+            stream.write("".join(text + "\n" for text in footer))
+            stream.flush()   # stdout stays open: its write errors must surface here
+    except OSError as exc:
+        if out is not None:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(out).st_mode):
+                    os.remove(out)
+            raise WriteError(f"--out {out!r} could not be written: {exc.strerror}") from None
+        # the interpreter flushes stdout again at exit; point it at devnull so that
+        # flush cannot print its own error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):   # the reader has gone, as after `| head`
+            raise WriteError() from None
+        raise WriteError(f"stdout could not be written: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +260,10 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         raise UsageError(f"--ntheta must lie in [2, {MAX_NTHETA:.0e}], got {args.ntheta}")
     if args.xmax <= args.xmin:
         raise UsageError("--xmax must exceed --xmin")
+    dx = (args.xmax - args.xmin) / args.nx
+    if not math.isfinite(dx):
+        raise UsageError(f"--xmax - --xmin = {args.xmax - args.xmin} over --nx={args.nx} "
+                         "gives no finite dx")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     if args.tfinal is not None and args.tfinal <= 0:
@@ -259,7 +287,6 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     # physics the equation cannot use is zeroed so the r/eta echo is honest
     dcoef = 0.0 if equation is Equation.ADVECTION else args.dcoef
     vel = 0.0 if equation is Equation.DIFFUSION else args.vel
-    dx = (args.xmax - args.xmin) / args.nx
     return Setup(equation, schemes, args.nx, args.xmin, args.xmax, dx,
                  dcoef, vel, args.dt, _step_params(args.dt, dx, dcoef, vel), steps,
                  args.profile, args.center, args.sigma, args.out)
@@ -318,8 +345,11 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
         raise UsageError("converge needs a positive run time; --steps is 0")
     measure = grid.abs_moment if observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
-    for dt in dts_in:
+    for i, dt in enumerate(dts_in):
         steps = _bounded(max(1, _step_count(total_time, dt)), setup.nx)
+        if dts_used and steps == dts_used[-1][1]:   # dts_in decreases, so steps never fall
+            raise UsageError(f"--dts values {dts_in[i - 1]!r} and {dt!r} both take {steps} "
+                             f"steps over t={total_time!r}")
         dt_used = total_time / steps
         if abs(dt_used - dt) > 1e-12 * dt:
             warnings.warn(f"dt={dt} does not divide t={total_time}; using dt={dt_used}",
@@ -399,7 +429,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_EXIT
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return NUMERICS_EXIT
+        return FAILURE_EXIT
+    except WriteError as exc:
+        if str(exc):
+            print(f"write error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
     return 0
 
 

@@ -1,9 +1,11 @@
 """Command line drivers: CSV shape, determinism, exit codes."""
 
+import errno
 import math
 import os
 import resource
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -23,6 +25,7 @@ from sweepfd.cli import CSV_BLOCK_ROWS, main, write_csv
 from oracles import write_csv_by_rows
 
 CHILD_ADDRESS_SPACE = 2 * 1024 ** 3   # bytes; caps the subprocess, never the test runner
+CHILD_FILE_SIZE = 64 * 1024          # bytes; RLIMIT_FSIZE of a subprocess that must fail to write
 
 
 def run_cli(args):
@@ -40,18 +43,30 @@ def run_clean(args, capsys):
     return code, err
 
 
+def child_cli(args, **popen_kwargs):
+    """Start the CLI in a child process that imports this checkout's sweepfd."""
+    src = str(Path(sweepfd.__file__).parents[1])
+    # one BLAS thread: OpenBLAS reserves address space per thread at import
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "sweepfd.cli"] + args, env=env, text=True,
+                            **popen_kwargs)
+
+
+def run_child(args, preexec_fn=None, **popen_kwargs):
+    """Run the CLI in a child process to completion; stderr is captured."""
+    with child_cli(args, stderr=subprocess.PIPE, preexec_fn=preexec_fn,
+                   **{"stdout": subprocess.PIPE, **popen_kwargs}) as proc:
+        out, err = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
 def run_capped(args):
     """Run the CLI in a child process whose address space is CHILD_ADDRESS_SPACE."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
-    src = str(Path(sweepfd.__file__).parents[1])
-    # one BLAS thread: OpenBLAS reserves address space per thread at import
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "sweepfd.cli"] + args, env=env,
-                          capture_output=True, text=True, timeout=60,
-                          preexec_fn=cap_address_space)
+    return run_child(args, cap_address_space)
 
 
 def read_csv(path):
@@ -220,6 +235,17 @@ class TestConverge:
     def test_increasing_dts_is_usage_error(self):
         assert run_cli(["converge", "--scheme", "d2s", "--dts", "0.1,0.2"]) == 2
 
+    def test_dts_of_one_step_count_are_usage_error(self, tmp_path, capsys):
+        # 0.099 rounds to the 10 steps of 0.1 over t = 1: this used to write two
+        # identical dt=0.10000000000000001 rows, a fit footer saying the dt values
+        # were not strictly decreasing, and exit 0
+        out = tmp_path / "conv.csv"
+        code, err = run_clean(["converge", "--dts", "0.1,0.099,0.05", "--tfinal", "1",
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "usage error: --dts values 0.1 and 0.099 both take 10 steps over t=1.0\n"
+        assert not out.exists()
+
     def test_repeated_scheme_writes_one_correct_column_each(self, tmp_path):
         # a repeated name used to share one name-keyed list of values: the dt = 0.05 row
         # read the dt = 0.1 value, both fits were unavailable, and the exit code was 0
@@ -321,6 +347,54 @@ class TestUnwritableOut:
         assert code == 2
         assert err.startswith("usage error:") and "--out" in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFailedWrite:
+    """A write that fails after --out opened: exit 1, no traceback, no partial file."""
+
+    def test_file_size_limit_exits_one_and_removes_the_partial_file(self, tmp_path):
+        # a 5 MB table under a 64 KiB RLIMIT_FSIZE used to end in an
+        # `OSError: [Errno 27] File too large` traceback and leave 65,536 bytes behind
+        def cap_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (CHILD_FILE_SIZE, CHILD_FILE_SIZE))
+
+        out = tmp_path / "run.csv"
+        proc = run_child(["run", "--nx", "100000", "--steps", "0", "--out", str(out)],
+                         cap_file_size)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (f"write error: --out {str(out)!r} could not be written: "
+                               f"{os.strerror(errno.EFBIG)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_one_and_is_not_unlinked(self):
+        # used to end in an `OSError: [Errno 28] No space left on device` traceback
+        proc = run_child(["run", "--nx", "1000", "--steps", "0", "--out", "/dev/full"])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ("write error: --out '/dev/full' could not be written: "
+                               f"{os.strerror(errno.ENOSPC)}\n")
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_one_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            proc = run_child(["run", "--nx", "1000", "--steps", "0"], stdout=full)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ("write error: stdout could not be written: "
+                               f"{os.strerror(errno.ENOSPC)}\n")
+
+    def test_closed_stdout_exits_one_quietly(self):
+        # `sweepfd run --nx 100000 --steps 0 | head -1` used to end in a
+        # BrokenPipeError traceback from write_csv
+        with child_cli(["run", "--nx", "100000", "--steps", "0"], stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == "# sweepfd run\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert code == 1
+        assert err == ""
 
 
 class TestNonFiniteOutput:
@@ -449,6 +523,23 @@ class TestDerivedInput:
         assert code == 2
         assert err.startswith("usage error:")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["ampfactor"],
+        ["phase", "--scheme", "a2c"],
+        ["run", "--steps", "1"],
+        ["norms", "--steps", "1"],
+        ["converge", "--dts", "0.1,0.05"],
+    ])
+    def test_overflowing_grid_range_is_usage_error(self, command, tmp_path, capsys):
+        # xmax - xmin overflows to inf, so dx = inf: ampfactor and phase used to exit 0
+        # with dx=inf and an identity table, the others 1 after a numpy RuntimeWarning
+        out = tmp_path / "out.csv"
+        code, err = run_clean(command + ["--xmin=-1e308", "--xmax=1e308", "--out", str(out)],
+                              capsys)
+        assert code == 2
+        assert err == "usage error: --xmax - --xmin = inf over --nx=120 gives no finite dx\n"
+        assert not out.exists()
 
     def test_overflowing_r_is_usage_error(self, tmp_path, capsys):
         code, err = run_clean(["run", "--dcoef", "1e300", "--dt", "1e300", "--steps", "1",
@@ -636,8 +727,8 @@ class TestStepCounts:
         assert not out.exists()
 
 
-FUZZ_FLOATS = ["0", "-0", "1e-300", "-1e-300", "1e300", "-1e300", "1e160", "0.5", "700",
-               "1.1748021039363987"]
+FUZZ_FLOATS = ["0", "-0", "1e-300", "-1e-300", "1e300", "-1e300", "1.7e308", "-1.7e308",
+               "1e160", "0.5", "700", "1.1748021039363987"]
 
 
 @st.composite
