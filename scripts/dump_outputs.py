@@ -9,8 +9,9 @@ file records the compiled `Program` repr, the bytes of `scheme_factor` on
 error these raise, and every warning.  `oracle.txt` records the bytes of
 `exact_evolve` on a Gaussian at each N of ORACLE_NS and each (D, v, dt) of
 ORACLE_POINTS, so a change to the exact flow shows up in the same diff.
-Only the public API is used, so the script runs on any checkout: run it on two and `diff -r` the directories
-to check that a change leaves every scheme's numbers bit-identical.
+Only the public API is used, so the script runs on any checkout: run it on
+two and `diff -r` the directories to check that a change leaves every
+scheme's numbers bit-identical.
 """
 
 import argparse

@@ -43,22 +43,19 @@ def run_clean(args, capsys):
     return code, err
 
 
-def child_cli(args, **popen_kwargs):
-    """Start the CLI in a child process that imports this checkout's sweepfd."""
+def child_env():
+    """Environment of a child CLI process that imports this checkout's sweepfd."""
     src = str(Path(sweepfd.__file__).parents[1])
     # one BLAS thread: OpenBLAS reserves address space per thread at import
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.Popen([sys.executable, "-m", "sweepfd.cli"] + args, env=env, text=True,
-                            **popen_kwargs)
 
 
-def run_child(args, preexec_fn=None, **popen_kwargs):
-    """Run the CLI in a child process to completion; stderr is captured."""
-    with child_cli(args, stderr=subprocess.PIPE, preexec_fn=preexec_fn,
-                   **{"stdout": subprocess.PIPE, **popen_kwargs}) as proc:
-        out, err = proc.communicate(timeout=60)
-    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+def run_child(args, preexec_fn=None, stdout=subprocess.PIPE):
+    """Run the CLI in a child process; its stderr is captured."""
+    return subprocess.run([sys.executable, "-m", "sweepfd.cli"] + args, env=child_env(),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+                          preexec_fn=preexec_fn)
 
 
 def run_capped(args):
@@ -387,8 +384,9 @@ class TestFailedWrite:
     def test_closed_stdout_exits_one_quietly(self):
         # `sweepfd run --nx 100000 --steps 0 | head -1` used to end in a
         # BrokenPipeError traceback from write_csv
-        with child_cli(["run", "--nx", "100000", "--steps", "0"], stdout=subprocess.PIPE,
-                       stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen([sys.executable, "-m", "sweepfd.cli", "run", "--nx", "100000",
+                               "--steps", "0"], env=child_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
             assert proc.stdout.readline() == "# sweepfd run\n"
             proc.stdout.close()
             err = proc.stderr.read()

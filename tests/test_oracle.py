@@ -159,16 +159,16 @@ class TestLibrarySurface:
         sweep = importlib.import_module("sweepfd.sweep")   # `sweepfd.sweep` is the function
 
         gone = {
-            sweepfd: ("CirculantSpectrum", "observed_order", "OrderEstimate", "richardson_reference",
-                      "nominal_order", "sweep_as_matrix", "saulyev_sweep_fixed",
+            sweepfd: ("CirculantSpectrum", "observed_order", "OrderEstimate",
+                      "richardson_reference", "nominal_order", "sweep_as_matrix", "saulyev_sweep_fixed",
                       "diffusion_generator", "advection_generator",
                       "exact_amplification", "scheme_amplification",
                       "phase_angle", "richardson_limit", "diffusion_t2_factor",
                       "OrderConditionReport", "validate_order_conditions",
                       "ModifiedNormTag", "euler_step", "lax_wendroff_step",
                       "sweep_factor", "comparator_factor"),
-            oracle: ("CirculantSpectrum", "observed_order", "OrderEstimate", "richardson_reference",
-                     "diffusion_generator", "advection_generator"),
+            oracle: ("CirculantSpectrum", "observed_order", "OrderEstimate",
+                     "richardson_reference", "diffusion_generator", "advection_generator"),
             composition: ("nominal_order", "_spec_order", "OrderConditionReport",
                           "validate_order_conditions", "euler_step", "lax_wendroff_step"),
             grid: ("ModifiedNormTag",),
