@@ -11,17 +11,28 @@
  * branch recomputes the literal form.  This covers every field without
  * a nan on entry; where two nans meet, the sign of the result depends on
  * code generation, so a nan written into the field beforehand may leave
- * nans of another sign than lfilter's.  The second touch of sample j is
- * written as soon as the chain has read u_{j+1} (ascending) or u_{j-1}
- * (descending), so no temporary array is needed.
+ * nans of another sign than lfilter's.  The second touch of each sample is
+ * written as soon as the chain has read the sample after it, so no
+ * temporary array is needed.
+ *
+ * One body, asc, holds the recurrence.  A descending sweep with (a, b, l)
+ * visits the pairs (n-1,0), (n-2,n-1), ..., (0,1): it is the ascending
+ * sweep of the mirrored ring (u_0, u_{n-1}, ..., u_1) with b and l
+ * exchanged, which is why the recurrence coefficient is b ascending and l
+ * descending.  So asc takes step = +1 or -1 and addresses ring sample
+ * i >= 1 as p[step*i], with p at the start (step = 1) or the end
+ * (step = -1) of each array; sample 0 stays [0].  Each product and sum of
+ * the mirrored sweep has the operands of the descending recurrence, only
+ * in swapped order, and IEEE multiplication and addition commute, so the
+ * bits are those of the descending sweep written out.
  *
  * sweep_asc/sweep_desc sweep v in place.  The term forms read the samples
  * from src (v itself when src is NULL) and, when weighted, store
  * (base ? base[j] : 0.0) + w*value in place of each value: the bits of
  * numpy's multiply then add, summing from 0.0 when there is no base.
  * Every sample is read before any is written, so src == v is an in-place
- * sweep; base must not overlap v.  Both forms expand one body per
- * direction, specialised by their constant arguments.
+ * sweep; base must not overlap v.  Each entry point expands its own copy
+ * of asc, specialised by its constant arguments.
  *
  * Build with -ffp-contract=off: a fused multiply-add changes the bits.
  * Callers pass C-contiguous float64 arrays of n >= 3 samples.
@@ -48,82 +59,64 @@ BODY double out(double value, const double *base, long j, double w, int weighted
     return weighted ? (base ? base[j] : 0.0) + w * value : value;
 }
 
-/* pairs (0,1), (1,2), ..., (n-1,0) */
-BODY void asc(double *v, const double *src, const double *base, long n,
+/* pairs (0,1), (1,2), ..., (n-1,0) of the ring, or of its mirror when step = -1 */
+BODY void asc(double *v, const double *src, const double *base, long n, long step,
               double a, double b, double l, double w, int weighted)
 {
-    double s0 = a * src[0] + l * src[1];
-    double s1 = b * src[0] + a * src[1];
+    long end = step > 0 ? 0 : n;
+    double *p = v + end;
+    const double *q = src + end;
+    const double *o = base ? base + end : 0;
+    double s0 = a * src[0] + l * q[step];
+    double s1 = b * src[0] + a * q[step];
     double z = b * s1;
-    double x = src[2];
+    double x = q[2 * step];
     double y = z + a * x;               /* star_2 */
     z = next_z(x, b, y);
-    v[1] = out(a * s1 + l * x, base, 1, w, weighted);
-    for (long j = 3; j < n; j++) {
+    p[step] = out(a * s1 + l * x, o, step, w, weighted);
+    for (long i = 3; i < n; i++) {
         double star_prev = y;
-        x = src[j];
-        y = z + a * x;                  /* star_j */
+        x = q[step * i];
+        y = z + a * x;                  /* star_i */
         z = next_z(x, b, y);
-        v[j - 1] = out(a * star_prev + l * x, base, j - 1, w, weighted);
+        p[step * (i - 1)] = out(a * star_prev + l * x, o, step * (i - 1), w, weighted);
     }
     v[0] = out(b * y + a * s0, base, 0, w, weighted);
-    v[n - 1] = out(a * y + l * s0, base, n - 1, w, weighted);   /* wrap pair (n-1,0) */
+    p[step * (n - 1)] = out(a * y + l * s0, o, step * (n - 1), w, weighted);   /* wrap pair */
 }
 
-/* pairs (n-1,0), (n-2,n-1), ..., (0,1) */
-BODY void desc(double *v, const double *src, const double *base, long n,
+/* the term forms: one copy of asc per weighting */
+BODY void term(double *v, const double *src, const double *base, long n, long step,
                double a, double b, double l, double w, int weighted)
 {
-    double s0 = b * src[n - 1] + a * src[0];
-    double sn = a * src[n - 1] + l * src[0];
-    double z = l * sn;
-    double x = src[n - 2];
-    double y = z + a * x;               /* star_{n-2} */
-    z = next_z(x, l, y);
-    v[n - 1] = out(b * x + a * sn, base, n - 1, w, weighted);
-    for (long j = n - 3; j >= 1; j--) {
-        double star_prev = y;
-        x = src[j];
-        y = z + a * x;                  /* star_j */
-        z = next_z(x, l, y);
-        v[j + 1] = out(b * x + a * star_prev, base, j + 1, w, weighted);
-    }
-    v[1] = out(b * s0 + a * y, base, 1, w, weighted);         /* final pair (0,1) */
-    v[0] = out(a * s0 + l * y, base, 0, w, weighted);
+    if (!src)
+        src = v;
+    if (!weighted)
+        asc(v, src, 0, n, step, a, b, l, w, 0);
+    else if (base)
+        asc(v, src, base, n, step, a, b, l, w, 1);
+    else
+        asc(v, src, 0, n, step, a, b, l, w, 1);
 }
 
 void sweep_asc(double *v, long n, double a, double b, double l)
 {
-    asc(v, v, 0, n, a, b, l, 1.0, 0);
+    asc(v, v, 0, n, 1, a, b, l, 1.0, 0);
 }
 
 void sweep_desc(double *v, long n, double a, double b, double l)
 {
-    desc(v, v, 0, n, a, b, l, 1.0, 0);
+    asc(v, v, 0, n, -1, a, l, b, 1.0, 0);
 }
 
 void sweep_asc_term(double *v, const double *src, const double *base, long n,
                     double a, double b, double l, double w, int weighted)
 {
-    if (!src)
-        src = v;
-    if (!weighted)
-        asc(v, src, 0, n, a, b, l, w, 0);
-    else if (base)
-        asc(v, src, base, n, a, b, l, w, 1);
-    else
-        asc(v, src, 0, n, a, b, l, w, 1);
+    term(v, src, base, n, 1, a, b, l, w, weighted);
 }
 
 void sweep_desc_term(double *v, const double *src, const double *base, long n,
                      double a, double b, double l, double w, int weighted)
 {
-    if (!src)
-        src = v;
-    if (!weighted)
-        desc(v, src, 0, n, a, b, l, w, 0);
-    else if (base)
-        desc(v, src, base, n, a, b, l, w, 1);
-    else
-        desc(v, src, 0, n, a, b, l, w, 1);
+    term(v, src, base, n, -1, a, l, b, w, weighted);
 }

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import composition, grid, oracle, spectral
-from .composition import Equation, Scheme, StepParams
+from .composition import Comparator, Equation, Scheme, StepParams
 from .errors import DegenerateFieldError, NonFiniteResultError, NumericsError
 from .grid import Field1D
 
@@ -249,9 +249,14 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     schemes = []
     for name in names:
         try:
-            schemes.append(composition.resolve_preset(name, equation))
+            scheme = composition.resolve_preset(name, equation)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from exc
+        stages = [stage for _, _, term in scheme.terms for stage in term]
+        if args.command in ("run", "norms", "converge") and Comparator.CRANK_NICOLSON in stages:
+            raise UsageError(f"{args.command} cannot step {scheme.name}: the implicit comparator "
+                             "has no explicit stepper (ampfactor takes its factor)")
+        schemes.append(scheme)
     if args.nx < 3:
         raise UsageError("--nx must be at least 3")
     if args.nx > MAX_NX:

@@ -559,6 +559,34 @@ class TestDerivedInput:
         assert code == 0, err
 
 
+class TestImplicitScheme:
+    @pytest.mark.parametrize("schemes, name", [("cn", "cn"), ("2xcn", "2xcn"),
+                                               ("d2s,cn", "cn")])
+    @pytest.mark.parametrize("command", [
+        ["run", "--steps", "1"],
+        ["norms", "--steps", "1"],
+        ["converge", "--dts", "0.1,0.05", "--tfinal", "1"],
+    ])
+    def test_stepping_an_implicit_scheme_is_usage_error(self, command, schemes, name,
+                                                        tmp_path, capsys):
+        # cn has a closed-form factor but no explicit stepper: these used to exit 1 with
+        # "numerical error: the implicit comparator has no explicit stepper"
+        out = tmp_path / "out.csv"
+        code, err = run_clean(command + ["--scheme", schemes, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == (f"usage error: {command[0]} cannot step {name}: the implicit "
+                       "comparator has no explicit stepper (ampfactor takes its factor)\n")
+        assert not out.exists()
+
+    def test_ampfactor_takes_an_implicit_scheme(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, err = run_clean(["ampfactor", "--scheme", "cn,2xcn", "--out", str(out)], capsys)
+        assert code == 0, err
+        _, columns, rows = read_csv(out)
+        assert "cn_abs" in columns and "2xcn_abs" in columns
+        assert np.all(np.isfinite(rows))
+
+
 class TestOverflowingSquares:
     """Inputs whose square overflows (above about 1.34e154) exit 1 or 2, never 0 or a traceback."""
 

@@ -394,6 +394,110 @@ class TestClosedFormProperty:
         assert abs(num.g - closed) <= 1e-12
 
 
+# the whole half period of the modes, sampled finely enough that a bump of |g|
+# narrower than a thousandth of it shows
+DOMAIN_THETAS = np.linspace(0.0, math.pi, 2049)
+# per unit of max(1, r): how far |g| of the constant mode (theta = 0) may exceed
+# 1.  Its exact value is 1, but the rounded coefficients lose digits in 1 - b
+# like r (see PairUpdate.boundary_weight); a dense scan saw up to
+# 16 eps max(1, r) (diffusion 2xt8; 14 for advection-diffusion), and d1as
+# already reaches 1 + 1.9e-13 at r = 1743
+MEAN_MODE_ROUNDING = 32 * np.finfo(float).eps
+
+
+def presets_but(equation, excluded):
+    """Every preset name of equation but excluded, each also in its 2x form."""
+    return [prefix + name for name in preset_names(equation) if name not in excluded
+            for prefix in ("", "2x")]
+
+
+def factor_where_it_compiles(scheme, params):
+    """scheme_factor on DOMAIN_THETAS, or None where compile_scheme rejects params.
+
+    A rejected draw must raise a NumericsError from scheme_factor too, never
+    return a factor.
+    """
+    try:
+        compile_scheme(scheme, params)
+    except NumericsError:
+        with pytest.raises(NumericsError):
+            scheme_factor(scheme, params, DOMAIN_THETAS)
+        return None
+    return scheme_factor(scheme, params, DOMAIN_THETAS)
+
+
+def assert_stable(g, r):
+    """max|g| <= 1 + 1e-13 over theta > 0, and the constant mode within its rounding."""
+    assert np.max(np.abs(g[1:])) <= 1.0 + 1e-13
+    assert abs(g[0]) <= 1.0 + MEAN_MODE_ROUNDING * max(1.0, r)
+
+
+class TestStabilityDomain:
+    """The paper's headline claims over each preset's whole parameter domain.
+
+    The diffusion sweeps are unconditionally stable and the advection sweeps
+    unitary.  Left out: the comparators the claims do not cover (euler, lw)
+    and the advection-diffusion presets with a bounded region (t4 and fr,
+    pinned in TestAdvDiffRegions).  A dense scan of these domains saw every
+    |g| at theta > 0 below 1, and ||g| - 1| up to 1.9e-14 for advection.
+    """
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.sampled_from(presets_but(Equation.DIFFUSION, {"euler"})), st.floats(-3.0, 6.0))
+    def test_diffusion_presets_are_unconditionally_stable(self, name, log_r):
+        r = 10.0 ** log_r
+        assert_stable(scheme_factor(preset(name, Equation.DIFFUSION), StepParams(r=r),
+                                    DOMAIN_THETAS), r)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.sampled_from(presets_but(Equation.ADVECTION, {"lw"})), st.floats(-20.0, 20.0))
+    def test_advection_presets_are_unitary_where_they_compile(self, name, eta):
+        g = factor_where_it_compiles(preset(name, Equation.ADVECTION), StepParams(eta=eta))
+        if g is not None:
+            assert np.max(np.abs(np.abs(g) - 1.0)) <= 1e-12
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.sampled_from(presets_but(Equation.ADV_DIFF, {"t4", "fr"})),
+           st.floats(-3.0, 3.0), st.floats(-10.0, 10.0))
+    def test_advdiff_presets_are_stable_where_they_compile(self, name, log_r, eta):
+        r = 10.0 ** log_r
+        g = factor_where_it_compiles(preset(name, Equation.ADV_DIFF), StepParams(r=r, eta=eta))
+        if g is not None:
+            assert_stable(g, r)
+
+
+@pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+class TestAdvDiffRegions:
+    """The advection-diffusion t4 and fr are stable only in part of their domain.
+
+    t4 is a weighted sum of factors with negative weights, and fr takes a
+    negative substep, which diffuses backwards.  Neither need keep |g| <= 1,
+    so these regions come from the methods, not from a coding slip.
+    """
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])   # g(-eta) is the conjugate of g(eta)
+    @pytest.mark.parametrize("r, inside, outside", [(1e-3, 1.2, 1.3), (0.1, 3.2, 3.4),
+                                                    (1.0, 6.5, 6.7)])
+    def test_t4_region_boundary(self, r, inside, outside, sign):
+        # points on either side of the eta where t4's max|g| first exceeds 1
+        scheme = preset("t4", Equation.ADV_DIFF)
+        g_in = scheme_factor(scheme, StepParams(r=r, eta=sign * inside), DOMAIN_THETAS)
+        g_out = scheme_factor(scheme, StepParams(r=r, eta=sign * outside), DOMAIN_THETAS)
+        assert np.max(np.abs(g_in)) <= 1.0 + 1e-13
+        assert np.max(np.abs(g_out)) >= 1.0 + 1e-4
+
+    def test_fr_grows_next_to_its_guard(self):
+        # compile_scheme rejects fr once a sweep's |b| reaches 1; in a thin band
+        # just inside that guard (r about 0.56-0.75) it accepts, with only the
+        # negative-substep warning, steps that grow: here max|g| is 14.7 at
+        # theta = pi, and 60 steps on a ring of 8192 samples reach max|u| = 6e26
+        scheme = preset("fr", Equation.ADV_DIFF)
+        assert np.max(np.abs(scheme_factor(scheme, StepParams(r=0.5, eta=0.65),
+                                           DOMAIN_THETAS))) <= 1.0 + 1e-13
+        assert np.max(np.abs(scheme_factor(scheme, StepParams(r=0.6, eta=0.65),
+                                           DOMAIN_THETAS))) >= 1.0 + 1e-4
+
+
 class TestRichardsonLimit:
     def test_polynomial_is_exact(self):
         assert richardson_limit(lambda t: 3.0 + 2.0 * t * t + t ** 4) \

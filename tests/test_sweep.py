@@ -20,12 +20,16 @@ from sweepfd import (
     AdvDiffVariant,
     AdvectionVariant,
     DiffusionVariant,
+    Equation,
     Field1D,
     PairUpdate,
+    StepParams,
     SweepDirection,
+    apply_scheme,
     modified_norm,
     norm,
     pair_update,
+    resolve_preset,
     sweep,
 )
 from sweepfd.errors import InvalidCoefficientError, NumericsError, SizeError
@@ -517,6 +521,33 @@ class TestConservationProperty:
         assert modified_norm(f, weight) == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
+# the diffusion presets built from sweeps alone: t4/t6/t8 take negative weights
+POSITIVE_PRESETS = ("d1a", "d1b", "d1as", "d1bs", "d2", "d2s")
+
+
+class TestPositivity:
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.sampled_from(list(DiffusionVariant)), st.sampled_from([ASC, DESC]), st.booleans(),
+           st.floats(-3.0, 4.0))
+    def test_diffusion_updates_have_nonnegative_coefficients(self, variant, direction, half,
+                                                             log_r):
+        u = pair_update(variant, 10.0 ** log_r, 0.0, direction, half=half)
+        assert min(u.alpha, u.beta, u.lam) >= 0.0
+
+    @both_kernels
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.sampled_from(POSITIVE_PRESETS), st.floats(-3.0, 4.0), st.integers(1, 5),
+           hnp.arrays(np.float64, st.integers(3, 300), elements=st.floats(0.0, 1e300)))
+    def test_diffusion_sweep_presets_keep_a_field_nonnegative(self, name, log_r, steps,
+                                                             values):
+        # every touch is a nonnegative combination of nonnegative samples
+        f = Field1D(values, dx=1.0)
+        scheme = resolve_preset(name, Equation.DIFFUSION)
+        for _ in range(steps):
+            apply_scheme(f, scheme, StepParams(r=10.0 ** log_r))
+        assert np.all(f.values >= 0.0)
+
+
 def run_on(handle, u, direction, values, start=None, **keywords):
     """The swept values under one kernel handle (None: the lfilter fallback).
 
@@ -543,12 +574,12 @@ SPECIAL_COEFFICIENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300)
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, max_n=2000):
     # coefficients and samples up to 1e300 overflow to inf/nan; no nan on entry
     coeff = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e300, 1e300),
                       st.sampled_from(SPECIAL_COEFFICIENTS))
     u = PairUpdate(draw(coeff), draw(coeff), draw(coeff))
-    n = draw(st.integers(3, 2000))
+    n = draw(st.integers(3, max_n))
     values = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e300, 1e300)))
     noise = draw(st.sampled_from([0.0, 1e-300, 1.0, 1e300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -571,6 +602,37 @@ def adversarial_cases(direction, count, seed):
         special = rng.random(3) < 0.3
         coeffs[special] = rng.choice(SPECIAL_COEFFICIENTS, size=special.sum())
         yield PairUpdate(*map(float, coeffs)), direction, values
+
+
+def mirror(n):
+    """The ring index map of the mirrored ring (u_0, u_{N-1}, ..., u_1); it is its own inverse."""
+    return (-np.arange(n)) % n
+
+
+@both_kernels
+class TestMirrorIdentity:
+    """A sweep is the opposite sweep of the mirrored ring, with beta and lam exchanged.
+
+    The C kernel runs every descending sweep as the ascending sweep of the
+    mirror.  The lfilter fallback writes both directions out, so under it the
+    identity is checked by code that does not rely on it.
+    """
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(kernel_cases(max_n=300), st.sampled_from(("in place", "source", "weight",
+                                                     "weight offset")),
+           st.integers(0, 2**32 - 1))
+    def test_sweep_is_opposite_sweep_of_mirrored_ring(self, case, form, seed):
+        u, direction, values = case
+        start, keywords = term_keywords(form, values, np.random.default_rng(seed))
+        swept = run_on(sweep_module._kernel, u, direction, values, start, **keywords)
+        m = mirror(values.size)
+        opposite = DESC if direction.is_ascending else ASC
+        mirrored = run_on(sweep_module._kernel, PairUpdate(u.alpha, u.lam, u.beta), opposite,
+                          values[m], None if start is None else start[m],
+                          **{key: x[m] if isinstance(x, np.ndarray) else x
+                             for key, x in keywords.items()})
+        assert_same_bits(swept, mirrored[m], (case, form, keywords))
 
 
 class TestKernelChoice:
