@@ -51,7 +51,7 @@ from .grid import (
 from .oracle import exact_evolve, fit_power_law
 from .spectral import (
     AmplificationSample,
-    exact_phase,
+    exact_exponent,
     numeric_amplification,
     phase_curve,
     scheme_factor,

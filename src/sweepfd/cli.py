@@ -15,7 +15,7 @@ import stat
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ FAILURE_EXIT = 1   # a numerical failure, or a CSV that could not be written
 MAX_SAMPLE_STEPS = 10**10
 # ceiling on --nx, so each N-sized float64 array takes at most 80 MB: a grid
 # the allocator cannot hold must be a usage error, not a traceback. run keeps
-# one such array per CSV column; write_csv adds one block of rows
+# one such array per CSV column; write_csv adds one block of rows. It is also
+# the ceiling on the steps of norms, which keeps one float64 per step and scheme
 MAX_NX = 10**7
 # ceiling on --ntheta, so the factor columns of many schemes fit in memory
 MAX_NTHETA = 10**5
@@ -138,7 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="symplectic finite-difference experiments (CSV output)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    # each cmd_* is looked up here, on every main() call, so a rebound module
+    # attribute (a tracer's wrapper) is the function that runs
+    def common(p: argparse.ArgumentParser, cmd: Callable) -> None:
+        p.set_defaults(cmd=cmd)
         p.add_argument("--equation", choices=[e.value for e in Equation],
                        default="diffusion")
         p.add_argument("--scheme", default="d2s",
@@ -157,25 +161,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p_amp = sub.add_parser("ampfactor", help="amplification factor tables g(theta)")
-    common(p_amp)
+    common(p_amp, cmd_ampfactor)
     p_amp.add_argument("--ntheta", type=int, default=257)
 
     p_run = sub.add_parser("run", help="evolve a profile and dump initial/final samples")
-    common(p_run)
+    common(p_run, cmd_run)
     p_run.add_argument("--checkpoints", default=None,
                        help="comma-separated times at which to record extra columns")
 
     p_conv = sub.add_parser("converge", help="observable vs dt with fitted order footer")
-    common(p_conv)
+    common(p_conv, cmd_converge)
     p_conv.add_argument("--dts", required=True, help="comma-separated dt values, decreasing")
     p_conv.add_argument("--observable", choices=["abs-moment", "abs-weighted-mean"],
                         default="abs-moment")
 
     p_norm = sub.add_parser("norms", help="relative norm error per step")
-    common(p_norm)
+    common(p_norm, cmd_norms)
 
     p_phase = sub.add_parser("phase", help="phase-angle error vs theta")
-    common(p_phase)
+    common(p_phase, cmd_phase)
     p_phase.add_argument("--ntheta", type=int, default=1025)
     p_phase.set_defaults(equation="advection", dt=0.07)  # eta = 0.7 on the default grid
 
@@ -193,21 +197,19 @@ def _numbers(text: str, option: str) -> List[float]:
     return values
 
 
-def _finite(value: float, scheme: Scheme, step: int) -> float:
-    """value, checked before it is written: a non-finite one is a numerical failure."""
-    if not math.isfinite(value):
-        raise NonFiniteResultError(
-            f"{scheme.name} produced a non-finite value ({value}) at step {step}")
-    return value
+def _finite(values, scheme: Scheme, where):
+    """values, checked before they are written: a non-finite one is a numerical failure.
 
-
-def _finite_curve(values: np.ndarray, name: str, thetas: np.ndarray) -> np.ndarray:
-    """values at thetas, checked before they are written, as _finite checks one value."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
+    values is a number, reached at step where, or an array at the thetas where.
+    """
+    if isinstance(values, np.ndarray):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteResultError(f"{scheme.name} produced a non-finite value "
+                                       f"({values[bad[0]]}) at theta={fmt(where[bad[0]])}")
+    elif not math.isfinite(values):
         raise NonFiniteResultError(
-            f"{name} produced a non-finite value ({values[i]}) at theta={fmt(thetas[i])}")
+            f"{scheme.name} produced a non-finite value ({values}) at step {where}")
     return values
 
 
@@ -289,6 +291,9 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     if steps < 0:
         raise UsageError("--steps must be >= 0")
     _bounded(steps, args.nx)
+    if args.command == "norms" and steps > MAX_NX:
+        raise UsageError(f"norms writes one row per step, so it may take at most {MAX_NX:.0e} "
+                         f"steps, got {steps}")
     # physics the equation cannot use is zeroed so the r/eta echo is honest
     dcoef = 0.0 if equation is Equation.ADVECTION else args.dcoef
     vel = 0.0 if equation is Equation.DIFFUSION else args.vel
@@ -300,55 +305,69 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_ampfactor(setup: Setup, ntheta: int) -> None:
+def _evolve(initial: Field1D, scheme: Scheme, params: StepParams, stops: Iterable[int]):
+    """Step one copy of initial with scheme, yielding (step, field) at each stop.
+
+    stops ascend; a repeated stop yields the same field again.  The field is
+    stepped in place after each yield, so a caller keeps its values by copying.
+    """
+    f = initial.copy()
+    done = 0
+    for stop in stops:
+        for _ in range(stop - done):
+            composition.apply_scheme(f, scheme, params)
+        done = stop
+        yield stop, f
+
+
+def _curves(setup: Setup, ntheta: int, curve: Callable):
+    """thetas = linspace(0, pi, ntheta), the exact exponent h there and each scheme's
+    curve(scheme, thetas, h), checked."""
     thetas = np.linspace(0.0, np.pi, ntheta)
+    with np.errstate(all="ignore"):   # overflow surfaces as a non-finite curve value
+        h = spectral.exact_exponent(setup.equation, setup.params, thetas)
+        return thetas, h, [_finite(curve(s, thetas, h), s, thetas) for s in setup.schemes]
+
+
+def cmd_ampfactor(setup: Setup, args: argparse.Namespace) -> None:
+    thetas, h, factors = _curves(setup, args.ntheta,
+                                 lambda s, t, h: spectral.scheme_factor(s, setup.params, t))
     names, columns = ["theta"], [thetas]
-    with np.errstate(all="ignore"):   # overflow surfaces as a non-finite factor below
-        factors = [("exact", spectral.exact_factor(setup.equation, setup.params, thetas))]
-        for scheme in setup.schemes:
-            factors.append((scheme.name, _finite_curve(
-                spectral.scheme_factor(scheme, setup.params, thetas), scheme.name, thetas)))
-    for name, g in factors:
+    for name, g in zip(["exact"] + [s.name for s in setup.schemes], [np.exp(-h)] + factors):
         names += [f"{name}_re", f"{name}_im", f"{name}_abs", f"{name}_phase"]
         columns += [g.real, g.imag, np.abs(g), -np.angle(g)]
     write_csv(setup.out, setup.header("ampfactor"), names, columns)
 
 
-def cmd_run(setup: Setup, checkpoints: Optional[str]) -> None:
-    times = []
-    if checkpoints:
-        times = sorted(_numbers(checkpoints, "--checkpoints"))
-    marks = [_step_count(t, setup.dt) for t in times]
-    if any(m < 1 or m > setup.steps for m in marks):   # the step loop starts at step 1
+def cmd_run(setup: Setup, args: argparse.Namespace) -> None:
+    times = sorted(_numbers(args.checkpoints, "--checkpoints")) if args.checkpoints else []
+    marks = sorted({_step_count(t, setup.dt) for t in times})
+    if any(m < 1 or m > setup.steps for m in marks):   # u_initial is the step-0 column
         raise UsageError("checkpoints must lie inside the run")
     initial = setup.field()   # never stepped: each scheme steps its own copy
     names, columns = ["x", "u_initial"], [initial.x, initial.values]
     norm_notes = [f"# norm initial={fmt(grid.norm(initial))}"]
+    labels = [(f"t{m * setup.dt:g}", f"t={fmt(m * setup.dt)}: ") for m in marks] + \
+        [("final", "final=")]
     for scheme in setup.schemes:
-        f = initial.copy()
-        for step in range(1, setup.steps + 1):
-            composition.apply_scheme(f, scheme, setup.params)
-            if step in marks:
-                t = step * setup.dt
-                names.append(f"{scheme.name}_t{t:g}")
-                columns.append(f.values.copy())
-                norm = _finite(grid.norm(f), scheme, step)
-                norm_notes.append(f"# norm {scheme.name} t={fmt(t)}: {fmt(norm)}")
-        names.append(f"{scheme.name}_final")
-        columns.append(f.values)
-        norm = _finite(grid.norm(f), scheme, setup.steps)
-        norm_notes.append(f"# norm {scheme.name} final={fmt(norm)}")
+        stops = _evolve(initial, scheme, setup.params, marks + [setup.steps])
+        for (step, f), (suffix, note) in zip(stops, labels):
+            names.append(f"{scheme.name}_{suffix}")
+            # the final field is stepped no further, so its column needs no copy
+            columns.append(f.values if suffix == "final" else f.values.copy())
+            norm = _finite(grid.norm(f), scheme, step)
+            norm_notes.append(f"# norm {scheme.name} {note}{fmt(norm)}")
     write_csv(setup.out, setup.header("run") + norm_notes, names, columns)
 
 
-def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
-    dts_in = _numbers(dts_arg, "--dts")
+def cmd_converge(setup: Setup, args: argparse.Namespace) -> None:
+    dts_in = _numbers(args.dts, "--dts")
     if len(dts_in) < 2 or any(b >= a for a, b in zip(dts_in, dts_in[1:])):
         raise UsageError("--dts needs at least two strictly decreasing values")
     total_time = setup.steps * setup.dt
     if total_time == 0.0:
         raise UsageError("converge needs a positive run time; --steps is 0")
-    measure = grid.abs_moment if observable == "abs-moment" else grid.abs_weighted_mean
+    measure = grid.abs_moment if args.observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
     for i, dt in enumerate(dts_in):
         steps = _bounded(max(1, _step_count(total_time, dt)), setup.nx)
@@ -366,10 +385,8 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
     for dt_used, steps in dts_used:
         params = _step_params(dt_used, setup.dx, setup.dcoef, setup.vel)
         for scheme, column in zip(setup.schemes, values):
-            f = initial.copy()
-            for _ in range(steps):
-                composition.apply_scheme(f, scheme, params)
-            column.append(_finite(measure(f), scheme, steps))
+            for step, f in _evolve(initial, scheme, params, [steps]):
+                column.append(_finite(measure(f), scheme, step))
     footer = []
     for scheme, column in zip(setup.schemes, values):
         try:
@@ -379,56 +396,41 @@ def cmd_converge(setup: Setup, dts_arg: str, observable: str) -> None:
         else:
             footer.append(f"# fit scheme={scheme.name} plateau={fmt(fit.plateau)} "
                           f"order={fmt(fit.order)}")
-    header = setup.header("converge") + [f"# tfinal={fmt(total_time)} observable={observable}"]
+    header = setup.header("converge") + [
+        f"# tfinal={fmt(total_time)} observable={args.observable}"]
     write_csv(setup.out, header, ["dt"] + [s.name for s in setup.schemes], [dts] + values,
               footer)
 
 
-def cmd_norms(setup: Setup) -> None:
+def cmd_norms(setup: Setup, args: argparse.Namespace) -> None:
     initial = setup.field()
     reference = grid.norm(initial)
     if reference == 0.0:
         raise DegenerateFieldError("relative norm errors of a zero-norm initial profile")
     traces = []
     for scheme in setup.schemes:
-        f = initial.copy()
-        trace = []
-        for step in range(1, setup.steps + 1):
-            composition.apply_scheme(f, scheme, setup.params)
-            trace.append(_finite((grid.norm(f) - reference) / reference, scheme, step))
-        traces.append(trace)
+        stops = _evolve(initial, scheme, setup.params, range(1, setup.steps + 1))
+        traces.append(np.fromiter(
+            (_finite((grid.norm(f) - reference) / reference, scheme, step) for step, f in stops),
+            float, count=setup.steps))
     times = np.arange(1, setup.steps + 1) * setup.dt
     write_csv(setup.out, setup.header("norms"), ["t"] + [s.name for s in setup.schemes],
               [times] + traces)
 
 
-def cmd_phase(setup: Setup, ntheta: int) -> None:
+def cmd_phase(setup: Setup, args: argparse.Namespace) -> None:
     if setup.equation is not Equation.ADVECTION:
         raise UsageError("phase errors are defined for --equation advection")
-    thetas = np.linspace(0.0, np.pi, ntheta)
-    reference = spectral.exact_phase(setup.params.eta, thetas)
-    with np.errstate(all="ignore"):   # overflow surfaces as a non-finite phase below
-        curves = [_finite_curve(spectral.phase_curve(s, setup.params, thetas) - reference,
-                                s.name, thetas) for s in setup.schemes]
+    thetas, _, curves = _curves(
+        setup, args.ntheta, lambda s, t, h: spectral.phase_curve(s, setup.params, t) - h.imag)
     write_csv(setup.out, setup.header("phase"), ["theta"] + [s.name for s in setup.schemes],
               [thetas] + curves)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        setup = _resolve_setup(args)
-        if args.command == "ampfactor":
-            cmd_ampfactor(setup, args.ntheta)
-        elif args.command == "run":
-            cmd_run(setup, args.checkpoints)
-        elif args.command == "converge":
-            cmd_converge(setup, args.dts, args.observable)
-        elif args.command == "norms":
-            cmd_norms(setup)
-        else:
-            cmd_phase(setup, args.ntheta)
+        args.cmd(_resolve_setup(args), args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

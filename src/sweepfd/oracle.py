@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class PowerLawFit:
 
     plateau: float
     order: float
-    pairwise: Tuple[float, ...]
 
 
 def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
@@ -81,11 +80,4 @@ def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
         plateau, order = plateau_new, order_new
         if converged:
             break
-    residuals = values - plateau
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pairwise = tuple(
-            float(math.log(abs(residuals[i] / residuals[i + 1]))
-                  / math.log(dts[i] / dts[i + 1]))
-            if residuals[i] != 0.0 and residuals[i + 1] != 0.0 else math.nan
-            for i in range(dts.size - 1))
-    return PowerLawFit(float(plateau), float(order), pairwise)
+    return PowerLawFit(float(plateau), float(order))

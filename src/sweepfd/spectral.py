@@ -4,9 +4,10 @@ Every scheme here has a closed rational amplification factor g(theta):
 each op of its compiled program gives its own (a sweep's comes from
 inserting a Fourier mode into its one-sided recurrence), and
 scheme_factor combines them along the program.  The exact reference is
-the amplification factor of the semi-discretised equation, not the
-continuum one.  numeric_amplification cross-checks the closed forms
-against the actual sweep engine.
+exact_exponent, the per-mode exponent h of the semi-discretised equation
+(not the continuum one), whose factor is exp(-h) and whose phase is
+h.imag.  numeric_amplification cross-checks the closed forms against the
+actual sweep engine.
 """
 
 from __future__ import annotations
@@ -39,40 +40,30 @@ Thetas = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class AmplificationSample:
-    """One per-mode factor g at theta = k*dx, with derived views of g."""
+    """One per-mode factor g at theta = k*dx."""
 
     theta: float
     g: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.g)
-
-    @property
-    def exponent(self) -> complex:
-        """h with g = exp(-h) (principal branch)."""
-        if self.g == 0:
-            return complex(math.inf, 0.0)
-        return -cmath.log(self.g)
-
-    @property
-    def phase(self) -> float:
-        """-arg(g), the principal-branch phase advance."""
-        return -cmath.phase(self.g)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
-def exact_factor(equation: Equation, params: StepParams, theta: Thetas):
-    """Semi-discrete exact factor: damping exp(-4r sin^2(theta/2)), phase exp(-i eta sin theta)."""
+def exact_exponent(equation: Equation, params: StepParams, theta: Thetas):
+    """Semi-discrete exact exponent h = 4r sin^2(theta/2) + i eta sin(theta), whose factor is
+    exp(-h); diffusion keeps its real part, advection its imaginary part."""
     h = 4.0 * params.r * np.sin(0.5 * np.asarray(theta)) ** 2 \
         + 1j * params.eta * np.sin(theta)
     if equation is Equation.DIFFUSION:
-        h = h.real
-    elif equation is Equation.ADVECTION:
-        h = 1j * h.imag
-    return np.exp(-h)
+        return h.real
+    if equation is Equation.ADVECTION:
+        return 1j * h.imag
+    return h
+
+
+def exact_factor(equation: Equation, params: StepParams, theta: Thetas):
+    """Semi-discrete exact factor exp(-exact_exponent)."""
+    return np.exp(-exact_exponent(equation, params, theta))
 
 
 def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
@@ -98,10 +89,6 @@ def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
 
 # ---------------------------------------------------------------------------
 # phase angles
-
-def exact_phase(eta: float, theta: Thetas):
-    return eta * np.sin(theta)
-
 
 def phase_curve(scheme: Scheme, params: StepParams, thetas: Sequence[float]) -> np.ndarray:
     """Unwrapped phase angle -arg g at each requested theta >= 0.

@@ -1,5 +1,6 @@
 """Command line drivers: CSV shape, determinism, exit codes."""
 
+import contextlib
 import errno
 import math
 import os
@@ -64,6 +65,21 @@ def run_capped(args):
         resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
     return run_child(args, cap_address_space)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail a call that would run for minutes after seconds, by SIGALRM."""
+    def still_running(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, still_running)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def read_csv(path):
@@ -193,6 +209,29 @@ class TestRun:
         _, columns, _ = read_csv(out)
         assert "d2s_t0.5" in columns
 
+    def test_repeated_checkpoint_writes_one_column(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--scheme", "d2s", "--dt", "0.1", "--steps", "10",
+                        "--checkpoints", "0.2,0.2,0.4", "--out", str(out)]) == 0
+        header, columns, _ = read_csv(out)
+        assert columns == ["x", "u_initial", "d2s_t0.2", "d2s_t0.4", "d2s_final"]
+        notes = [line for line in header if line.startswith("# norm d2s")]
+        assert [line.split(":")[0] for line in notes[:2]] == [
+            "# norm d2s t=0.20000000000000001", "# norm d2s t=0.40000000000000002"]
+        assert len(notes) == 3 and notes[2].startswith("# norm d2s final=")
+
+    def test_checkpoint_at_the_last_step_writes_it_and_the_final_column(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--scheme", "d2s", "--dt", "0.1", "--steps", "10",
+                        "--checkpoints", "1", "--out", str(out)]) == 0
+        header, columns, rows = read_csv(out)
+        assert columns == ["x", "u_initial", "d2s_t1", "d2s_final"]
+        assert np.array_equal(rows[:, 2], rows[:, 3])
+        assert not np.array_equal(rows[:, 1], rows[:, 3])
+        checkpoint, final = header[-2:]
+        assert checkpoint.startswith("# norm d2s t=1: ") and final.startswith("# norm d2s final=")
+        assert checkpoint.split(": ")[1] == final.split("=")[1]
+
     @pytest.mark.parametrize("checkpoint", ["0", "0.04"])
     def test_checkpoint_at_step_zero_is_usage_error(self, checkpoint, tmp_path, capsys):
         # round(t/dt) == 0 used to be accepted and then silently dropped: the
@@ -312,6 +351,19 @@ class TestPhase:
         assert "numerical error" in capsys.readouterr().err
 
 
+class TestDispatch:
+    @pytest.mark.parametrize("command", ["ampfactor", "run", "converge", "norms", "phase"])
+    def test_main_runs_the_module_attribute_of_the_command(self, command, monkeypatch):
+        # a tracer wraps cmd_* by rebinding the module attribute: the function must be
+        # looked up on each call, not bound once at import
+        calls = []
+        monkeypatch.setattr(sweepfd.cli, f"cmd_{command}",
+                            lambda setup, args: calls.append(args.command))
+        argv = [command, "--equation", "advection", "--scheme", "a2c"]
+        assert main(argv + (["--dts", "0.1,0.05"] if command == "converge" else [])) == 0
+        assert calls == [command]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("args", [
         ["run", "--checkpoints", "abc"],
@@ -396,15 +448,19 @@ class TestFailedWrite:
 
 
 class TestNonFiniteOutput:
-    @pytest.mark.parametrize("args,scheme", [
+    # step is where the check found the value: run checks at each checkpoint and at the
+    # end, norms at every step, converge at the end of each dt's run
+    @pytest.mark.parametrize("args,scheme,step", [
         (["run", "--equation", "diffusion", "--scheme", "euler", "--dt", "1",
-          "--steps", "400"], "euler"),
+          "--steps", "400"], "euler", 400),
         (["norms", "--equation", "advection", "--scheme", "lw", "--dt", "1",
-          "--steps", "300"], "lw"),
+          "--steps", "300"], "lw", 142),
         (["converge", "--equation", "diffusion", "--scheme", "d2s,euler", "--dt", "1",
-          "--steps", "400", "--dts", "1,0.5"], "euler"),
+          "--steps", "400", "--dts", "1,0.5"], "euler", 400),
+        (["run", "--equation", "diffusion", "--scheme", "euler", "--dt", "1",
+          "--steps", "400", "--checkpoints", "100,300"], "euler", 300),
     ])
-    def test_blow_up_exits_one_without_writing(self, args, scheme, tmp_path, capsys):
+    def test_blow_up_exits_one_without_writing(self, args, scheme, step, tmp_path, capsys):
         out = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # numpy overflow warnings while blowing up
@@ -413,7 +469,7 @@ class TestNonFiniteOutput:
         assert code == 1
         assert "Traceback" not in err
         assert f"numerical error: {scheme} produced a non-finite" in err
-        assert " at step " in err
+        assert err.endswith(f" at step {step}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("args,scheme", [
@@ -672,20 +728,36 @@ class TestStepCounts:
     ])
     def test_step_count_beyond_ceiling_is_usage_error(self, args, tmp_path, capsys):
         # each used to run until killed; the alarm turns that into a failure after 5 s
-        def still_running(signum, frame):
-            raise TimeoutError("still running after 5 s")
-
         out = tmp_path / "out.csv"
-        previous = signal.signal(signal.SIGALRM, still_running)
-        signal.alarm(5)
-        try:
+        with time_limit(5):
             code, err = run_clean(args + ["--out", str(out)], capsys)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert code == 2
         assert err.startswith("usage error:")
         assert "sample-steps" in err
+        assert not out.exists()
+
+    def test_norms_beyond_the_row_ceiling_is_usage_error(self, tmp_path, capsys):
+        # norms writes one row per step: 1e9 steps at nx=3 passed the sample-step ceiling,
+        # ran for minutes and ended in a MemoryError traceback from its per-step trace
+        out = tmp_path / "norms.csv"
+        with time_limit(5):
+            code, err = run_clean(["norms", "--nx", "3", "--steps", "10000001",
+                                   "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_norms_row_ceiling_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweepfd.cli, "MAX_NX", 5)   # the real 1e7 rows take minutes
+        out = tmp_path / "norms.csv"
+        argv = ["norms", "--nx", "3", "--out", str(out)]
+        code, _ = run_clean(argv + ["--steps", "5"], capsys)
+        assert code == 0
+        assert sum(not line.startswith("#") for line in out.open()) == 5 + 1
+        out.unlink()
+        code, err = run_clean(argv + ["--steps", "6"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
         assert not out.exists()
 
     def test_nx_beyond_ceiling_is_usage_error(self, tmp_path):

@@ -132,13 +132,6 @@ class TestFitPowerLaw:
         with pytest.raises(ParameterError):
             fit_power_law([0.4, 0.2, 0.1], [1.0, 1.0, 1.0])
 
-    def test_pairwise_orders_match_the_law(self):
-        dts = np.array([0.2 / 2 ** i for i in range(6)])
-        values = 5.0 - 1.3 * dts ** 2
-        fit = fit_power_law(dts, values)
-        assert len(fit.pairwise) == dts.size - 1
-        assert fit.pairwise == pytest.approx([2.0] * (dts.size - 1), abs=1e-6)
-
     def test_requires_three_matching_points(self):
         with pytest.raises(ParameterError, match="at least three"):
             fit_power_law([0.2, 0.1], [1.0, 2.0])
@@ -166,7 +159,7 @@ class TestLibrarySurface:
                       "phase_angle", "richardson_limit", "diffusion_t2_factor",
                       "OrderConditionReport", "validate_order_conditions",
                       "ModifiedNormTag", "euler_step", "lax_wendroff_step",
-                      "sweep_factor", "comparator_factor"),
+                      "sweep_factor", "comparator_factor", "exact_phase"),
             oracle: ("CirculantSpectrum", "observed_order", "OrderEstimate",
                      "richardson_reference", "diffusion_generator", "advection_generator"),
             composition: ("nominal_order", "_spec_order", "OrderConditionReport",
@@ -175,7 +168,7 @@ class TestLibrarySurface:
             sweep: ("sweep_as_matrix", "MATRIX_ORACLE_MAX", "saulyev_sweep_fixed"),
             spectral: ("exact_amplification", "scheme_amplification", "phase_angle",
                        "richardson_limit", "diffusion_t2_factor", "sweep_factor",
-                       "comparator_factor"),
+                       "comparator_factor", "exact_phase"),
         }
         present = [f"{module.__name__}.{name}"
                    for module, names in gone.items() for name in names

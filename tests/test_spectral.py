@@ -16,7 +16,7 @@ from sweepfd import (
     PairUpdate,
     StepParams,
     compile_scheme,
-    exact_phase,
+    exact_exponent,
     numeric_amplification,
     phase_curve,
     preset_names,
@@ -51,21 +51,13 @@ class TestExactAmplification:
     def test_advection_is_pure_phase(self):
         s = exact_amplification(Equation.ADVECTION, StepParams(eta=0.7), math.pi / 2)
         assert s.g == pytest.approx(cmath.exp(-0.7j), rel=1e-14)
-        assert s.magnitude == pytest.approx(1.0, abs=1e-15)
+        assert abs(s.g) == pytest.approx(1.0, abs=1e-15)
 
     def test_advdiff_combines_both(self):
         p = StepParams(r=0.3, eta=0.5)
         s = exact_amplification(Equation.ADV_DIFF, p, 1.1)
         expected = cmath.exp(-4 * 0.3 * math.sin(0.55) ** 2 - 0.5j * math.sin(1.1))
         assert s.g == pytest.approx(expected, rel=1e-14)
-
-
-class TestSampleConsistency:
-    def test_exponent_and_phase_derive_from_g(self):
-        s = exact_amplification(Equation.ADV_DIFF, StepParams(r=0.2, eta=0.4), 0.9)
-        assert cmath.exp(-s.exponent) == pytest.approx(s.g, rel=1e-13)
-        assert s.phase == pytest.approx(-cmath.phase(s.g), abs=1e-15)
-        assert s.magnitude == abs(s.g)
 
 
 class TestSchemeAmplification:
@@ -171,8 +163,12 @@ class TestPhase:
     def test_zero_at_origin(self):
         assert phase_angle(preset("a2c", Equation.ADVECTION), StepParams(eta=0.7), 0.0) == 0.0
 
-    def test_exact_phase_formula(self):
-        assert exact_phase(0.7, 0.4) == pytest.approx(0.7 * math.sin(0.4), rel=1e-15)
+    def test_exact_exponent_formula(self):
+        p = StepParams(r=0.3, eta=0.7)
+        damping, phase = 4 * 0.3 * math.sin(0.2) ** 2, 0.7 * math.sin(0.4)
+        for equation, h in ((Equation.DIFFUSION, damping), (Equation.ADVECTION, 1j * phase),
+                            (Equation.ADV_DIFF, damping + 1j * phase)):
+            assert exact_exponent(equation, p, 0.4) == pytest.approx(h, rel=1e-15)
 
     def test_matches_arctan_closed_form(self):
         # one-sided sweep phase: 2 atan(s sin / (1 - s cos))
@@ -215,7 +211,8 @@ class TestPhase:
         def cubic_coefficient(scheme):
             return richardson_limit(
                 lambda t: (phase_angle(scheme, StepParams(eta=eta), t)
-                           - exact_phase(eta, t)) / t ** 3)
+                           - exact_exponent(Equation.ADVECTION, StepParams(eta=eta), t).imag)
+                          / t ** 3)
 
         assert abs(cubic_coefficient(a2c)) == pytest.approx(eta ** 3 / 12.0, rel=1e-3)
         assert abs(cubic_coefficient(fr)) < 1e-6 * eta
@@ -226,10 +223,9 @@ class TestPhase:
         p = StepParams(eta=0.7)
         theta = 0.2
         for name, baseline in (("s4", "5xa2c"), ("y6", "7xa2c")):
-            err = abs(phase_angle(preset(name, Equation.ADVECTION), p, theta)
-                      - exact_phase(0.7, theta))
-            base = abs(phase_angle(preset(baseline, Equation.ADVECTION), p, theta)
-                       - exact_phase(0.7, theta))
+            exact = exact_exponent(Equation.ADVECTION, p, theta).imag
+            err = abs(phase_angle(preset(name, Equation.ADVECTION), p, theta) - exact)
+            base = abs(phase_angle(preset(baseline, Equation.ADVECTION), p, theta) - exact)
             assert err < base / 100.0, (name, err, base)
 
     def test_non_advection_scheme_rejected(self):
@@ -312,7 +308,7 @@ class TestNumericAmplification:
         for m in range(1, 32, 5):
             theta = 2 * math.pi * m / 64
             s = numeric_amplification(scheme, StepParams(eta=0.7), theta, 64)
-            assert abs(s.magnitude - 1.0) <= 1e-12
+            assert abs(abs(s.g) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("eq,name,params", [
         (Equation.DIFFUSION, "d1a", StepParams(r=0.5)),
