@@ -51,8 +51,12 @@ class AmplificationSample:
 
 def exact_exponent(equation: Equation, params: StepParams, theta: Thetas):
     """Semi-discrete exact exponent h = 4r sin^2(theta/2) + i eta sin(theta), whose factor is
-    exp(-h); diffusion keeps its real part, advection its imaginary part."""
-    h = 4.0 * params.r * np.sin(0.5 * np.asarray(theta)) ** 2 \
+    exp(-h); diffusion keeps its real part, advection its imaginary part.
+
+    r sin^2(theta/2) is formed before the factor 4, so theta = 0 gives h = 0 even where 4r
+    overflows; scaling by 4 is exact otherwise, so the bits are those of (4r) sin^2.
+    """
+    h = 4.0 * (params.r * np.sin(0.5 * np.asarray(theta)) ** 2) \
         + 1j * params.eta * np.sin(theta)
     if equation is Equation.DIFFUSION:
         return h.real

@@ -12,10 +12,11 @@ and the boundary weight of the modified norm the sweep conserves.
 A sweep runs in a small C kernel (_sweep.c), compiled with the system C
 compiler on the first sweep and cached per user under
 $XDG_CACHE_HOME/sweepfd (default ~/.cache/sweepfd), keyed by the sha256
-of the source and the compiler flags.  Without a compiler or a writable
-private cache it runs the same recurrence through scipy.signal.lfilter;
-both kernels give bit-identical results on fields with no nan on entry,
-and scipy is imported only on that fallback.
+of the source and the compiler flags.  On Linux it runs a sweep of 2^17
+samples or more on two threads, with the serial bits.  Without a
+compiler or a writable private cache it runs the same recurrence through
+scipy.signal.lfilter; both kernels give bit-identical results on fields
+with no nan on entry, and scipy is imported only on that fallback.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .grid import Field1D
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 # -ffp-contract=off: a fused multiply-add would change the bits
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", "-lm")
 _UNBUILT = object()
 _kernel = _UNBUILT  # the loaded C library once built; None when sweeps use lfilter
 
@@ -168,9 +169,18 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     numpy arrays of f's shape; neither may overlap f.values, except that
     source may be f.values itself.
 
-    The pass runs in the compiled C kernel, built on the first call.  When
-    it cannot be built, or an array is not a writeable C-contiguous float64
-    vector, the same arithmetic runs through scipy's lfilter instead.  The
+    The pass runs in the compiled C kernel, built on the first call.  On
+    Linux, a sweep of 2^17 samples or more runs there on two threads when
+    0 < |b| < 1 for the recurrence coefficient b, the warm-up
+    K = ceil(4*53 / -log2|b|) is at most N/8 and the calling thread may
+    run on a second CPU.  The second half starts from the chain state
+    guessed over the K samples before the middle, and is kept only when
+    that guess equals the first half's state bit for bit; otherwise the
+    caller redoes it.  So the split never changes a bit, and the call
+    stays one C call.  An in-place split holds N/2 saved doubles while it
+    runs.  When the kernel cannot be built, or an array is not a
+    writeable C-contiguous float64 vector, the same arithmetic runs
+    through scipy's lfilter instead.  The
     C chain carries z = b*y where lfilter computes 0.0*x - (-b)*y, and
     falls back to that literal form when b*y is zero or nan or x is not
     finite, so the two give bit-identical results on every field Field1D

@@ -150,6 +150,17 @@ class TestAmpfactor:
         assert rows[-1][columns.index("cn_re")] < 0
         assert rows[-1][columns.index("d2s_re")] > 0
 
+    def test_exact_columns_stay_finite_once_four_r_overflows(self, tmp_path):
+        # r = 1e308: 4*r used to overflow before meeting sin^2(0) = 0 and print nan
+        out = tmp_path / "amp.csv"
+        assert run_cli(["ampfactor", "--scheme", "d1a", "--dt", "1e300", "--dcoef", "1e8",
+                        "--nx", "3", "--xmin", "0", "--xmax", "3", "--ntheta", "3",
+                        "--out", str(out)]) == 0
+        header, columns, rows = read_csv(out)
+        exact = [columns.index(f"exact_{part}") for part in ("re", "im", "abs", "phase")]
+        assert [[row[j] for j in exact] for row in rows] == [[1, 0, 1, 0], [0, 0, 0, 0],
+                                                              [0, 0, 0, 0]]
+
     def test_unknown_scheme_is_usage_error(self, capsys):
         assert run_cli(["ampfactor", "--scheme", "bogus"]) == 2
         assert "available" in capsys.readouterr().err

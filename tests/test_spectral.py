@@ -24,6 +24,7 @@ from sweepfd import (
     scheme_factor,
 )
 from sweepfd.errors import NumericsError, ParameterError
+from sweepfd.spectral import exact_factor
 
 from oracles import (
     diffusion_t2_factor,
@@ -52,6 +53,15 @@ class TestExactAmplification:
         s = exact_amplification(Equation.ADVECTION, StepParams(eta=0.7), math.pi / 2)
         assert s.g == pytest.approx(cmath.exp(-0.7j), rel=1e-14)
         assert abs(s.g) == pytest.approx(1.0, abs=1e-15)
+
+    def test_diffusion_at_overflowing_four_r(self):
+        # h = 4 (r sin^2(theta/2)): theta = 0 gives h = 0 rather than inf * 0
+        theta = np.array([0.0, 2.0, math.pi])
+        with np.errstate(over="ignore"):
+            h = exact_exponent(Equation.DIFFUSION, StepParams(r=1e308), theta)
+            g = exact_factor(Equation.DIFFUSION, StepParams(r=1e308), theta)
+        assert h.tolist() == [0.0, math.inf, math.inf]
+        assert g.tolist() == [1.0, 0.0, 0.0]
 
     def test_advdiff_combines_both(self):
         p = StepParams(r=0.3, eta=0.5)

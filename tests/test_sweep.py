@@ -1,11 +1,13 @@
 """Pair-sweep engine against its independent oracles."""
 
+import ctypes
 import functools
 import importlib
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -742,3 +744,155 @@ class TestKernelChoice:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+# the sizes around the C kernel's split threshold of 2^17 samples
+SPLIT_MIN = 2 ** 17
+SPLIT_SIZES = (SPLIT_MIN, SPLIT_MIN + 1, 999_983)
+# recurrence coefficients whose warm-up K = ceil(212 / -log2|b|) is at most n/8 at 2^17
+SPLIT_COEFFICIENTS = st.one_of(st.floats(0.05, 0.99), st.floats(-0.99, -0.05),
+                               st.sampled_from([c for c in SPECIAL_COEFFICIENTS if 0 < abs(c) < 1]))
+
+
+def split_counts(handle):
+    """(sweeps split, those of them whose helper half was redone) so far in the C kernel."""
+    return tuple(ctypes.c_long.in_dll(handle, name).value
+                 for name in ("sweep_splits", "sweep_fallbacks"))
+
+
+def splitting_kernel():
+    """The C kernel, where it splits large sweeps: on Linux with a second allowed CPU."""
+    handle = c_kernel()
+    if handle is None:
+        pytest.skip("the C sweep kernel cannot be built here")
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep splits only on Linux with a second allowed CPU")
+    return handle
+
+
+def with_recurrence(a, b, other, direction):
+    """The update whose sweep in direction has recurrence coefficient b."""
+    return PairUpdate(a, b, other) if direction.is_ascending else PairUpdate(a, other, b)
+
+
+@st.composite
+def split_cases(draw):
+    """kernel_cases at the split sizes, with a recurrence coefficient that lets the sweep split.
+
+    The special samples land anywhere or within 300 samples of the middle of
+    the array, where the two halves of an ascending or descending sweep meet.
+    """
+    coeff = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL_COEFFICIENTS))
+    direction = draw(st.sampled_from([ASC, DESC]))
+    u = with_recurrence(draw(coeff), draw(SPLIT_COEFFICIENTS), draw(coeff), direction)
+    n = draw(st.sampled_from(SPLIT_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=n) * draw(st.sampled_from([1e-300, 1.0, 1e300]))
+    where = st.one_of(st.integers(0, n - 1), st.integers(n // 2 - 300, n // 2 + 300))
+    for j, x in draw(st.lists(st.tuples(where, st.sampled_from(SPECIAL_SAMPLES)), max_size=8)):
+        values[j] = x
+    return u, direction, values
+
+
+class TestSplitSweep:
+    """Sweeps of 2^17 or more samples run on two threads in the C kernel, with the serial bits."""
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(split_cases(), st.sampled_from(("in place",) + TERM_FORMS), st.integers(0, 2**32 - 1))
+    def test_split_sweep_matches_lfilter_bit_for_bit(self, case, form, seed):
+        handle = splitting_kernel()
+        start, keywords = term_keywords(form, case[2], np.random.default_rng(seed))
+        splits, _ = split_counts(handle)
+        swept = run_on(handle, *case, start, **keywords)
+        assert split_counts(handle)[0] == splits + 1
+        assert_same_bits(swept, run_on(None, *case, start, **keywords),
+                         (case[:2], case[2].size, form))
+
+    @pytest.mark.parametrize("form", ("in place",) + TERM_FORMS)
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_helper_half_redone_when_its_start_differs(self, direction, form):
+        # 1e300 up to 1000 samples before the middle of the ring, 1e-300 after: at the
+        # middle the chain (b = 0.5) still holds about 1e300 * 2^-1000 = 0.09 of the large
+        # samples, which the helper's warm-up over the K = 212 samples before it never sees
+        n = SPLIT_MIN
+        handle = splitting_kernel()
+        ring = np.full(n, 1e-300)
+        ring[:n // 2 - 1000] = 1e300
+        values = ring if direction.is_ascending else ring[mirror(n)]
+        u = PairUpdate(0.5, 0.5, 0.5)
+        start, keywords = term_keywords(form, values, np.random.default_rng(31))
+        splits, fallbacks = split_counts(handle)
+        swept = run_on(handle, u, direction, values, start, **keywords)
+        assert split_counts(handle) == (splits + 1, fallbacks + 1)
+        assert_same_bits(swept, run_on(None, u, direction, values, start, **keywords), keywords)
+
+    @pytest.mark.parametrize("n, b", [(SPLIT_MIN - 1, 0.5), (SPLIT_MIN, 0.995)],
+                             ids=["below 2^17", "K above n/8"])
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_no_split_below_the_threshold_or_for_a_slow_chain(self, n, b, direction):
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+        case = (with_recurrence(0.6, b, 0.3, direction), direction,
+                np.random.default_rng(37).normal(size=n))
+        counts = split_counts(handle)
+        swept = run_on(handle, *case)
+        assert split_counts(handle) == counts
+        assert_same_bits(swept, run_on(None, *case))
+
+    def test_no_split_on_one_allowed_cpu(self):
+        splitting_kernel()
+        script = (
+            "import ctypes, importlib, os\n"
+            "import numpy as np\n"
+            "import sweepfd as sf\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "rng = np.random.default_rng(41)\n"
+            f"for n, b in (({SPLIT_MIN}, 0.5), ({SPLIT_MIN - 1}, 0.5), ({SPLIT_MIN}, 0.995)):\n"
+            "    for d in sf.SweepDirection:\n"
+            "        f = sf.Field1D(rng.normal(size=n), dx=1.0)\n"
+            "        sf.sweep(f, sf.PairUpdate(0.6, b, b), d)\n"
+            "kernel = importlib.import_module('sweepfd.sweep')._kernel\n"
+            "print(ctypes.c_long.in_dll(kernel, 'sweep_splits').value)\n"
+        )
+        src = str(Path(sweep_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+
+    def test_two_threads_sweep_at_once(self, monkeypatch):
+        # each call owns its helper thread and save buffer, and ctypes releases the GIL
+        # during it, so two sweeps overlap; each must keep its serial bits
+        handle = splitting_kernel()
+        monkeypatch.setattr(sweep_module, "_kernel", handle)
+        rng = np.random.default_rng(43)
+        rounds = 4
+        cases = [(random_update(rng), direction, rng.normal(size=SPLIT_MIN))
+                 for direction in (ASC, DESC) for _ in range(rounds)]
+        expected = [run_on(None, *case) for case in cases]
+        fields = [Field1D(values, dx=1.0) for _, _, values in cases]
+        interval = sys.getswitchinterval()
+        splits, _ = split_counts(handle)
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(rounds):
+                start = threading.Barrier(2)
+
+                def run(j):
+                    start.wait()
+                    sweep(fields[j], *cases[j][:2])
+
+                threads = [threading.Thread(target=run, args=(j,)) for j in (i, rounds + i)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert split_counts(handle)[0] == splits + 2 * rounds
+        for f, want in zip(fields, expected):
+            assert_same_bits(f.values, want)
