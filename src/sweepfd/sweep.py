@@ -173,20 +173,25 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     Linux, a sweep of 2^17 samples or more runs there on two threads when
     0 < |b| < 1 for the recurrence coefficient b, the warm-up
     K = ceil(4*53 / -log2|b|) is at most N/8 and the calling thread may
-    run on a second CPU.  The second half starts from the chain state
-    guessed over the K samples before the middle, and is kept only when
-    that guess equals the first half's state bit for bit; otherwise the
-    caller redoes it.  So the split never changes a bit, and the call
-    stays one C call.  An in-place split holds N/2 saved doubles while it
-    runs.  When the kernel cannot be built, or an array is not a
-    writeable C-contiguous float64 vector, the same arithmetic runs
-    through scipy's lfilter instead.  The
-    C chain carries z = b*y where lfilter computes 0.0*x - (-b)*y, and
-    falls back to that literal form when b*y is zero or nan or x is not
-    finite, so the two give bit-identical results on every field Field1D
-    admits: signed zeros, infinities and nans born inside the sweep
-    included.  A nan written into f.values beforehand may leave nans of
-    different signs in the two kernels.
+    run on a second CPU.  The chain is cut into four pieces: the caller
+    runs the first two as two chains interleaved in one loop, a helper
+    thread the last two.  Each piece but the first starts from the chain
+    state guessed over the K samples before it, and is kept only when that
+    guess equals the true end state of the piece before it bit for bit;
+    otherwise the caller redoes it from its saved inputs.  So the split
+    never changes a bit, and the call stays one C call.  An in-place split
+    holds about 3N/4 saved doubles while it runs.  When the kernel cannot
+    be built, or an array is not a writeable C-contiguous float64 vector,
+    the same arithmetic runs through scipy's lfilter instead.  The C chain
+    carries z = b*y where lfilter computes 0.0*x - (-b)*y, and takes that
+    literal form when b*y is a signed zero, an infinity or a nan, one
+    compare on its bits.  A finite nonzero b*y implies a finite x, where
+    the two forms agree, and where b*y overflowed from a finite x the
+    literal form gives the same infinity.  So the two kernels give
+    bit-identical results on every field Field1D admits: signed zeros,
+    infinities and nans born inside the sweep included.  A nan written
+    into f.values beforehand may leave nans of different signs in the two
+    kernels.
     """
     global _kernel
     if _kernel is _UNBUILT:

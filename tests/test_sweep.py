@@ -3,6 +3,7 @@
 import ctypes
 import functools
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -606,6 +607,36 @@ def adversarial_cases(direction, count, seed):
         yield PairUpdate(*map(float, coeffs)), direction, values
 
 
+def overflow_cases(direction, count, seed):
+    """Short seeded sweeps in which b*y overflows from finite samples, for a recurrence
+    coefficient 1 < |b| < 2 and samples of magnitude 0.85e308 to 1.7e308 mixed with unit ones.
+
+    The C chain takes lfilter's literal form wherever b*y is infinite; from a finite
+    sample that form, +-0 - (-+inf), gives the same infinity.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 61))
+        values = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 1.0, size=n) * 1.7e308
+        small = rng.random(n) < rng.random()
+        values[small] = rng.normal(size=small.sum())
+        a, other = rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
+        b = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+        yield with_recurrence(float(a), float(b), float(other), direction), direction, values
+
+
+def overflows_from_finite(u, direction, values):
+    """Whether the starred chain meets a finite star y whose b*y overflows."""
+    x = values if direction.is_ascending else values[mirror(values.size)]
+    a, b = u.alpha, u.recurrence(direction)
+    y = b * x[0] + a * x[1]
+    for sample in x[2:]:
+        if math.isfinite(y) and math.isinf(b * y):
+            return True
+        y = b * y + a * sample
+    return math.isfinite(y) and math.isinf(b * y)
+
+
 def mirror(n):
     """The ring index map of the mirrored ring (u_0, u_{N-1}, ..., u_1); it is its own inverse."""
     return (-np.arange(n)) % n
@@ -661,7 +692,8 @@ class TestKernelChoice:
         handle = c_kernel()
         if handle is None:
             pytest.skip("the C sweep kernel cannot be built here")
-        for case in adversarial_cases(direction, 1500, 17 + direction.is_ascending):
+        for case in itertools.chain(adversarial_cases(direction, 1500, 17 + direction.is_ascending),
+                                    overflow_cases(direction, 300, 53 + direction.is_ascending)):
             assert_same_bits(run_on(handle, *case), run_on(None, *case), case)
 
     @pytest.mark.parametrize("form", TERM_FORMS)
@@ -671,10 +703,17 @@ class TestKernelChoice:
         if handle is None:
             pytest.skip("the C sweep kernel cannot be built here")
         rng = np.random.default_rng(19)
-        for case in adversarial_cases(direction, 150, 23 + direction.is_ascending):
+        for case in itertools.chain(adversarial_cases(direction, 150, 23 + direction.is_ascending),
+                                    overflow_cases(direction, 60, 59 + direction.is_ascending)):
             start, keywords = term_keywords(form, case[2], rng)
             c = run_on(handle, *case, start, **keywords)
             assert_same_bits(c, run_on(None, *case, start, **keywords), (case, keywords))
+
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_overflow_cases_overflow_b_y_from_finite_samples(self, direction):
+        cases = list(overflow_cases(direction, 300, 53 + direction.is_ascending))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sum(overflows_from_finite(*case) for case in cases) >= len(cases) // 3
 
     @pytest.mark.parametrize("setup", ["no compiler", "compiler fails", "cache is a file",
                                        "cache is shared"])
@@ -780,7 +819,7 @@ def split_cases(draw):
     """kernel_cases at the split sizes, with a recurrence coefficient that lets the sweep split.
 
     The special samples land anywhere or within 300 samples of the middle of
-    the array, where the two halves of an ascending or descending sweep meet.
+    the array, where pieces 1 and 2 of a split ascending or descending sweep meet.
     """
     coeff = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL_COEFFICIENTS))
     direction = draw(st.sampled_from([ASC, DESC]))
@@ -808,16 +847,32 @@ class TestSplitSweep:
         assert_same_bits(swept, run_on(None, *case, start, **keywords),
                          (case[:2], case[2].size, form))
 
+    @pytest.mark.parametrize("band", [None, (1, 1), (2, 2), (3, 3), (1, 2)],
+                             ids=["large until the middle", "band before n/4", "band before n/2",
+                                  "band before 3n/4", "band over n/4 and n/2"])
     @pytest.mark.parametrize("form", ("in place",) + TERM_FORMS)
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_helper_half_redone_when_its_start_differs(self, direction, form):
-        # 1e300 up to 1000 samples before the middle of the ring, 1e-300 after: at the
-        # middle the chain (b = 0.5) still holds about 1e300 * 2^-1000 = 0.09 of the large
-        # samples, which the helper's warm-up over the K = 212 samples before it never sees
+    def test_helper_half_redone_when_its_start_differs(self, direction, form, band):
+        # The C kernel cuts ring samples 2..n-1 into four pieces near n/4, n/2 and 3n/4;
+        # each piece but the first starts from a state guessed over the K = 212 samples
+        # before it (b = 0.5). band = (first, last) names piece boundaries in quarters of n.
+        # None: 1e300 up to 1000 samples before the middle, 1e-300 after, so at the middle
+        # the chain still holds about 1e300 * 2^-1000 = 0.09 of the large samples, which the
+        # guess never sees (pieces 2 and 3 are redone). A band: unit noise, but 1000
+        # samples of 1e300 and then 1e-300 from 3000 samples before its first boundary to
+        # 1000 after its last. Over the 1e-300 samples the rounded chain settles in a band
+        # of fixed points, the true state from above and the guess from below, so they
+        # differ at each boundary inside; after the band the next guess matches again.
         n = SPLIT_MIN
         handle = splitting_kernel()
-        ring = np.full(n, 1e-300)
-        ring[:n // 2 - 1000] = 1e300
+        if band is None:
+            ring = np.full(n, 1e-300)
+            ring[:n // 2 - 1000] = 1e300
+        else:
+            lo, hi = band[0] * n // 4 - 3000, band[1] * n // 4 + 1000
+            ring = np.random.default_rng(47).normal(size=n)
+            ring[lo - 1000:lo] = 1e300
+            ring[lo:hi] = 1e-300
         values = ring if direction.is_ascending else ring[mirror(n)]
         u = PairUpdate(0.5, 0.5, 0.5)
         start, keywords = term_keywords(form, values, np.random.default_rng(31))
