@@ -4,11 +4,14 @@
 
 For every preset, plain and as `2x`/`3x`, at each (r, eta) of POINTS the
 file records the compiled `Program` repr, the bytes of `scheme_factor` on
-33 thetas in [0, pi], the field bytes after 3 steps of `apply_scheme`,
-`numeric_amplification` at one lattice mode, the type and message of any
-error these raise, and every warning.  `oracle.txt` records the bytes of
-`exact_evolve` on a Gaussian at each N of ORACLE_NS and each (D, v, dt) of
-ORACLE_POINTS, so a change to the exact flow shows up in the same diff.
+33 thetas in [0, pi] and at the scalar theta of one lattice mode, for
+advection presets the bytes of `phase_curve` on its 1025-point tracking
+grid of [0, pi] and on the 33 thetas (off that grid), the field bytes after
+3 steps of `apply_scheme`, `numeric_amplification` at the lattice mode,
+the type and message of any error these raise, and every warning.
+`oracle.txt` records the bytes of `exact_evolve` on a Gaussian at each N
+of ORACLE_NS and each (D, v, dt) of ORACLE_POINTS, so a change to the
+exact flow shows up in the same diff.
 Only the public API is used, so the script runs on any checkout: run it on
 two and `diff -r` the directories to check that a change leaves every
 scheme's numbers bit-identical.
@@ -26,9 +29,11 @@ import sweepfd as sf
 POINTS = ((0.05, 0.4), (0.5, 0.8), (5.0, 2.5), (-0.1, -1.2), (1e9, 0.5))   # (r, eta)
 PREFIXES = ("", "2x", "3x")
 THETAS = np.linspace(0.0, math.pi, 33)
+PHASE_GRID = np.linspace(0.0, math.pi, 1025)   # phase_curve's tracking grid of [0, pi]
 N = 48
 STEPS = 3
-MODE = 5   # numeric_amplification reads the lattice mode theta = 2 pi MODE / N
+MODE = 5
+THETA_MODE = 2.0 * math.pi * MODE / N   # the lattice mode numeric_amplification reads
 ORACLE_NS = (3, 17, 64, 800)
 # (D, v, dt): diffusion, advection-diffusion, and advection at eta = v dt N / 12 >= 100
 ORACLE_POINTS = ((0.5, 0.0, 0.2), (0.05, 0.7, 0.3), (0.0, 1.0, 400.0))
@@ -59,9 +64,16 @@ def dump(scheme, lines):
         record(lines, "program", lambda: repr(sf.compile_scheme(scheme, params)))
         record(lines, "factor", lambda: np.asarray(
             sf.scheme_factor(scheme, params, THETAS), dtype=complex).tobytes().hex())
+        record(lines, "factor at the mode", lambda: np.asarray(
+            sf.scheme_factor(scheme, params, THETA_MODE), dtype=complex).tobytes().hex())
+        if scheme.equation is sf.Equation.ADVECTION:
+            record(lines, "phase on its grid", lambda: np.asarray(
+                sf.phase_curve(scheme, params, PHASE_GRID)).tobytes().hex())
+            record(lines, "phase", lambda: np.asarray(
+                sf.phase_curve(scheme, params, THETAS)).tobytes().hex())
         record(lines, "field", lambda: stepped(scheme, params))
         record(lines, "numeric", lambda: repr(
-            sf.numeric_amplification(scheme, params, 2.0 * math.pi * MODE / N, N)))
+            sf.numeric_amplification(scheme, params, THETA_MODE, N)))
 
 
 def dump_oracle(lines):

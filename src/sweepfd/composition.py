@@ -54,6 +54,11 @@ class BaseStep(Enum):
     SWEEP_1B = "1b"   # single descending sweep at full parameters
     T2 = "t2"         # ascending then descending half-sweep
 
+    @property
+    def directions(self) -> Tuple[SweepDirection, ...]:
+        """The directions of the step's sweeps, in run order."""
+        return _DIRECTIONS[self]
+
 
 _DIRECTIONS = {BaseStep.SWEEP_1A: (SweepDirection.ASCENDING,),
                BaseStep.SWEEP_1B: (SweepDirection.DESCENDING,),
@@ -145,7 +150,7 @@ class Stage(NamedTuple):
         p = params.scaled(self.fraction)
         half = self.base is BaseStep.T2
         return tuple((coef.pair_update(self.variant, p.r, p.eta, d, half=half), d)
-                     for d in _DIRECTIONS[self.base])
+                     for d in self.base.directions)
 
 
 @dataclass(frozen=True)

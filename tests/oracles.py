@@ -2,11 +2,12 @@
 
 None of these is part of sweepfd: dense generator and sweep matrices,
 the classic fixed-end one-sided sweep, the copy-per-term stepper that
-multi-term steps must match bit for bit, single-theta amplification and
-phase samples, the theta -> 0 Richardson limit, the symmetric diffusion
-step's closed form at either sign of r, the composition power sums, and
-the row-wise CSV writer the command line's streaming writer must match
-byte for byte.
+multi-term steps must match bit for bit, the op-by-op closed-form factor
+and the union-grid phase curve that scheme_factor and phase_curve must
+match bit for bit, single-theta amplification and phase samples, the
+theta -> 0 Richardson limit, the symmetric diffusion step's closed form
+at either sign of r, the composition power sums, and the row-wise CSV
+writer the command line's streaming writer must match byte for byte.
 Test modules import them with `from oracles import ...`; pytest puts
 tests/ on sys.path, and this module holds no tests of its own.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +27,7 @@ from sweepfd.composition import Equation, Scheme, StepParams, compile_scheme
 from sweepfd.errors import ParameterError, SizeError
 from sweepfd.grid import Field1D
 from sweepfd.spectral import (
+    PHASE_RESOLUTION,
     AmplificationSample,
     Thetas,
     exact_factor,
@@ -139,6 +143,43 @@ def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas)
     asc, desc = SweepDirection.ASCENDING, SweepDirection.DESCENDING
     return coef.pair_update(variant, r, 0.0, asc, half=True).factor(asc, theta) \
         * coef.pair_update(variant, r, 0.0, desc, half=True).factor(desc, theta)
+
+
+def scheme_factor_by_ops(scheme: Scheme, params: StepParams, theta: Thetas):
+    """scheme_factor evaluated op by op, with no cached tables.
+
+    Each distinct op's PairUpdate.factor or Comparator.factor at theta and
+    z = e^{i theta}; op factors multiply within a stage, stage products
+    multiply, each term's product is raised to its power (1 included), the
+    terms add with their weights and the sum is raised to substeps (1
+    included).  scheme_factor must give these bits at every theta shape.
+    """
+    program = compile_scheme(scheme, params)
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    ops = dict.fromkeys(op for _, _, stages in program.terms for stage in stages for op in stage)
+    factors = {(head, arg): head.factor(arg, theta, z) for head, arg in ops}
+    terms = []
+    for weight, power, stages in program.terms:
+        product = reduce(mul, (reduce(mul, (factors[op] for op in stage)) for stage in stages))
+        terms.append((weight, product ** power))
+    g = terms[0][1] if len(terms) == 1 else sum(weight * term for weight, term in terms)
+    return g ** program.substeps
+
+
+def phase_curve_on_union(scheme: Scheme, params: StepParams,
+                         thetas: Sequence[float]) -> np.ndarray:
+    """phase_curve tracked on the union of its tracking grid and the request.
+
+    The grid is linspace(0, max theta, n) with n the fewest points at least
+    as fine as PHASE_RESOLUTION; the factors come from scheme_factor_by_ops.
+    phase_curve must give these bits, on its tracking grid or off it.
+    """
+    req = np.atleast_1d(np.asarray(thetas, dtype=float))
+    tmax = float(req.max(initial=0.0))
+    n_fine = max(2, int(math.ceil(tmax / PHASE_RESOLUTION)) + 1)
+    grid = np.union1d(np.linspace(0.0, tmax, n_fine), req)
+    unwrapped = -np.unwrap(np.angle(scheme_factor_by_ops(scheme, params, grid)))
+    return unwrapped[np.searchsorted(grid, req)]
 
 
 def exact_amplification(equation: Equation, params: StepParams, theta: float) -> AmplificationSample:

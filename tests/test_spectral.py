@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sweepfd import (
+    AdvectionVariant,
     Comparator,
     DiffusionVariant,
     Equation,
     Field1D,
     PairUpdate,
+    Scheme,
+    Stage,
     StepParams,
     compile_scheme,
     exact_exponent,
@@ -30,8 +33,10 @@ from oracles import (
     diffusion_t2_factor,
     exact_amplification,
     phase_angle,
+    phase_curve_on_union,
     richardson_limit,
     scheme_amplification,
+    scheme_factor_by_ops,
 )
 
 
@@ -242,6 +247,12 @@ class TestPhase:
         with pytest.raises(ParameterError):
             phase_angle(preset("d2s", Equation.DIFFUSION), StepParams(r=0.5), 0.3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        # the tracking grid reaches max theta: a nan or an infinity has none
+        with pytest.raises(ParameterError, match=f"theta = {bad}"):
+            phase_curve(preset("a2c", Equation.ADVECTION), StepParams(eta=0.7), [0.5, bad])
+
 
 class TestExponentMatching:
     def test_d2s_leading_exponent_is_r(self):
@@ -398,6 +409,69 @@ class TestClosedFormProperty:
             n *= 2
         num = numeric_amplification(scheme, params, theta, n)
         assert abs(num.g - closed) <= 1e-12
+
+
+def theta_arrays():
+    """A scalar, the 257- or 1025-point linspace on [0, pi] (the latter is
+    phase_curve's tracking grid), an unsorted array with repeats, or a 2-D array."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    shapes = [
+        angle,
+        st.just(np.linspace(0.0, math.pi, 257)),
+        st.just(np.linspace(0.0, math.pi, 1025)),
+        st.lists(angle, min_size=1, max_size=40).flatmap(
+            lambda xs: st.permutations(xs + xs[: len(xs) // 2])).map(np.array),
+        st.tuples(st.integers(1, 5), st.integers(1, 7)).flatmap(
+            lambda shape: st.lists(angle, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]).map(
+                lambda xs: np.reshape(xs, shape))),
+    ]
+    return st.sampled_from(shapes).flatmap(lambda shape: shape)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# a product whose Roberts-Weiss stage has one update per direction and whose
+# Crank-Nicolson stage shares one, so its descending rows read their own updates
+MIXED_PRODUCT = Scheme("rw-a2c", Equation.ADVECTION,
+                       ((1, 1, (Stage(AdvectionVariant.ROBERTS_WEISS),
+                                Stage(AdvectionVariant.MATCHED_CN))),))
+
+
+class TestTablesMatchOpByOp:
+    """scheme_factor's per-scheme layout and broadcast factors, and phase_curve's
+    tracking on the request, reproduce the op-by-op factor and the union-grid
+    phase curve of tests/oracles.py bit for bit: values, signed zeros, shapes."""
+
+    @pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sampled_from([preset(prefix + name, eq) for eq in Equation
+                            for name in preset_names(eq) for prefix in ("", "2x", "3x")]
+                           + [MIXED_PRODUCT]),
+           st.one_of(st.floats(0.0, 20.0), st.floats(20.0, 1e10)), st.floats(-20.0, 20.0),
+           theta_arrays())
+    # at eta = 0 the stages of a product compile to equal updates that differ in
+    # the signs of their zeros, e.g. (1, 0.0, -0.0) and (1, -0.0, 0.0)
+    @example(preset("y6", Equation.ADVECTION), 0.0, 0.0, np.linspace(0.0, math.pi, 257))
+    @example(preset("s4", Equation.ADVECTION), 0.0, -0.0, np.linspace(0.0, math.pi, 1025))
+    @example(preset("y6", Equation.ADVECTION), 0.0, -0.0, 0.7)
+    def test_factor_and_phase_match_the_references(self, scheme, r, eta, theta):
+        eq = scheme.equation
+        params = StepParams(r=0.0 if eq is Equation.ADVECTION else r,
+                            eta=0.0 if eq is Equation.DIFFUSION else eta)
+        try:
+            compile_scheme(scheme, params)
+        except NumericsError:
+            reject()
+        with np.errstate(all="ignore"):
+            assert same_bits(scheme_factor(scheme, params, theta),
+                             scheme_factor_by_ops(scheme, params, theta))
+            if eq is Equation.ADVECTION:
+                assert same_bits(phase_curve(scheme, params, theta),
+                                 phase_curve_on_union(scheme, params, theta))
 
 
 # the whole half period of the modes, sampled finely enough that a bump of |g|
