@@ -5,7 +5,8 @@ and advection-diffusion equations on periodic grids, built from
 exponentially-split 2x2 pair updates, plus their closed-form spectral
 analysis, the exact circulant flow and a convergence-order fit.  Every
 Field1D is periodic.  A Scheme is its plan of sweeps, weighted terms of
-Stage products; stepping and the closed forms read its compiled Program.
+Stage products; everything that compiles, steps or analyses it reads its
+one Layout and its compiled Program.
 """
 
 from .coefficients import (
@@ -26,6 +27,7 @@ from .composition import (
     BaseStep,
     Comparator,
     Equation,
+    Layout,
     Program,
     Scheme,
     Stage,

@@ -254,8 +254,10 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
             scheme = composition.resolve_preset(name, equation)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from exc
-        stages = [stage for _, _, term in scheme.terms for stage in term]
-        if args.command in ("run", "norms", "converge") and Comparator.CRANK_NICOLSON in stages:
+        layout = scheme.layout
+        if args.command in ("run", "norms", "converge") and any(
+                layout.stages[i] is Comparator.CRANK_NICOLSON
+                for i, _ in layout.rows[layout.n_asc + layout.n_desc:]):
             raise UsageError(f"{args.command} cannot step {scheme.name}: the implicit comparator "
                              "has no explicit stepper (ampfactor takes its factor)")
         schemes.append(scheme)

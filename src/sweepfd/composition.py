@@ -8,11 +8,13 @@ comes from a single product T2(a_1 dt) ... T2(a_m dt) (advection only; a
 diffusion substep with a_i < 0 is unstable) or from a multi-product
 expansion sum_k c_k T2^k(dt/k), whose weights are exact rationals.
 
-compile_scheme resolves a scheme's coefficients at given step parameters
+Scheme.layout lays the plan out once per scheme: distinct stages, terms
+of stage indices, op rows by direction and the sweeps per step.
+compile_scheme resolves each distinct stage at given step parameters
 into one Program of (head, arg) ops: a (PairUpdate, SweepDirection) sweep
 or a (Comparator, StepParams) step.  Each head answers for its op, how it
 steps and its amplification factor, so stepping, the closed-form factor
-and the numeric readout read one program without interpreting its ops.
+and the numeric readout read the layout and one program.
 """
 
 from __future__ import annotations
@@ -204,6 +206,51 @@ class Scheme:
     def __reduce__(self):   # str hashes differ between processes: rehash when unpickled
         return Scheme, (self.name, self.equation, self.terms, self.substeps)
 
+    @functools.cached_property
+    def layout(self) -> "Layout":
+        return Layout(self)
+
+
+class Layout:
+    """A scheme's plan of sweeps, read by compiling, stepping, closed forms and the readout.
+
+    stages holds the scheme's distinct stages in first-seen order, told
+    apart by repr: Stage(v, T2, 0.0) == Stage(v, T2, -0.0), but their ops
+    differ in the sign of a zero.  terms holds each term as (float weight,
+    power, stage indices).  rows holds each distinct op as (stage index, op
+    index): the n_asc ascending sweeps, then the n_desc descending sweeps,
+    then the comparators.  stage_rows holds each stage's rows, and runs each
+    term's rows power times, in run order; sweeps counts one step's sweeps.
+    No field depends on step parameters: ops(program) reads the rows' ops
+    off any program compiled from the scheme.
+    """
+
+    def __init__(self, scheme: Scheme):
+        first = {}   # repr(stage) -> (stage index, term, slot) of its first occurrence
+        self.terms = tuple((float(weight), power, tuple(
+            first.setdefault(repr(stage), (len(first), t, s))[0] for s, stage in enumerate(stages)))
+            for t, (weight, power, stages) in enumerate(scheme.terms))
+        self.stages = tuple(scheme.terms[t][2][s] for _, t, s in first.values())
+        groups = ([], [], [])
+        for i, stage in enumerate(self.stages):
+            for k, d in enumerate(stage.base.directions if isinstance(stage, Stage) else (None,)):
+                groups[2 if d is None else int(d is SweepDirection.DESCENDING)].append((i, k))
+        self.n_asc, self.n_desc = len(groups[0]), len(groups[1])
+        self.rows = tuple(groups[0] + groups[1] + groups[2])
+        # a T2 stage's ascending row comes before its descending one: row order is run order
+        self.stage_rows = tuple(tuple(r for r, (j, _) in enumerate(self.rows) if j == i)
+                                for i in range(len(self.stages)))
+        self.runs = tuple(tuple(r for i in stages * power for r in self.stage_rows[i])
+                          for _, power, stages in self.terms)
+        self.sweeps = scheme.substeps * sum(r < self.n_asc + self.n_desc
+                                            for run in self.runs for r in run)
+        slots = tuple((t, s) for _, t, s in first.values())
+        self._positions = tuple(slots[i] + (k,) for i, k in self.rows)
+
+    def ops(self, program: "Program") -> list:
+        """The op of each row in a program compiled from the scheme."""
+        return [program.terms[t][2][s][k] for t, s, k in self._positions]
+
 
 # ---------------------------------------------------------------------------
 # sweep programs
@@ -227,32 +274,32 @@ class Program:
 def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
     """The sweep program of one step of scheme at params.
 
-    Every coefficient is resolved here, so construction errors are raised
-    before a field is touched; stepping, closed-form factors and the
-    numeric readout all interpret the returned program.  r < 0 is
-    rejected for every scheme that diffuses; an advection-diffusion
-    program with negative step fractions warns once when compiled at r > 0,
-    and raises if any sweep's recurrence coefficient b has |b| >= 1, which
-    amplifies along the sweep.
+    Every coefficient is resolved here, once per distinct stage of the
+    scheme's layout, so construction errors are raised before a field is
+    touched; stepping and closed-form factors interpret the returned
+    program.  r < 0 is rejected for every scheme that diffuses; an
+    advection-diffusion program with negative step fractions warns once
+    when compiled at r > 0, and raises if any sweep's recurrence
+    coefficient b has |b| >= 1, which amplifies along the sweep.
     """
+    layout = scheme.layout
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
     if params.r > 0.0 and any(isinstance(s, Stage) and s.fraction < 0.0
                               and isinstance(s.variant, coef.AdvDiffVariant)
-                              for _, _, stages in scheme.terms for s in stages):
+                              for s in layout.stages):
         warnings.warn(f"negative substeps diffuse backwards: {scheme.name} at r = {params.r} "
                       "is stable only for small r", RuntimeWarning, stacklevel=2)
     sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
-    program = Program(scheme.substeps, tuple(
-        (float(weight), power, tuple(stage.ops(sub) for stage in stages))
-        for weight, power, stages in scheme.terms))
-    for head, arg in (op for _, _, stages in program.terms for stage in stages for op in stage):
+    resolved = [stage.ops(sub) for stage in layout.stages]
+    for head, arg in (op for ops in resolved for op in ops):
         if isinstance(head, PairUpdate) and abs(head.recurrence(arg)) >= 1.0:
             raise SpatialAmplificationError(
                 f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
                 f"sweeps has recurrence coefficient |b| = {abs(head.recurrence(arg))} >= 1 "
                 "and amplifies along it")
-    return program
+    return Program(scheme.substeps, tuple((weight, power, tuple(resolved[i] for i in stages))
+                                          for weight, power, stages in layout.terms))
 
 
 def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
@@ -266,8 +313,9 @@ def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
     place on f, and its last sweep leaves acc + w_last*f.  Summation starts
     from 0.0, so a -0.0 sample turns +0.0 and the bits equal summing term
     copies into zeros.  Every term's first sweep reads f, so substeps need
-    no refill.  A multi-term program holds only T2 sweeps (Scheme allows
-    no other multi-stage plan), so each term has a first and a last sweep.
+    no refill.  Each term's ops come in run order from the scheme's layout.
+    A multi-term program holds only T2 sweeps (Scheme allows no other
+    multi-stage plan), so each term has a first and a last sweep.
     """
     program = compile_scheme(scheme, params)
     if len(program.terms) == 1:
@@ -282,9 +330,11 @@ def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
     for buf in scratch:
         buf.values = np.empty_like(v)
     bufs = [scratch[k % 2] for k in range(len(program.terms) - 1)] + [f]
+    layout = scheme.layout
+    ops = layout.ops(program)
     plan = []
-    for buf, (weight, power, stages) in zip(bufs, program.terms):
-        first, *middle, final = [op for stage in stages * power for op in stage]
+    for buf, (weight, _, _), run in zip(bufs, layout.terms, layout.runs):
+        first, *middle, final = [ops[r] for r in run]
         plan.append((buf, None if buf is f else v, weight, first, middle, final))
     for _ in range(program.substeps):
         acc = None

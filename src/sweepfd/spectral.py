@@ -9,13 +9,14 @@ exact_exponent, the per-mode exponent h of the semi-discretised equation
 h.imag.  numeric_amplification cross-checks the closed forms against the
 actual sweep engine.
 
-scheme_factor finds a scheme's distinct ops in its compiled program
-through a layout cached per scheme.  At an array of thetas, a program with
+scheme_factor reads a scheme's distinct ops off its compiled program
+through the scheme's layout.  At an array of thetas, a program with
 several sweeps per direction takes every ascending factor in one broadcast
 expression and every descending factor in another, from lam z and beta/z
 formed once per distinct update, with the bits of evaluating op by op.  A
 scalar theta is evaluated op by op.  phase_curve tracks the branch on the
 requested thetas themselves when they are its tracking grid.
+numeric_amplification reads where to sample from the layout's sweeps.
 """
 
 from __future__ import annotations
@@ -23,26 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
 
-from .composition import (
-    PROGRAM_CACHE_SIZE,
-    Comparator,
-    Equation,
-    Program,
-    Scheme,
-    Stage,
-    StepParams,
-    apply_scheme,
-    compile_scheme,
-)
+from .composition import Equation, Scheme, StepParams, apply_scheme, compile_scheme
 from .errors import ParameterError
 from .grid import Field1D
-from .sweep import SweepDirection
 
 PHASE_RESOLUTION = math.pi / 1024.0
 
@@ -81,100 +71,59 @@ def exact_factor(equation: Equation, params: StepParams, theta: Thetas):
     return np.exp(-exact_exponent(equation, params, theta))
 
 
-class _Layout:
-    """Where scheme_factor finds a scheme's distinct ops in its compiled programs.
+def _factors(ops, n_asc: int, z: np.ndarray) -> np.ndarray:
+    """The factor of each row's sweep (a program of sweeps only) at the array z.
 
-    Equal stages compile to equal ops, so there is one row per distinct
-    (stage, op index) pair: the n_asc ascending sweeps, then the n_desc
-    descending sweeps, then the comparators.  positions holds each row's
-    (term, stage, op) position in a program, and terms the scheme's terms
-    with each op replaced by its row.  Distinct stages may still compile to
-    equal ops (every advection stage at eta = 0); their rows then give equal
-    bits, since equal PairUpdates differ at most in the sign of a zero, and
-    lam z and beta/z each enter a sum with a nonzero term or +0.0, while
-    gamma = alpha^2 - beta lam is never -0.0.
+    The table holds lam, beta and gamma of the ascending rows' updates, and
+    of the descending rows' unless those are the same in the same order (a
+    T2 stage's two sweeps mostly share one update).  lam z and beta/z are
+    formed once for the table; then every ascending factor
+    (gamma + lam z)/(1 - beta/z) is one broadcast expression and every
+    descending factor (gamma + beta/z)/(1 - lam z) another, with the bits of
+    PairUpdate.factor.  Updates equal by == may differ in the sign of a
+    zero; either gives the same bits, since lam z and beta/z each enter a
+    sum with a nonzero term or +0.0, and gamma is never -0.0.
     """
-
-    def __init__(self, scheme: Scheme):
-        self.substeps = scheme.substeps
-        groups = ({}, {}, {})   # (stage, op index) -> (index in group, position)
-        terms = []
-        for t, (weight, power, stages) in enumerate(scheme.terms):
-            term = []
-            for s, stage in enumerate(stages):
-                kinds = stage.base.directions if isinstance(stage, Stage) else (None,)
-                ids = []
-                for k, direction in enumerate(kinds):
-                    g = 2 if direction is None else int(direction is SweepDirection.DESCENDING)
-                    row, _ = groups[g].setdefault((stage, k), (len(groups[g]), (t, s, k)))
-                    ids.append((g, row))
-                term.append(ids)
-            terms.append((float(weight), power, term))
-        self.n_asc, self.n_desc = len(groups[0]), len(groups[1])
-        # a program of one sweep per direction is cheaper op by op
-        self.broadcast = max(self.n_asc, self.n_desc) > 1
-        start = (0, self.n_asc, self.n_asc + self.n_desc)
-        self.terms = tuple((weight, power, tuple(tuple(start[g] + i for g, i in ids)
-                                                 for ids in term))
-                           for weight, power, term in terms)
-        self.positions = tuple(position for group in groups for _, position in group.values())
-
-    def factors(self, ops, z: np.ndarray) -> np.ndarray:
-        """The factor of each row's sweep (a program of sweeps only) at the array z.
-
-        The table holds lam, beta and gamma of the ascending rows' updates,
-        and of the descending rows' unless those are the same in the same
-        order (a T2 stage's two sweeps mostly share one update).  lam z and
-        beta/z are formed once for the table; then every ascending factor
-        (gamma + lam z)/(1 - beta/z) is one broadcast expression and every
-        descending factor (gamma + beta/z)/(1 - lam z) another, with the bits
-        of PairUpdate.factor.
-        """
-        na = self.n_asc
-        asc = [x for head, _ in ops[:na] for x in (head.lam, head.beta, head.gamma)]
-        desc = [x for head, _ in ops[na:] for x in (head.lam, head.beta, head.gamma)]
-        shared = asc == desc
-        lam, beta, gamma = np.array(asc if shared else asc + desc, dtype=float).reshape(
-            (-1, 3) + (1,) * z.ndim).swapaxes(0, 1)
-        lz = lam * z
-        bz = beta / z
-        d = slice(0 if shared else na, None)
-        out = np.empty((len(ops),) + z.shape, dtype=complex)
-        np.divide(gamma[:na] + lz[:na], 1.0 - bz[:na], out=out[:na])
-        np.divide(gamma[d] + bz[d], 1.0 - lz[d], out=out[na:])
-        return out
-
-
-@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
-def _layout(scheme: Scheme) -> _Layout:
-    return _Layout(scheme)
+    asc = [x for head, _ in ops[:n_asc] for x in (head.lam, head.beta, head.gamma)]
+    desc = [x for head, _ in ops[n_asc:] for x in (head.lam, head.beta, head.gamma)]
+    shared = asc == desc
+    lam, beta, gamma = np.array(asc if shared else asc + desc, dtype=float).reshape(
+        (-1, 3) + (1,) * z.ndim).swapaxes(0, 1)
+    lz = lam * z
+    bz = beta / z
+    d = slice(0 if shared else n_asc, None)
+    out = np.empty((len(ops),) + z.shape, dtype=complex)
+    np.divide(gamma[:n_asc] + lz[:n_asc], 1.0 - bz[:n_asc], out=out[:n_asc])
+    np.divide(gamma[d] + bz[d], 1.0 - lz[d], out=out[n_asc:])
+    return out
 
 
 def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
     """Closed-form factor of a scheme, read off its sweep program.
 
-    Each distinct op's head gives its factor from theta and the mode
-    z = e^{i theta} computed once: at an array of thetas of any shape
-    (which g keeps), a program with several sweeps per direction takes all
-    of them at once (_Layout.factors), any other op by op.  Op factors
+    Each distinct op of the scheme's layout gives its factor from theta and
+    the mode z = e^{i theta} computed once: at an array of thetas of any
+    shape (which g keeps), a program with several sweeps per direction
+    takes all of them at once (_factors), any other op by op.  Op factors
     multiply within a stage, stage products multiply, each term's product
     is raised to its power, the terms add with their weights (a single term
     unweighted) and the sum is raised to substeps.
     """
-    program = compile_scheme(scheme, params)
-    layout = _layout(scheme)
-    ops = [program.terms[t][2][s][k] for t, s, k in layout.positions]
+    layout = scheme.layout
+    ops = layout.ops(compile_scheme(scheme, params))
     z = np.exp(1j * np.asarray(theta, dtype=float))
-    if z.ndim and layout.broadcast:
-        factors = layout.factors(ops, z)
+    # a program of one sweep per direction is cheaper op by op
+    if z.ndim and max(layout.n_asc, layout.n_desc) > 1:
+        factors = _factors(ops, layout.n_asc, z)
     else:   # numpy's scalar complex arithmetic does not round like its array loops
         factors = [head.factor(arg, theta, z) for head, arg in ops]
+    stages = [reduce(mul, (factors[r] for r in rows)) for rows in layout.stage_rows]
     terms = []
-    for weight, power, stages in layout.terms:
-        product = reduce(mul, (reduce(mul, (factors[i] for i in stage)) for stage in stages))
+    for weight, power, ids in layout.terms:
+        product = reduce(mul, (stages[i] for i in ids))
         terms.append((weight, product if power == 1 else product ** power))
     g = terms[0][1] if len(terms) == 1 else sum(weight * term for weight, term in terms)
-    return g if layout.substeps == 1 else g ** layout.substeps
+    return g if scheme.substeps == 1 else g ** scheme.substeps
 
 
 # ---------------------------------------------------------------------------
@@ -212,34 +161,25 @@ def phase_curve(scheme: Scheme, params: StepParams, thetas: Sequence[float]) -> 
 # ---------------------------------------------------------------------------
 # numeric cross-check
 
-def _readout_index(program: Program, n: int) -> int:
-    """Interior sample where the sweep transients have decayed most.
-
-    A step of one sweep leaves its transient at the seam it starts from,
-    so the readout sits at the far end; any other program reads mid-grid.
-    """
-    ops = [op for _, _, stages in program.terms for stage in stages for op in stage]
-    if program.substeps == 1 and len(ops) == 1 and not isinstance(ops[0][0], Comparator):
-        return n - 2 if ops[0][1].is_ascending else 2
-    return n // 2
-
-
 def numeric_amplification(scheme: Scheme, params: StepParams, theta: float,
                           n: int) -> AmplificationSample:
     """Apply the actual stepper to the mode e^{i theta j} and read the factor.
 
     theta must be a lattice mode 2 pi m / n.  The readout is taken at an
     interior sample; its distance to the sweep seams bounds the residual
-    boundary transient, so accuracy improves geometrically with n.
+    boundary transient, so accuracy improves geometrically with n.  A step
+    of one sweep leaves its transient at the seam it starts from and reads
+    at the far end; any other step reads mid-grid.
     """
     mode_index = theta * n / (2.0 * math.pi)
-    if abs(mode_index - round(mode_index)) > 1e-9:
+    if not math.isfinite(mode_index) or abs(mode_index - round(mode_index)) > 1e-9:
         raise ParameterError(f"theta = {theta} is not a lattice mode of an {n}-point grid")
     j = np.arange(n)
     re = Field1D(np.cos(theta * j), dx=1.0)
     im = Field1D(np.sin(theta * j), dx=1.0)
     apply_scheme(re, scheme, params)
     apply_scheme(im, scheme, params)
-    idx = _readout_index(compile_scheme(scheme, params), n)
+    layout = scheme.layout
+    idx = (n - 2 if layout.n_asc else 2) if layout.sweeps == 1 else n // 2
     g = (re.values[idx] + 1j * im.values[idx]) / cmath.exp(1j * theta * idx)
     return AmplificationSample(float(theta), complex(g))

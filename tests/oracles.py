@@ -1,7 +1,8 @@
 """Independent references the tests compare the library against.
 
 None of these is part of sweepfd: dense generator and sweep matrices,
-the classic fixed-end one-sided sweep, the copy-per-term stepper that
+the classic fixed-end one-sided sweep, the stage-by-stage compiler that
+compile_scheme must match op for op, the copy-per-term stepper that
 multi-term steps must match bit for bit, the op-by-op closed-form factor
 and the union-grid phase curve that scheme_factor and phase_curve must
 match bit for bit, single-theta amplification and phase samples, the
@@ -15,6 +16,7 @@ tests/ on sys.path, and this module holds no tests of its own.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
@@ -23,8 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sweepfd import coefficients as coef
-from sweepfd.composition import Equation, Scheme, StepParams, compile_scheme
-from sweepfd.errors import ParameterError, SizeError
+from sweepfd.composition import Equation, Program, Scheme, Stage, StepParams, compile_scheme
+from sweepfd.errors import (
+    ParameterError,
+    SizeError,
+    SpatialAmplificationError,
+    StabilityError,
+)
 from sweepfd.grid import Field1D
 from sweepfd.spectral import (
     PHASE_RESOLUTION,
@@ -80,7 +87,35 @@ def sweep_as_matrix(u: PairUpdate, direction: SweepDirection, n: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# stepping oracle
+# compiling and stepping oracles
+
+def compile_scheme_by_stages(scheme: Scheme, params: StepParams) -> Program:
+    """compile_scheme resolving every stage of every term in turn, uncached.
+
+    Repeated stages are resolved again each time they occur, and the |b|
+    guard runs over every op of the program.  compile_scheme resolves each
+    distinct stage once and must give an equal Program (repr included), the
+    same error and the same warnings.
+    """
+    if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
+        raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
+    if params.r > 0.0 and any(isinstance(s, Stage) and s.fraction < 0.0
+                              and isinstance(s.variant, coef.AdvDiffVariant)
+                              for _, _, stages in scheme.terms for s in stages):
+        warnings.warn(f"negative substeps diffuse backwards: {scheme.name} at r = {params.r} "
+                      "is stable only for small r", RuntimeWarning, stacklevel=2)
+    sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
+    program = Program(scheme.substeps, tuple(
+        (float(weight), power, tuple(stage.ops(sub) for stage in stages))
+        for weight, power, stages in scheme.terms))
+    for head, arg in (op for _, _, stages in program.terms for stage in stages for op in stage):
+        if isinstance(head, PairUpdate) and abs(head.recurrence(arg)) >= 1.0:
+            raise SpatialAmplificationError(
+                f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
+                f"sweeps has recurrence coefficient |b| = {abs(head.recurrence(arg))} >= 1 "
+                "and amplifies along it")
+    return program
+
 
 def apply_scheme_by_copies(f: Field1D, scheme: Scheme, params: StepParams) -> None:
     """One step of scheme, each term of each substep run in a fresh copy of f.

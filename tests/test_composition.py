@@ -1,6 +1,7 @@
 """Composed time steppers: plans, presets, order conditions."""
 
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sweepfd import (
@@ -46,12 +47,17 @@ from sweepfd import (
 )
 from sweepfd.errors import (
     InvalidCoefficientError,
+    NumericsError,
     ParameterError,
     SpatialAmplificationError,
     StabilityError,
 )
 
-from oracles import apply_scheme_by_copies, validate_order_conditions
+from oracles import (
+    apply_scheme_by_copies,
+    compile_scheme_by_stages,
+    validate_order_conditions,
+)
 
 
 SM = DiffusionVariant.SAULYEV_MATCHED
@@ -480,7 +486,7 @@ class TestCompiledPrograms:
         program = compile_scheme(scheme, self.PARAMS)
         sweeps = sum(power * sum(isinstance(op[0], PairUpdate) for stage in stages for op in stage)
                      for _, power, stages in program.terms)
-        assert program.substeps * sweeps == structural_sweeps(scheme)
+        assert program.substeps * sweeps == structural_sweeps(scheme) == scheme.layout.sweeps
 
     @pytest.mark.parametrize("equation,name", EVERY_PRESET)
     def test_sweep_count_matches_benchmark_prediction(self, equation, name):
@@ -491,7 +497,8 @@ class TestCompiledPrograms:
             from workloads import predicted_sweeps
         finally:
             sys.path.pop(0)
-        assert structural_sweeps(resolve_preset(name, equation)) == \
+        scheme = resolve_preset(name, equation)
+        assert scheme.layout.sweeps == structural_sweeps(scheme) == \
             predicted_sweeps(equation.value, name)
 
     @pytest.mark.parametrize("equation,name", [
@@ -528,6 +535,65 @@ class TestCompiledPrograms:
         with pytest.raises(SpatialAmplificationError, match="eta > -1"):
             apply_scheme(f, spec, StepParams(eta=1.4))
         assert np.array_equal(f.values, before)
+
+
+# each variant of a drawn product repeats these fractions, signed zeros among
+# them, and a last fraction completes its whole step
+REPEATED_FRACTIONS = st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.25, 1.0, FOREST_RUTH[1]])
+PRODUCT_VARIANTS = {Equation.DIFFUSION: [(v,) for v in DiffusionVariant],
+                    Equation.ADVECTION: [(v,) for v in AdvectionVariant],
+                    Equation.ADV_DIFF: [(v,) for v in AdvDiffVariant] + [(SM, MCN)]}
+
+
+@st.composite
+def repeated_stage_products(draw):
+    equation = draw(st.sampled_from(list(Equation)))
+    power = draw(st.sampled_from([1, 2]))
+    stages = []
+    for variant in draw(st.sampled_from(PRODUCT_VARIANTS[equation])):
+        fractions = draw(st.lists(REPEATED_FRACTIONS, max_size=4))
+        fractions.append(1.0 / power - math.fsum(fractions))
+        stages += [Stage(variant, BaseStep.T2, a) for a in fractions]
+    terms = ((1, power, tuple(draw(st.permutations(stages)))),)
+    try:
+        return Scheme("user", equation, terms, draw(st.sampled_from([1, 2])))
+    except NumericsError:
+        reject()   # a negative diffusion fraction
+
+
+def compiled(compile, scheme, params):
+    """The repr of compile(scheme, params) or the type and message of its
+    error, and the category and message of each warning it gives."""
+    compile_scheme.cache_clear()   # compile_scheme warns once per program
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(compile(scheme, params))
+        except NumericsError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestCompileMatchesStageByStage:
+    """compile_scheme resolves each distinct stage of the layout once; the
+    reference resolves every stage of every term."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([resolve_preset(prefix + name, eq) for eq in Equation
+                                      for name in preset_names(eq)
+                                      for prefix in ("", "2x", "3x")]),
+                     repeated_stage_products()),
+           st.one_of(st.floats(-1.0, 20.0), st.sampled_from([0.0, -0.0])),
+           st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0])))
+    # equal stages but for the sign of a zero fraction compile to ops with
+    # (alpha, beta, lam) = (1.0, 0.0, -0.0) and (1.0, -0.0, 0.0)
+    @example(Scheme("user", Equation.ADVECTION, product(MCN, (0.0, 1.0, -0.0, 0.0))), 0.0, 0.8)
+    @example(Scheme("user", Equation.ADVECTION, ((1, 2, tuple(
+        Stage(AdvectionVariant.TRIG, BaseStep.T2, a) for a in (-0.0, 0.5, 0.0))),), 2), 0.3, -1.3)
+    def test_program_error_and_warnings_match_the_reference(self, scheme, r, eta):
+        params = StepParams(r, eta)
+        assert compiled(compile_scheme, scheme, params) == \
+            compiled(compile_scheme_by_stages, scheme, params)
 
 
 class TestLargeStepDiffusion:

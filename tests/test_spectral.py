@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sweepfd import (
     AdvectionVariant,
+    BaseStep,
     Comparator,
     DiffusionVariant,
     Equation,
@@ -365,10 +366,27 @@ class TestNumericAmplification:
             num = numeric_amplification(scheme, params, theta, 256)
             assert abs(num.g - closed) <= 1e-12
 
+    def test_one_sweep_stage_run_twice_reads_mid_grid(self):
+        # two sweeps per step: the far-end readout of a one-sweep step was off by 6e-3
+        scheme = Scheme("d1a^2", Equation.DIFFUSION, (
+            (1, 2, (Stage(DiffusionVariant.EXPONENTIAL, BaseStep.SWEEP_1A, 0.5),)),))
+        for m in (3, 21):
+            theta = 2 * math.pi * m / 256
+            num = numeric_amplification(scheme, StepParams(r=2.0), theta, 256)
+            assert abs(num.g - scheme_factor(scheme, StepParams(r=2.0), theta)) <= 1e-12
+
     def test_non_lattice_mode_rejected(self):
         with pytest.raises(ParameterError):
             numeric_amplification(preset("d2s", Equation.DIFFUSION), StepParams(r=1.0),
                                   0.1, 64)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_mode_index_rejected(self, theta):
+        # nan and +-inf used to escape from round() as ValueError / OverflowError;
+        # 1e308 is finite, but theta * n overflows
+        with pytest.raises(ParameterError, match="not a lattice mode"):
+            numeric_amplification(preset("d2s", Equation.DIFFUSION), StepParams(r=1.0),
+                                  theta, 64)
 
 
 EVERY_SCHEME = [(eq, prefix + name) for eq in Equation for name in preset_names(eq)
