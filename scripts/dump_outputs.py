@@ -2,19 +2,22 @@
 
     PYTHONPATH=src python scripts/dump_outputs.py OUTDIR
 
-For every preset, plain and as `2x`/`3x`, at each (r, eta) of POINTS the
-file records the compiled `Program` repr, the bytes of `scheme_factor` on
-33 thetas in [0, pi] and at the scalar theta of one lattice mode, for
-advection presets the bytes of `phase_curve` on its 1025-point tracking
-grid of [0, pi] and on the 33 thetas (off that grid), the field bytes after
-3 steps of `apply_scheme`, `numeric_amplification` at the lattice mode,
-the type and message of any error these raise, and every warning.
-`oracle.txt` records the bytes of `exact_evolve` on a Gaussian at each N
-of ORACLE_NS and each (D, v, dt) of ORACLE_POINTS, so a change to the
-exact flow shows up in the same diff.
-Only the public API is used, so the script runs on any checkout: run it on
-two and `diff -r` the directories to check that a change leaves every
-scheme's numbers bit-identical.
+For every preset, plain and as `2x`/`3x`, the file opens with a `layout:`
+line, the `rows`, `runs` and `sweeps` of `Scheme.layout`.  Then at each
+(r, eta) of POINTS it records the `program:` line, the repr of the tuple
+that `compile_scheme` returns, one op per layout row (the layout's runs
+index each term's ops in run order, so the line reads back into its
+terms); the bytes of `scheme_factor` on 33 thetas in [0, pi] and at the
+scalar theta of one lattice mode; for advection presets the bytes of
+`phase_curve` on its 1025-point tracking grid of [0, pi] and on the 33
+thetas (off that grid); the field bytes after 3 steps of `apply_scheme`;
+`numeric_amplification` at the lattice mode; the type and message of any
+error these raise, and every warning.  `oracle.txt` records the bytes of
+`exact_evolve` on a Gaussian at each N of ORACLE_NS and each (D, v, dt) of
+ORACLE_POINTS, so a change to the exact flow shows up in the same diff.
+Only the public API is used, so the script runs on any checkout that has
+`Scheme.layout`: run it on two and `diff -r` the directories to check that
+a change leaves every scheme's numbers bit-identical.
 """
 
 import argparse
@@ -58,6 +61,8 @@ def stepped(scheme, params):
 
 
 def dump(scheme, lines):
+    layout = scheme.layout
+    lines.append(f"layout: rows {layout.rows} runs {layout.runs} sweeps {layout.sweeps}")
     for r, eta in POINTS:
         params = sf.StepParams(r, eta)
         lines.append(f"== {params}")

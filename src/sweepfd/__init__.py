@@ -6,7 +6,7 @@ exponentially-split 2x2 pair updates, plus their closed-form spectral
 analysis, the exact circulant flow and a convergence-order fit.  Every
 Field1D is periodic.  A Scheme is its plan of sweeps, weighted terms of
 Stage products; everything that compiles, steps or analyses it reads its
-one Layout and its compiled Program.
+one Layout and the op of each layout row that compile_scheme gives.
 """
 
 from .coefficients import (
@@ -28,7 +28,6 @@ from .composition import (
     Comparator,
     Equation,
     Layout,
-    Program,
     Scheme,
     Stage,
     StepParams,

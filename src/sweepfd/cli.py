@@ -254,10 +254,8 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
             scheme = composition.resolve_preset(name, equation)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from exc
-        layout = scheme.layout
-        if args.command in ("run", "norms", "converge") and any(
-                layout.stages[i] is Comparator.CRANK_NICOLSON
-                for i, _ in layout.rows[layout.n_asc + layout.n_desc:]):
+        if args.command in ("run", "norms", "converge") and \
+                Comparator.CRANK_NICOLSON in scheme.layout.stages:
             raise UsageError(f"{args.command} cannot step {scheme.name}: the implicit comparator "
                              "has no explicit stepper (ampfactor takes its factor)")
         schemes.append(scheme)

@@ -9,12 +9,13 @@ diffusion substep with a_i < 0 is unstable) or from a multi-product
 expansion sum_k c_k T2^k(dt/k), whose weights are exact rationals.
 
 Scheme.layout lays the plan out once per scheme: distinct stages, terms
-of stage indices, op rows by direction and the sweeps per step.
-compile_scheme resolves each distinct stage at given step parameters
-into one Program of (head, arg) ops: a (PairUpdate, SweepDirection) sweep
-or a (Comparator, StepParams) step.  Each head answers for its op, how it
-steps and its amplification factor, so stepping, the closed-form factor
-and the numeric readout read the layout and one program.
+of stage indices, op rows by direction, each term's rows in run order and
+the sweeps per step.  compile_scheme resolves each distinct stage at given
+step parameters into the op of each layout row, a (head, arg) pair: a
+(PairUpdate, SweepDirection) sweep or a (Comparator, StepParams) step.
+Each head answers for its op, how it steps and its amplification factor,
+so stepping, the closed-form factor and the numeric readout read the
+layout and index its row ops.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import copy
 import dataclasses
 import functools
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -173,11 +175,15 @@ class Scheme:
     def __post_init__(self):
         stages = [s for _, _, term in self.terms for s in term]
         sweeps = [s for s in stages if isinstance(s, Stage)]
-        if self.substeps < 1 or any(power < 1 for _, power, _ in self.terms):
-            raise ParameterError("substeps and term powers must be >= 1")
+        for n in (self.substeps, *(power for _, power, _ in self.terms)):
+            if not isinstance(n, numbers.Integral) or n < 1:
+                raise ParameterError(f"substeps and term powers must be integers >= 1, got {n}")
         if not stages or not all(term for _, _, term in self.terms) or any(
                 not isinstance(s, (Stage, Comparator)) for s in stages):
             raise ParameterError("every term needs stages, each a Stage or a Comparator")
+        for x in [weight for weight, _, _ in self.terms] + [s.fraction for s in sweeps]:
+            if not math.isfinite(x):
+                raise ParameterError(f"term weights and stage fractions must be finite, got {x}")
         if sum(Fraction(weight) for weight, _, _ in self.terms) != 1:
             raise InvalidCoefficientError("term weights must sum to 1")
         if len(stages) > 1 and (len(sweeps) < len(stages)
@@ -221,16 +227,16 @@ class Layout:
     index): the n_asc ascending sweeps, then the n_desc descending sweeps,
     then the comparators.  stage_rows holds each stage's rows, and runs each
     term's rows power times, in run order; sweeps counts one step's sweeps.
-    No field depends on step parameters: ops(program) reads the rows' ops
-    off any program compiled from the scheme.
+    No field depends on step parameters: compile_scheme gives the op of each
+    row at given parameters, and readers index that tuple by row.
     """
 
     def __init__(self, scheme: Scheme):
-        first = {}   # repr(stage) -> (stage index, term, slot) of its first occurrence
+        first = {}   # repr(stage) -> (stage index, stage) of its first occurrence
         self.terms = tuple((float(weight), power, tuple(
-            first.setdefault(repr(stage), (len(first), t, s))[0] for s, stage in enumerate(stages)))
-            for t, (weight, power, stages) in enumerate(scheme.terms))
-        self.stages = tuple(scheme.terms[t][2][s] for _, t, s in first.values())
+            first.setdefault(repr(stage), (len(first), stage))[0] for stage in stages))
+            for weight, power, stages in scheme.terms)
+        self.stages = tuple(stage for _, stage in first.values())
         groups = ([], [], [])
         for i, stage in enumerate(self.stages):
             for k, d in enumerate(stage.base.directions if isinstance(stage, Stage) else (None,)):
@@ -244,12 +250,6 @@ class Layout:
                           for _, power, stages in self.terms)
         self.sweeps = scheme.substeps * sum(r < self.n_asc + self.n_desc
                                             for run in self.runs for r in run)
-        slots = tuple((t, s) for _, t, s in first.values())
-        self._positions = tuple(slots[i] + (k,) for i, k in self.rows)
-
-    def ops(self, program: "Program") -> list:
-        """The op of each row in a program compiled from the scheme."""
-        return [program.terms[t][2][s][k] for t, s, k in self._positions]
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +258,24 @@ class Layout:
 PROGRAM_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class Program:
-    """A scheme's plan with each stage resolved to its ops at fixed step parameters.
-
-    A sweep op is (PairUpdate, SweepDirection), a comparator op
-    (Comparator, StepParams).  A program with one term runs in place.
-    """
-
-    substeps: int
-    terms: Tuple[Tuple[float, int, Tuple[Tuple[Op, ...], ...]], ...]
-
-
 @functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
-def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
-    """The sweep program of one step of scheme at params.
+def compile_scheme(scheme: Scheme, params: StepParams) -> Tuple[Op, ...]:
+    """The sweep program of one step of scheme at params: the op of each layout row.
 
     Every coefficient is resolved here, once per distinct stage of the
     scheme's layout, so construction errors are raised before a field is
-    touched; stepping and closed-form factors interpret the returned
-    program.  r < 0 is rejected for every scheme that diffuses; an
-    advection-diffusion program with negative step fractions warns once
-    when compiled at r > 0, and raises if any sweep's recurrence
-    coefficient b has |b| >= 1, which amplifies along the sweep.
+    touched; stepping and closed-form factors index the returned ops by
+    the layout's rows.  r < 0 is rejected for every scheme that diffuses,
+    and a non-finite r or eta for every scheme; an advection-diffusion
+    program with negative step fractions warns once when compiled at
+    r > 0, and raises if any sweep's recurrence coefficient b has
+    |b| >= 1, which amplifies along the sweep.
     """
     layout = scheme.layout
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
+    if not (math.isfinite(params.r) and math.isfinite(params.eta)):
+        raise ParameterError(f"r and eta must be finite, got r = {params.r}, eta = {params.eta}")
     if params.r > 0.0 and any(isinstance(s, Stage) and s.fraction < 0.0
                               and isinstance(s.variant, coef.AdvDiffVariant)
                               for s in layout.stages):
@@ -298,61 +289,56 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Program:
                 f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
                 f"sweeps has recurrence coefficient |b| = {abs(head.recurrence(arg))} >= 1 "
                 "and amplifies along it")
-    return Program(scheme.substeps, tuple((weight, power, tuple(resolved[i] for i in stages))
-                                          for weight, power, stages in layout.terms))
+    return tuple(resolved[i][k] for i, k in layout.rows)
 
 
 def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
-    """Advance f in place by one step of scheme, running its compiled sweep program.
+    """Advance f in place by one step of scheme, running its compiled ops.
 
-    A multi-term program checks once that f is finite on entry, then runs
-    each term but the last in one of at most two scratch buffers made for
-    this call: the term's first sweep reads f and its last stores
+    Each term runs the ops of its layout rows in run order.  A single term
+    runs in place.  Several terms check once that f is finite on entry,
+    then run each term but the last in one of at most two scratch buffers
+    made for this call: the term's first sweep reads f and its last stores
     acc + w*term, where acc is the buffer of the term before (0.0 for the
     first term), so that buffer becomes the new acc.  The last term runs in
     place on f, and its last sweep leaves acc + w_last*f.  Summation starts
     from 0.0, so a -0.0 sample turns +0.0 and the bits equal summing term
     copies into zeros.  Every term's first sweep reads f, so substeps need
-    no refill.  Each term's ops come in run order from the scheme's layout.
-    A multi-term program holds only T2 sweeps (Scheme allows no other
+    no refill.  Several terms hold only T2 sweeps (Scheme allows no other
     multi-stage plan), so each term has a first and a last sweep.
     """
-    program = compile_scheme(scheme, params)
-    if len(program.terms) == 1:
-        (_, power, stages), = program.terms
-        for _ in range(program.substeps):
-            _run(f, stages * power)
+    ops = compile_scheme(scheme, params)
+    layout = scheme.layout
+    if len(layout.runs) == 1:
+        for _ in range(scheme.substeps):
+            _run(f, ops, layout.runs[0])
         return
     v = f.values
     if not np.isfinite(v).all():
         raise ParameterError("all samples must be finite")
-    scratch = [copy.copy(f) for _ in program.terms[1:3]]   # no copy of the samples, no scan
+    scratch = [copy.copy(f) for _ in layout.runs[1:3]]   # no copy of the samples, no scan
     for buf in scratch:
         buf.values = np.empty_like(v)
-    bufs = [scratch[k % 2] for k in range(len(program.terms) - 1)] + [f]
-    layout = scheme.layout
-    ops = layout.ops(program)
-    plan = []
-    for buf, (weight, _, _), run in zip(bufs, layout.terms, layout.runs):
-        first, *middle, final = [ops[r] for r in run]
-        plan.append((buf, None if buf is f else v, weight, first, middle, final))
-    for _ in range(program.substeps):
+    bufs = [scratch[k % 2] for k in range(len(layout.runs) - 1)] + [f]
+    plan = [(buf, None if buf is f else v, weight, ops[run[0]], run[1:-1], ops[run[-1]])
+            for buf, (weight, _, _), run in zip(bufs, layout.terms, layout.runs)]
+    for _ in range(scheme.substeps):
         acc = None
         for buf, source, weight, first, middle, final in plan:
             sweep(buf, *first, source=source)
-            _run(buf, (middle,))
+            _run(buf, ops, middle)
             sweep(buf, *final, weight=weight, offset=acc)
             acc = buf.values
 
 
-def _run(f: Field1D, stages) -> None:
-    """Run the ops of stages on f in place, in order."""
-    for stage in stages:
-        for head, arg in stage:
-            if isinstance(head, PairUpdate):
-                sweep(f, head, arg)   # by name, so a sweep costs no extra frame
-            else:
-                head.step(f, arg)
+def _run(f: Field1D, ops, rows) -> None:
+    """Run the ops of rows on f in place, in order."""
+    for r in rows:
+        head, arg = ops[r]
+        if isinstance(head, PairUpdate):
+            sweep(f, head, arg)   # by name, so a sweep costs no extra frame
+        else:
+            head.step(f, arg)
 
 
 # ---------------------------------------------------------------------------

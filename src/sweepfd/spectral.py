@@ -3,18 +3,18 @@
 Every scheme here has a closed rational amplification factor g(theta):
 each op of its compiled program gives its own (a sweep's comes from
 inserting a Fourier mode into its one-sided recurrence), and
-scheme_factor combines them along the program.  The exact reference is
-exact_exponent, the per-mode exponent h of the semi-discretised equation
-(not the continuum one), whose factor is exp(-h) and whose phase is
-h.imag.  numeric_amplification cross-checks the closed forms against the
-actual sweep engine.
+scheme_factor combines them along the scheme's layout.  The exact
+reference is exact_exponent, the per-mode exponent h of the
+semi-discretised equation (not the continuum one), whose factor is
+exp(-h) and whose phase is h.imag.  numeric_amplification cross-checks
+the closed forms against the actual sweep engine.
 
-scheme_factor reads a scheme's distinct ops off its compiled program
-through the scheme's layout.  At an array of thetas, a program with
-several sweeps per direction takes every ascending factor in one broadcast
-expression and every descending factor in another, from lam z and beta/z
-formed once per distinct update, with the bits of evaluating op by op.  A
-scalar theta is evaluated op by op.  phase_curve tracks the branch on the
+scheme_factor takes a scheme's distinct ops from compile_scheme, one per
+layout row.  At an array of thetas, a program with several sweeps per
+direction takes every ascending factor in one broadcast expression and
+every descending factor in another, from lam z and beta/z formed once
+per distinct update, with the bits of evaluating op by op.  A scalar
+theta is evaluated op by op.  phase_curve tracks the branch on the
 requested thetas themselves when they are its tracking grid.
 numeric_amplification reads where to sample from the layout's sweeps.
 """
@@ -99,7 +99,7 @@ def _factors(ops, n_asc: int, z: np.ndarray) -> np.ndarray:
 
 
 def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
-    """Closed-form factor of a scheme, read off its sweep program.
+    """Closed-form factor of a scheme, read off its compiled row ops.
 
     Each distinct op of the scheme's layout gives its factor from theta and
     the mode z = e^{i theta} computed once: at an array of thetas of any
@@ -110,7 +110,7 @@ def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
     unweighted) and the sum is raised to substeps.
     """
     layout = scheme.layout
-    ops = layout.ops(compile_scheme(scheme, params))
+    ops = compile_scheme(scheme, params)
     z = np.exp(1j * np.asarray(theta, dtype=float))
     # a program of one sweep per direction is cheaper op by op
     if z.ndim and max(layout.n_asc, layout.n_desc) > 1:

@@ -1,16 +1,18 @@
 """Independent references the tests compare the library against.
 
 None of these is part of sweepfd: dense generator and sweep matrices,
-the classic fixed-end one-sided sweep, the stage-by-stage compiler that
-compile_scheme must match op for op, the copy-per-term stepper that
-multi-term steps must match bit for bit, the op-by-op closed-form factor
-and the union-grid phase curve that scheme_factor and phase_curve must
-match bit for bit, single-theta amplification and phase samples, the
-theta -> 0 Richardson limit, the symmetric diffusion step's closed form
-at either sign of r, the composition power sums, and the row-wise CSV
-writer the command line's streaming writer must match byte for byte.
-Test modules import them with `from oracles import ...`; pytest puts
-tests/ on sys.path, and this module holds no tests of its own.
+the classic fixed-end one-sided sweep, the stage-by-stage compiler of a
+Program nested by term that compile_scheme must match op for op, the
+copy-per-term stepper that every step must match bit for bit, the op-by-op
+closed-form factor and the union-grid phase curve that scheme_factor and
+phase_curve must match bit for bit (the stepper and the factor compile
+stage by stage, so they share no code with compile_scheme or the layout),
+single-theta amplification and phase samples, the theta -> 0 Richardson
+limit, the symmetric diffusion step's closed form at either sign of r, the
+composition power sums, and the row-wise CSV writer the command line's
+streaming writer must match byte for byte.  Test modules import them with
+`from oracles import ...`; pytest puts tests/ on sys.path, and this module
+holds no tests of its own.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from sweepfd import coefficients as coef
-from sweepfd.composition import Equation, Program, Scheme, Stage, StepParams, compile_scheme
+from sweepfd.composition import Equation, Op, Scheme, Stage, StepParams
 from sweepfd.errors import (
     ParameterError,
     SizeError,
@@ -89,16 +91,27 @@ def sweep_as_matrix(u: PairUpdate, direction: SweepDirection, n: int) -> np.ndar
 # ---------------------------------------------------------------------------
 # compiling and stepping oracles
 
+@dataclass(frozen=True)
+class Program:
+    """A scheme's plan with each stage of each term resolved to its ops."""
+
+    substeps: int
+    terms: Tuple[Tuple[float, int, Tuple[Tuple[Op, ...], ...]], ...]
+
+
 def compile_scheme_by_stages(scheme: Scheme, params: StepParams) -> Program:
-    """compile_scheme resolving every stage of every term in turn, uncached.
+    """A Program of scheme at params, resolving every stage of every term in turn, uncached.
 
     Repeated stages are resolved again each time they occur, and the |b|
     guard runs over every op of the program.  compile_scheme resolves each
-    distinct stage once and must give an equal Program (repr included), the
-    same error and the same warnings.
+    distinct stage once; its row ops, nested through the layout's terms and
+    stage rows, must give an equal Program (repr included), and it must
+    give the same error and the same warnings.
     """
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
+    if not (math.isfinite(params.r) and math.isfinite(params.eta)):
+        raise ParameterError(f"r and eta must be finite, got r = {params.r}, eta = {params.eta}")
     if params.r > 0.0 and any(isinstance(s, Stage) and s.fraction < 0.0
                               and isinstance(s.variant, coef.AdvDiffVariant)
                               for _, _, stages in scheme.terms for s in stages):
@@ -121,10 +134,10 @@ def apply_scheme_by_copies(f: Field1D, scheme: Scheme, params: StepParams) -> No
     """One step of scheme, each term of each substep run in a fresh copy of f.
 
     The weighted terms are summed into a zeroed accumulator that is then
-    copied back into f.  apply_scheme reuses its buffers and runs the last
-    term in place, and must give these bits.
+    copied back into f; a single term runs in place.  apply_scheme reuses
+    its buffers and runs the last term in place, and must give these bits.
     """
-    program = compile_scheme(scheme, params)
+    program = compile_scheme_by_stages(scheme, params)
     weighted = len(program.terms) > 1
     for _ in range(program.substeps):
         acc = np.zeros_like(f.values) if weighted else None
@@ -189,7 +202,7 @@ def scheme_factor_by_ops(scheme: Scheme, params: StepParams, theta: Thetas):
     terms add with their weights and the sum is raised to substeps (1
     included).  scheme_factor must give these bits at every theta shape.
     """
-    program = compile_scheme(scheme, params)
+    program = compile_scheme_by_stages(scheme, params)
     z = np.exp(1j * np.asarray(theta, dtype=float))
     ops = dict.fromkeys(op for _, _, stages in program.terms for stage in stages for op in stage)
     factors = {(head, arg): head.factor(arg, theta, z) for head, arg in ops}

@@ -34,6 +34,7 @@ from sweepfd import (
     Scheme,
     Stage,
     StepParams,
+    SweepDirection,
     apply_scheme,
     compile_scheme,
     expansion,
@@ -44,6 +45,7 @@ from sweepfd import (
     preset_names,
     product,
     resolve_preset,
+    scheme_factor,
 )
 from sweepfd.errors import (
     InvalidCoefficientError,
@@ -54,6 +56,7 @@ from sweepfd.errors import (
 )
 
 from oracles import (
+    Program,
     apply_scheme_by_copies,
     compile_scheme_by_stages,
     validate_order_conditions,
@@ -167,6 +170,28 @@ class TestPlans:
         scheme = pickle.loads(done.stdout)
         local = resolve_preset("2xy6", Equation.ADVECTION)
         assert scheme == local and hash(scheme) == hash(local)
+
+    @pytest.mark.parametrize("terms,value", [
+        (product(MCN, (math.nan, 1.0)), "nan"),
+        (product(MCN, (math.inf, 1.0)), "inf"),
+        (((math.nan, 1, (Stage(MCN),)),), "nan"),
+        (((math.inf, 1, (Stage(MCN),)),), "inf"),
+        (((Fraction(1, 2), 1, (Stage(MCN),)), (-math.inf, 1, (Stage(MCN),))), "-inf"),
+    ])
+    def test_weights_and_fractions_must_be_finite(self, terms, value):
+        # a nan fraction passed the whole-step check and failed only when compiled, and a
+        # nan or infinite weight escaped from Fraction as ValueError / OverflowError
+        with pytest.raises(ParameterError, match=f"must be finite, got {value}$"):
+            a2c_spec(terms)
+
+    @pytest.mark.parametrize("power,substeps,value", [(2.0, 1, "2.0"), (2, 2.5, "2.5"),
+                                                      (2, 2.0, "2.0")])
+    def test_powers_and_substeps_must_be_integers(self, power, substeps, value):
+        # power 2.0 failed in Scheme.layout with a TypeError; substeps 2.5 failed in
+        # apply_scheme while scheme_factor returned g ** 2.5
+        with pytest.raises(ParameterError, match=f"integers >= 1, got {value}$"):
+            Scheme("d2s", Equation.DIFFUSION, ((1, power, (Stage(SM, BaseStep.T2, 0.5),)),),
+                   substeps)
 
     def test_mpe_presets_are_exact_rationals(self):
         assert MPE_T4 == ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
@@ -320,12 +345,20 @@ MULTI_TERM = [resolve_preset(prefix + name, equation) for equation, name in
                (Equation.DIFFUSION, "t8"), (Equation.ADV_DIFF, "t4"))
               for prefix in ("", "2x", "3x")]
 
+# every single-term preset with an explicit stepper, and a single-sweep stage run twice
+SINGLE_TERM = [resolve_preset(prefix + name, equation) for equation in Equation
+               for name in preset_names(equation)
+               if name != "cn" and len(resolve_preset(name, equation).terms) == 1
+               for prefix in ("", "2x", "3x")] + [Scheme("d1a^2", Equation.DIFFUSION, (
+                   (1, 2, (Stage(DiffusionVariant.EXPONENTIAL, BaseStep.SWEEP_1A, 0.5),)),))]
+
 
 @st.composite
-def multi_term_cases(draw):
-    scheme = draw(st.sampled_from(MULTI_TERM + [POSITIVE_MIX,
-                                                dataclasses.replace(POSITIVE_MIX, substeps=2)]))
-    eta = draw(st.floats(-3.0, 3.0)) if scheme.equation is Equation.ADV_DIFF else 0.0
+def stepping_cases(draw):
+    scheme = draw(st.one_of(
+        st.sampled_from(MULTI_TERM + [POSITIVE_MIX, dataclasses.replace(POSITIVE_MIX, substeps=2)]),
+        st.sampled_from(SINGLE_TERM), repeated_stage_products()))
+    eta = draw(st.floats(-3.0, 3.0)) if scheme.equation is not Equation.DIFFUSION else 0.0
     params = StepParams(draw(st.floats(0.0, 50.0)), eta)
     n = draw(st.integers(3, 60))
     sample = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
@@ -339,16 +372,20 @@ def multi_term_cases(draw):
 
 
 class TestMultiTermStepping:
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(multi_term_cases())
+    @pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+    @settings(derandomize=True, database=None, max_examples=450, deadline=None)
+    @given(stepping_cases())
     def test_matches_copy_per_term_stepping_bit_for_bit(self, case):
+        # every path of apply_scheme: several terms in scratch buffers, one term in
+        # place, substeps, powers and signed-zero fractions
         scheme, params, values = case
         f, ref = Field1D(values, dx=1.0), Field1D(values, dx=1.0)
         storage = f.values
         try:
-            apply_scheme(f, scheme, params)
-        except SpatialAmplificationError:
-            reject()   # an advdiff sweep with |b| >= 1
+            compile_scheme(scheme, params)
+        except NumericsError:
+            reject()   # parameters the scheme cannot step, e.g. a sweep with |b| >= 1
+        apply_scheme(f, scheme, params)
         apply_scheme_by_copies(ref, scheme, params)
         assert f.values is storage
         assert np.array_equal(f.values, ref.values)
@@ -483,10 +520,24 @@ class TestCompiledPrograms:
     @pytest.mark.parametrize("equation,name", EVERY_PRESET)
     def test_sweep_op_count_matches_plan(self, equation, name):
         scheme = resolve_preset(name, equation)
-        program = compile_scheme(scheme, self.PARAMS)
-        sweeps = sum(power * sum(isinstance(op[0], PairUpdate) for stage in stages for op in stage)
-                     for _, power, stages in program.terms)
-        assert program.substeps * sweeps == structural_sweeps(scheme) == scheme.layout.sweeps
+        ops = compile_scheme(scheme, self.PARAMS)
+        sweeps = sum(isinstance(ops[r][0], PairUpdate) for run in scheme.layout.runs for r in run)
+        assert scheme.substeps * sweeps == structural_sweeps(scheme) == scheme.layout.sweeps
+
+    @pytest.mark.parametrize("equation,name", EVERY_PRESET + [
+        (equation, "3x" + name) for equation in Equation for name in preset_names(equation)])
+    def test_one_op_per_layout_row_in_direction_order(self, equation, name):
+        # spectral's broadcast factors slice the ops at n_asc and n_asc + n_desc
+        scheme = resolve_preset(name, equation)
+        layout, ops = scheme.layout, compile_scheme(scheme, self.PARAMS)
+        assert isinstance(ops, tuple) and len(ops) == len(layout.rows)
+        ends = (layout.n_asc, layout.n_asc + layout.n_desc)
+        assert all(isinstance(head, PairUpdate) and arg is SweepDirection.ASCENDING
+                   for head, arg in ops[:ends[0]])
+        assert all(isinstance(head, PairUpdate) and arg is SweepDirection.DESCENDING
+                   for head, arg in ops[ends[0]:ends[1]])
+        assert all(isinstance(head, Comparator) and arg == self.PARAMS.scaled(1 / scheme.substeps)
+                   for head, arg in ops[ends[1]:])
 
     @pytest.mark.parametrize("equation,name", EVERY_PRESET)
     def test_sweep_count_matches_benchmark_prediction(self, equation, name):
@@ -518,6 +569,34 @@ class TestCompiledPrograms:
         # the CLI run at these parameters used to exit 0 with a norm of 6e72
         with pytest.raises(SpatialAmplificationError, match=r"\|b\| = .* >= 1"):
             compile_scheme(resolve_preset(name, Equation.ADV_DIFF), params)
+
+    @pytest.mark.parametrize("equation,name", EVERY_PRESET)
+    def test_non_finite_step_rejected_by_every_scheme(self, equation, name):
+        # euler and lw used to compile, step nan or inf into the field and give a nan
+        # factor; every sweep scheme already refused
+        scheme = resolve_preset(name, equation)
+        for params in (StepParams(r=math.nan), StepParams(r=math.inf), StepParams(eta=math.nan),
+                       StepParams(eta=math.inf), StepParams(eta=-math.inf)):
+            with pytest.raises(ParameterError, match="^r and eta must be finite"):
+                compile_scheme(scheme, params)
+        unstable = StabilityError if equation is not Equation.ADVECTION else ParameterError
+        with pytest.raises(unstable):
+            compile_scheme(scheme, StepParams(r=-math.inf))
+
+    @pytest.mark.parametrize("equation,name,params", [
+        (Equation.DIFFUSION, "euler", StepParams(r=math.nan)),
+        (Equation.DIFFUSION, "euler", StepParams(r=math.inf)),
+        (Equation.ADVECTION, "lw", StepParams(eta=math.nan)),
+        (Equation.ADVECTION, "lw", StepParams(eta=math.inf))])
+    def test_comparator_at_non_finite_step_leaves_field_untouched(self, equation, name, params):
+        scheme = resolve_preset(name, equation)
+        f = gaussian_profile(40, 0.0, 0.25, 5.0, 0.8)
+        before = f.values.copy()
+        with pytest.raises(ParameterError, match="r and eta must be finite"):
+            apply_scheme(f, scheme, params)
+        assert np.array_equal(f.values, before)
+        with pytest.raises(ParameterError, match="r and eta must be finite"):
+            scheme_factor(scheme, params, 0.3)
 
     def test_program_is_memoised(self):
         scheme = resolve_preset("y6", Equation.ADVECTION)
@@ -561,6 +640,15 @@ def repeated_stage_products(draw):
         reject()   # a negative diffusion fraction
 
 
+def nested(scheme, ops):
+    """compile_scheme's row ops nested like the reference's Program: each
+    term's stages through layout.terms, each stage's ops through stage_rows."""
+    layout = scheme.layout
+    return Program(scheme.substeps, tuple(
+        (weight, power, tuple(tuple(ops[r] for r in layout.stage_rows[i]) for i in stages))
+        for weight, power, stages in layout.terms))
+
+
 def compiled(compile, scheme, params):
     """The repr of compile(scheme, params) or the type and message of its
     error, and the category and message of each warning it gives."""
@@ -575,8 +663,9 @@ def compiled(compile, scheme, params):
 
 
 class TestCompileMatchesStageByStage:
-    """compile_scheme resolves each distinct stage of the layout once; the
-    reference resolves every stage of every term."""
+    """compile_scheme resolves each distinct stage of the layout once and
+    gives one op per row; the reference resolves every stage of every term
+    into a Program nested by term."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.one_of(st.sampled_from([resolve_preset(prefix + name, eq) for eq in Equation
@@ -592,7 +681,7 @@ class TestCompileMatchesStageByStage:
         Stage(AdvectionVariant.TRIG, BaseStep.T2, a) for a in (-0.0, 0.5, 0.0))),), 2), 0.3, -1.3)
     def test_program_error_and_warnings_match_the_reference(self, scheme, r, eta):
         params = StepParams(r, eta)
-        assert compiled(compile_scheme, scheme, params) == \
+        assert compiled(lambda s, p: nested(s, compile_scheme(s, p)), scheme, params) == \
             compiled(compile_scheme_by_stages, scheme, params)
 
 

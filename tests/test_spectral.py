@@ -419,9 +419,8 @@ class TestClosedFormProperty:
         # transient has decayed like b^(n/2), b the largest |recurrence
         # coefficient|: read the same mode on enough samples for it to fall
         # below 1e-14
-        b = max((abs(head.recurrence(arg)) for _, _, stages in program.terms
-                 for stage in stages for head, arg in stage if isinstance(head, PairUpdate)),
-                default=0.0)
+        b = max((abs(head.recurrence(arg)) for head, arg in program
+                 if isinstance(head, PairUpdate)), default=0.0)
         n = 256
         while b < 1.0 and b ** (n // 2) > 1e-14 and n < 2 ** 16:
             n *= 2
