@@ -29,7 +29,10 @@ import numpy as np
 
 import sweepfd as sf
 
-POINTS = ((0.05, 0.4), (0.5, 0.8), (5.0, 2.5), (-0.1, -1.2), (1e9, 0.5))   # (r, eta)
+# (r, eta); the signed zeros come last, +0.0 first: == cannot tell the two steps
+# apart, but their programs differ in the sign of a zero
+POINTS = ((0.05, 0.4), (0.5, 0.8), (5.0, 2.5), (-0.1, -1.2), (1e9, 0.5), (0.0, 0.0),
+          (-0.0, -0.0))
 PREFIXES = ("", "2x", "3x")
 THETAS = np.linspace(0.0, math.pi, 33)
 PHASE_GRID = np.linspace(0.0, math.pi, 1025)   # phase_curve's tracking grid of [0, pi]

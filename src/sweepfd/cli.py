@@ -21,13 +21,14 @@ import numpy as np
 
 from . import composition, grid, oracle, spectral
 from .composition import Comparator, Equation, Scheme, StepParams
-from .errors import DegenerateFieldError, NonFiniteResultError, NumericsError
+from .errors import DegenerateFieldError, NonFiniteResultError, NumericsError, ParameterError
 from .grid import Field1D
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1   # a numerical failure, or a CSV that could not be written
-# ceiling on steps x nx of one scheme's run: hours of CPU time at any nx; a
-# request beyond it (e.g. --dt 1e-300 --tfinal 1) would never finish
+# ceiling on steps x N x nx of one NxNAME scheme's run (N = 1 for a plain NAME):
+# hours of CPU time at any nx; a request beyond it (e.g. --dt 1e-300 --tfinal 1)
+# would never finish
 MAX_SAMPLE_STEPS = 10**10
 # ceiling on --nx, so each N-sized float64 array takes at most 80 MB: a grid
 # the allocator cannot hold must be a usage error, not a traceback. run keeps
@@ -232,11 +233,12 @@ def _step_params(dt: float, dx: float, dcoef: float, vel: float) -> StepParams:
     return params
 
 
-def _bounded(steps: int, nx: int) -> int:
-    """steps, unless steps x nx exceeds MAX_SAMPLE_STEPS, which is a usage error."""
-    if steps * nx > MAX_SAMPLE_STEPS:
-        raise UsageError(f"the run exceeds {MAX_SAMPLE_STEPS:.0e} sample-steps (steps x nx); "
-                         f"at nx={nx} it may take at most {MAX_SAMPLE_STEPS // nx} steps")
+def _bounded(steps: int, nx: int, substeps: int) -> int:
+    """steps, unless steps x substeps x nx exceeds MAX_SAMPLE_STEPS, which is a usage error."""
+    if steps * substeps * nx > MAX_SAMPLE_STEPS:
+        raise UsageError(f"the run exceeds {MAX_SAMPLE_STEPS:.0e} sample-steps (steps x N x nx "
+                         f"for an NxNAME scheme); at nx={nx} and N={substeps} it may take at "
+                         f"most {MAX_SAMPLE_STEPS // (substeps * nx)} steps")
     return steps
 
 
@@ -249,13 +251,13 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     if not names:
         raise UsageError("no scheme given")
     schemes = []
+    stepping = args.command in ("run", "norms", "converge")   # ampfactor and phase take no steps
     for name in names:
         try:
             scheme = composition.resolve_preset(name, equation)
-        except KeyError as exc:
+        except (KeyError, ParameterError) as exc:
             raise UsageError(exc.args[0]) from exc
-        if args.command in ("run", "norms", "converge") and \
-                Comparator.CRANK_NICOLSON in scheme.layout.stages:
+        if stepping and Comparator.CRANK_NICOLSON in scheme.layout.stages:
             raise UsageError(f"{args.command} cannot step {scheme.name}: the implicit comparator "
                              "has no explicit stepper (ampfactor takes its factor)")
         schemes.append(scheme)
@@ -290,7 +292,7 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
         steps = 10
     if steps < 0:
         raise UsageError("--steps must be >= 0")
-    _bounded(steps, args.nx)
+    _bounded(steps, args.nx, max(s.substeps for s in schemes) if stepping else 1)
     if args.command == "norms" and steps > MAX_NX:
         raise UsageError(f"norms writes one row per step, so it may take at most {MAX_NX:.0e} "
                          f"steps, got {steps}")
@@ -369,8 +371,9 @@ def cmd_converge(setup: Setup, args: argparse.Namespace) -> None:
         raise UsageError("converge needs a positive run time; --steps is 0")
     measure = grid.abs_moment if args.observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
+    substeps = max(s.substeps for s in setup.schemes)
     for i, dt in enumerate(dts_in):
-        steps = _bounded(max(1, _step_count(total_time, dt)), setup.nx)
+        steps = _bounded(max(1, _step_count(total_time, dt)), setup.nx, substeps)
         if dts_used and steps == dts_used[-1][1]:   # dts_in decreases, so steps never fall
             raise UsageError(f"--dts values {dts_in[i - 1]!r} and {dt!r} both take {steps} "
                              f"steps over t={total_time!r}")

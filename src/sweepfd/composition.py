@@ -12,10 +12,10 @@ Scheme.layout lays the plan out once per scheme: distinct stages, terms
 of stage indices, op rows by direction, each term's rows in run order and
 the sweeps per step.  compile_scheme resolves each distinct stage at given
 step parameters into the op of each layout row, a (head, arg) pair: a
-(PairUpdate, SweepDirection) sweep or a (Comparator, StepParams) step.
-Each head answers for its op, how it steps and its amplification factor,
-so stepping, the closed-form factor and the numeric readout read the
-layout and index its row ops.
+(PairUpdate, SweepDirection) sweep or a (Comparator, StepParams) step; the
+layout keeps the last step's ops.  Each head answers for its op, how it
+steps and its amplification factor, so stepping, the closed-form factor
+and the numeric readout read the layout and index its row ops.
 """
 
 from __future__ import annotations
@@ -181,9 +181,11 @@ class Scheme:
         if not stages or not all(term for _, _, term in self.terms) or any(
                 not isinstance(s, (Stage, Comparator)) for s in stages):
             raise ParameterError("every term needs stages, each a Stage or a Comparator")
-        for x in [weight for weight, _, _ in self.terms] + [s.fraction for s in sweeps]:
-            if not math.isfinite(x):
-                raise ParameterError(f"term weights and stage fractions must be finite, got {x}")
+        for x in (self.substeps, *(n for term in self.terms for n in term[:2]),
+                  *(s.fraction for s in sweeps)):
+            if not _finite(x):
+                raise ParameterError("substeps, term weights and powers and stage fractions "
+                                     f"must be finite, got {x}")
         if sum(Fraction(weight) for weight, _, _ in self.terms) != 1:
             raise InvalidCoefficientError("term weights must sum to 1")
         if len(stages) > 1 and (len(sweeps) < len(stages)
@@ -202,19 +204,18 @@ class Scheme:
             raise ParameterError(f"{self.equation.value} schemes take no {names} stages")
         if any(s.fraction < 0.0 and isinstance(s.variant, coef.DiffusionVariant) for s in sweeps):
             raise StabilityError("diffusion substeps with negative coefficients are unstable")
-        # compile_scheme's memo hashes the scheme on every step: hash it once
-        object.__setattr__(self, "_hash",
-                           hash((self.name, self.equation, self.terms, self.substeps)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):   # str hashes differ between processes: rehash when unpickled
-        return Scheme, (self.name, self.equation, self.terms, self.substeps)
 
     @functools.cached_property
     def layout(self) -> "Layout":
         return Layout(self)
+
+
+def _finite(x) -> bool:
+    """Whether x is a real number with a finite float value: 10**400 has none."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
 
 
 class Layout:
@@ -227,8 +228,8 @@ class Layout:
     index): the n_asc ascending sweeps, then the n_desc descending sweeps,
     then the comparators.  stage_rows holds each stage's rows, and runs each
     term's rows power times, in run order; sweeps counts one step's sweeps.
-    No field depends on step parameters: compile_scheme gives the op of each
-    row at given parameters, and readers index that tuple by row.
+    Only program depends on step parameters: compile_scheme's last params,
+    their exact step and the op of each row there, which readers index by row.
     """
 
     def __init__(self, scheme: Scheme):
@@ -250,28 +251,30 @@ class Layout:
                           for _, power, stages in self.terms)
         self.sweeps = scheme.substeps * sum(r < self.n_asc + self.n_desc
                                             for run in self.runs for r in run)
+        self.program = (None, None, ())
 
 
 # ---------------------------------------------------------------------------
 # sweep programs
 
-PROGRAM_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
 def compile_scheme(scheme: Scheme, params: StepParams) -> Tuple[Op, ...]:
     """The sweep program of one step of scheme at params: the op of each layout row.
 
     Every coefficient is resolved here, once per distinct stage of the
     scheme's layout, so construction errors are raised before a field is
-    touched; stepping and closed-form factors index the returned ops by
-    the layout's rows.  r < 0 is rejected for every scheme that diffuses,
-    and a non-finite r or eta for every scheme; an advection-diffusion
-    program with negative step fractions warns once when compiled at
-    r > 0, and raises if any sweep's recurrence coefficient b has
-    |b| >= 1, which amplifies along the sweep.
+    touched.  The ops stay in layout.program while calls ask for the same
+    exact step, (r, eta) with the sign of each zero (== ignores it, the ops
+    keep it); another step compiles anew.  r < 0 is rejected for every
+    scheme that diffuses, and a non-finite r or eta for every scheme; an
+    advection-diffusion program with negative step fractions warns at
+    r > 0 on each compile, so whenever its step changes, and raises if any
+    sweep's recurrence coefficient b has |b| >= 1, which amplifies along it.
     """
     layout = scheme.layout
+    last, exact, ops = layout.program
+    if params is last or exact == (step := (params.r, params.eta, math.copysign(1.0, params.r),
+                                            math.copysign(1.0, params.eta))):
+        return ops
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")
     if not (math.isfinite(params.r) and math.isfinite(params.eta)):
@@ -289,7 +292,9 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Tuple[Op, ...]:
                 f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
                 f"sweeps has recurrence coefficient |b| = {abs(head.recurrence(arg))} >= 1 "
                 "and amplifies along it")
-    return tuple(resolved[i][k] for i, k in layout.rows)
+    ops = tuple(resolved[i][k] for i, k in layout.rows)
+    layout.program = (params, step, ops)   # replaced whole: a thread reads one slot or the other
+    return ops
 
 
 def apply_scheme(f: Field1D, scheme: Scheme, params: StepParams) -> None:
@@ -462,7 +467,11 @@ def resolve_preset(name: str, equation: Equation) -> Scheme:
     key = name.strip().lower()
     m = _SUBSTEP_RE.match(key)
     if m:
-        substeps = int(m.group(1))
+        try:
+            substeps = int(m.group(1))
+        except ValueError:   # more digits than int() converts: far beyond the float range
+            raise ParameterError(
+                f"substeps must be finite, got {len(m.group(1))} digits") from None
         key = m.group(2)
     table = _PRESETS[equation]
     if key not in table:

@@ -47,12 +47,17 @@ def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
 
     The plateau is pinned from the two smallest-dt points by Richardson
     extrapolation at the current order estimate and the two are iterated
-    to consistency.  Residuals at the rounding floor are excluded.
+    to consistency.  Residuals at the rounding floor are excluded.  The dts
+    must be finite, positive and strictly decreasing, and the values finite.
     """
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
     if dts.size != values.size or dts.size < 3:
         raise ParameterError("need at least three (dt, value) points")
+    if not np.all(np.isfinite(dts) & (dts > 0.0)):
+        raise ParameterError("dt values must be finite and positive")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("values must be finite")
     if np.any(np.diff(dts) >= 0.0):
         raise ParameterError("dt values must be strictly decreasing")
     floor = max(np.max(np.abs(values)), 1.0) * FLOOR_RELATIVE

@@ -747,6 +747,57 @@ class TestStepCounts:
         assert "sample-steps" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--scheme", "100000000000xd2s", "--nx", "120", "--steps", "1"],
+        ["norms", "--scheme", "10000000000xd2s"],
+        ["converge", "--scheme", "10000000000xd2s", "--dts", "0.1,0.05", "--steps", "1"],
+        # one step of 1000 x 10 samples passes; the dt of 1e-8 takes 1e7 such steps
+        ["converge", "--scheme", "d2s,1000xd2s", "--nx", "10", "--dts", "0.1,1e-8",
+         "--steps", "1"],
+    ])
+    def test_substeps_count_toward_the_ceiling(self, args, tmp_path, capsys):
+        # an NxNAME step runs N substeps: each of these counted steps x nx only, passed
+        # the ceiling and ran for days
+        out = tmp_path / "out.csv"
+        with time_limit(5):
+            code, err = run_clean(args + ["--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "sample-steps (steps x N x nx" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "norms", "converge"])
+    def test_substep_ceiling_is_inclusive(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweepfd.cli, "MAX_SAMPLE_STEPS", 5 * 3 * 10)
+        out = tmp_path / "out.csv"
+        argv = [command, "--scheme", "d2s,3xd2s", "--nx", "10", "--out", str(out)]
+        if command == "converge":   # 1 and then 5 steps of dt = 0.1
+            argv += ["--dt", "0.5", "--dts", "0.5,0.1"]
+        code, _ = run_clean(argv + ["--steps", "1" if command == "converge" else "5"], capsys)
+        assert code == 0
+        out.unlink()
+        if command == "converge":
+            argv[-1] = "0.5,0.0833"   # 6 steps
+        code, err = run_clean(argv + ["--steps", "1" if command == "converge" else "6"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "at most 5 steps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ampfactor", "run", "norms", "phase"])
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_substeps_beyond_the_float_range_are_usage_error(self, command, digits, tmp_path,
+                                                            capsys):
+        # 10**400 substeps built a scheme, and compiling it raised OverflowError at
+        # 1.0 / substeps; 5001 digits are beyond what int() converts
+        out = tmp_path / "out.csv"
+        scheme = "1" + "0" * (digits - 1) + "xa2c"
+        with time_limit(5):
+            code, err = run_clean([command, "--equation", "advection", "--scheme", scheme,
+                                   "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_norms_beyond_the_row_ceiling_is_usage_error(self, tmp_path, capsys):
         # norms writes one row per step: 1e9 steps at nx=3 passed the sample-step ceiling,
         # ran for minutes and ended in a MemoryError traceback from its per-step trace
@@ -845,7 +896,10 @@ def cli_argvs(draw):
     """An argv of the subcommand grammar, with edge values in every float option."""
     command = draw(st.sampled_from(["ampfactor", "run", "converge", "norms", "phase"]))
     equation = draw(st.sampled_from(list(Equation)))
-    schemes = draw(st.lists(st.tuples(st.sampled_from(["", "2x", "3x"]),
+    # 1e11 substeps step for days unless the work ceiling counts them; 10**400 has no
+    # finite float value
+    prefixes = ["", "2x", "3x", "100000000000x", "1" + "0" * 400 + "x"]
+    schemes = draw(st.lists(st.tuples(st.sampled_from(prefixes),
                                       st.sampled_from(preset_names(equation))),
                             min_size=1, max_size=3))
     steps = draw(st.integers(0, 20))
@@ -877,7 +931,7 @@ class TestExitCodeContract:
     def test_exit_code_is_0_1_or_2_and_exit_0_writes_only_finite_numbers(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out.csv"
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), time_limit(30):
                 warnings.simplefilter("ignore")
                 code = main(argv + ["--out", str(out)])
             assert code in (0, 1, 2)

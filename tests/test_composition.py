@@ -1,11 +1,15 @@
 """Composed time steppers: plans, presets, order conditions."""
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +17,7 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from sweepfd import (
@@ -99,9 +103,8 @@ class TestPlans:
 
     def test_advdiff_negative_fractions_warn_but_build(self):
         spec = Scheme("spec", Equation.ADV_DIFF, product(AdvDiffVariant.MATCHED_AD2C, FOREST_RUTH))
-        compile_scheme.cache_clear()   # the warning comes with compiling, once per program
-        with pytest.warns(RuntimeWarning):
-            compile_scheme(spec, StepParams(r=0.05, eta=0.4))
+        with pytest.warns(RuntimeWarning):   # the warning comes with each compile
+            compile_scheme(dataclasses.replace(spec), StepParams(r=0.05, eta=0.4))
 
     @pytest.mark.parametrize("equation,variant", [
         (equation, variant)
@@ -160,7 +163,7 @@ class TestPlans:
         assert one != resolve_preset("3xy6", Equation.ADVECTION)
 
     def test_scheme_unpickled_from_another_process_hashes_equal(self):
-        # the hash is cached at construction, and str hashes are salted per process
+        # str hashes are salted per process: an unpickled scheme must hash from its fields
         script = ("import pickle, sys, sweepfd as sf\n"
                   "scheme = sf.resolve_preset('2xy6', sf.Equation.ADVECTION)\n"
                   "sys.stdout.buffer.write(pickle.dumps(scheme))\n")
@@ -192,6 +195,22 @@ class TestPlans:
         with pytest.raises(ParameterError, match=f"integers >= 1, got {value}$"):
             Scheme("d2s", Equation.DIFFUSION, ((1, power, (Stage(SM, BaseStep.T2, 0.5),)),),
                    substeps)
+
+    @pytest.mark.parametrize("terms,substeps,value", [
+        (((10 ** 400, 1, (Stage(MCN),)), (1 - 10 ** 400, 1, (Stage(MCN),))), 1, 10 ** 400),
+        (((Fraction(10 ** 400, 3), 1, (Stage(MCN),)),
+          (1 - Fraction(10 ** 400, 3), 1, (Stage(MCN),))), 1, Fraction(10 ** 400, 3)),
+        (((1 + 0j, 1, (Stage(MCN),)),), 1, 1 + 0j),
+        (product(MCN, (1 - 10 ** 400, 10 ** 400)), 1, 10 ** 400),   # run right to left
+        (((1, 10 ** 400, (Stage(MCN, BaseStep.T2, 1e-300),)),), 1, 10 ** 400),
+        (product(MCN, (1.0,)), 10 ** 400, 10 ** 400),
+    ], ids=["int-weight", "fraction-weight", "complex-weight", "int-fraction", "int-power",
+            "int-substeps"])
+    def test_numbers_without_a_finite_float_value_rejected(self, terms, substeps, value):
+        # each raised a bare OverflowError or TypeError from the finite check or the
+        # whole-step check; 10**400 substeps built and then failed to compile
+        with pytest.raises(ParameterError, match=f"must be finite, got {re.escape(str(value))}$"):
+            Scheme("a2c", Equation.ADVECTION, terms, substeps)
 
     def test_mpe_presets_are_exact_rationals(self):
         assert MPE_T4 == ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
@@ -445,9 +464,8 @@ class TestPresets:
 
     def test_advdiff_fr_resolves_with_warning(self):
         scheme = resolve_preset("fr", Equation.ADV_DIFF)
-        compile_scheme.cache_clear()   # the warning comes with compiling, once per program
-        with pytest.warns(RuntimeWarning):
-            compile_scheme(scheme, StepParams(r=0.05, eta=0.4))
+        with pytest.warns(RuntimeWarning):   # the warning comes with each compile
+            compile_scheme(dataclasses.replace(scheme), StepParams(r=0.05, eta=0.4))
 
     @pytest.mark.parametrize("equation,name,params", [
         (Equation.ADV_DIFF, "fr", StepParams(r=0.0, eta=0.4)),
@@ -456,10 +474,9 @@ class TestPresets:
     ])
     def test_negative_fractions_compile_silently_without_diffusion(self, equation, name, params):
         scheme = resolve_preset(name, equation)
-        compile_scheme.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            compile_scheme(scheme, params)
+            compile_scheme(dataclasses.replace(scheme), params)
 
     def test_import_and_every_preset_resolve_without_warning(self):
         script = ("import sweepfd as sf\n"
@@ -652,11 +669,10 @@ def nested(scheme, ops):
 def compiled(compile, scheme, params):
     """The repr of compile(scheme, params) or the type and message of its
     error, and the category and message of each warning it gives."""
-    compile_scheme.cache_clear()   # compile_scheme warns once per program
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            result = repr(compile(scheme, params))
+        try:   # a fresh scheme: compile_scheme warns only when it compiles
+            result = repr(compile(dataclasses.replace(scheme), params))
         except NumericsError as exc:
             result = (type(exc), str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
@@ -683,6 +699,106 @@ class TestCompileMatchesStageByStage:
         params = StepParams(r, eta)
         assert compiled(lambda s, p: nested(s, compile_scheme(s, p)), scheme, params) == \
             compiled(compile_scheme_by_stages, scheme, params)
+
+
+def zeros_flipped(scheme):
+    """scheme with the sign of each zero stage fraction flipped: == scheme and of
+    equal hash, but its ops differ in the signs of zeros."""
+    return dataclasses.replace(scheme, terms=tuple(
+        (weight, power, tuple(s._replace(fraction=-s.fraction)
+                              if isinstance(s, Stage) and s.fraction == 0.0 else s
+                              for s in stages))
+        for weight, power, stages in scheme.terms))
+
+
+@st.composite
+def signed_zero_steps(draw):
+    """Two steps that differ only in the signs of their zeros, so they compare equal."""
+    r, eta = draw(st.sampled_from([0.0, 0.05, 0.5])), draw(st.sampled_from([0.0, 0.4, -1.3]))
+
+    def signed(x):
+        return draw(st.sampled_from([0.0, -0.0])) if x == 0.0 else x
+    seen, params = (StepParams(signed(r), signed(eta)) for _ in range(2))
+    assume(repr(seen) != repr(params))
+    return seen, params
+
+
+HISTORY_THETAS = np.linspace(0.0, math.pi, 9)
+FRESH_NAMES = (f"fresh{i}" for i in itertools.count())
+
+
+def outputs(scheme, params, values):
+    """compile_scheme's repr, scheme_factor's bytes and the bytes of one step of
+    apply_scheme from values, or the type and message of the first error."""
+    try:
+        program = repr(compile_scheme(scheme, params))
+        g = np.asarray(scheme_factor(scheme, params, HISTORY_THETAS)).tobytes()
+        f = Field1D(values, dx=1.0)
+        apply_scheme(f, scheme, params)
+        return program, g, f.values.tobytes()
+    except NumericsError as exc:
+        return type(exc), str(exc).replace(scheme.name, "<name>")
+
+
+class TestCompileHistory:
+    """A scheme's program, factor and step do not depend on what the process
+    compiled before, even where == ignores the sign of a zero."""
+
+    @pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([resolve_preset(prefix + name, eq) for eq in Equation
+                                      for name in preset_names(eq)
+                                      for prefix in ("", "2x", "3x")]),
+                     repeated_stage_products()),
+           signed_zero_steps(),
+           hnp.arrays(np.float64, 8, elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])))
+    def test_outputs_match_a_fresh_compile(self, scheme, steps, values):
+        seen, params = steps
+        # a name no scheme had before: nothing the process compiled equals it
+        fresh = outputs(dataclasses.replace(scheme, name=next(FRESH_NAMES)), params, values)
+        same = dataclasses.replace(scheme)
+        with contextlib.suppress(NumericsError):   # an equal step of the same scheme first
+            compile_scheme(same, seen)
+        assert outputs(same, params, values) == fresh
+        with contextlib.suppress(NumericsError):   # an equal scheme at the same step first
+            compile_scheme(zeros_flipped(scheme), params)
+        assert outputs(dataclasses.replace(scheme), params, values) == fresh
+
+    def test_a_changed_step_recompiles_and_a_repeated_one_does_not(self):
+        scheme = resolve_preset("y6", Equation.ADVECTION)
+        plus, minus = StepParams(0.0, 0.0), StepParams(0.0, -0.0)
+        first = compile_scheme(scheme, plus)
+        assert compile_scheme(scheme, StepParams(0.0, 0.0)) is first
+        assert repr(compile_scheme(scheme, minus)) != repr(first)
+        assert repr(compile_scheme(scheme, plus)) == repr(first)
+
+    def test_threads_stepping_one_scheme_each_get_their_own_step(self):
+        # more threads than cores switch every microsecond, each asking one scheme
+        # for its own step, so the one slot is replaced under the others' reads
+        scheme = resolve_preset("y6", Equation.ADVECTION)
+        steps = [StepParams(0.0, 0.0), StepParams(0.0, -0.0), StepParams(0.0, 0.8)]
+        expected = [repr(compile_scheme(dataclasses.replace(scheme), p)) for p in steps]
+        errors = []
+
+        def ask(k):
+            for i in range(400):
+                j = (i + k) % len(steps)
+                if repr(compile_scheme(scheme, steps[j])) != expected[j]:
+                    errors.append(steps[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,))
+                       for k in range(min(2 * (os.cpu_count() or 1), 32))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestLargeStepDiffusion:

@@ -144,6 +144,24 @@ class TestFitPowerLaw:
         with pytest.raises(ParameterError, match="strictly decreasing"):
             fit_power_law([0.4, 0.2, 0.2], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("dts", [[0.4, 0.2, 0.1, 0.0], [0.4, 0.2, 0.1, -0.1],
+                                     [math.inf, 0.2, 0.1, 0.05], [0.4, math.nan, 0.1, 0.05],
+                                     [-0.1, -0.2, -0.4, -0.8]])
+    def test_dt_must_be_finite_and_positive(self, dts, capfd):
+        # a zero dt fitted plateau=nan; an infinite or negative one raised numpy's
+        # LinAlgError after LAPACK printed "** On entry to DLASCL" on stderr
+        with pytest.raises(ParameterError, match="^dt values must be finite and positive$"):
+            fit_power_law(dts, [1.0, 1.05, 1.1, 1.2])
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 1.1, 1.2], [1.0, 1.05, 1.1, math.inf],
+                                        [-math.inf, 1.05, 1.1, 1.2]])
+    def test_values_must_be_finite(self, values, capfd):
+        # a nan value used to be reported as "values are already converged"
+        with pytest.raises(ParameterError, match="^values must be finite$"):
+            fit_power_law([0.4, 0.2, 0.1, 0.05], values)
+        assert capfd.readouterr().err == ""
+
 
 class TestLibrarySurface:
     def test_test_oracles_stay_out_of_the_library(self):
