@@ -177,7 +177,8 @@ class Scheme:
         sweeps = [s for s in stages if isinstance(s, Stage)]
         for n in (self.substeps, *(power for _, power, _ in self.terms)):
             if not isinstance(n, numbers.Integral) or n < 1:
-                raise ParameterError(f"substeps and term powers must be integers >= 1, got {n}")
+                raise ParameterError("substeps and term powers must be integers >= 1, "
+                                     f"got {_shown(n)}")
         if not stages or not all(term for _, _, term in self.terms) or any(
                 not isinstance(s, (Stage, Comparator)) for s in stages):
             raise ParameterError("every term needs stages, each a Stage or a Comparator")
@@ -185,7 +186,7 @@ class Scheme:
                   *(s.fraction for s in sweeps)):
             if not _finite(x):
                 raise ParameterError("substeps, term weights and powers and stage fractions "
-                                     f"must be finite, got {x}")
+                                     f"must be finite, got {_shown(x)}")
         if sum(Fraction(weight) for weight, _, _ in self.terms) != 1:
             raise InvalidCoefficientError("term weights must sum to 1")
         if len(stages) > 1 and (len(sweeps) < len(stages)
@@ -216,6 +217,21 @@ def _finite(x) -> bool:
         return math.isfinite(x)
     except (TypeError, OverflowError):
         return False
+
+
+def _shown(x) -> str:
+    """str(x), or the digit count of a number whose integer str() refuses (over 4300 digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+        return " over ".join(f"{'-' if n < 0 else ''}{_digits(abs(n))} digits" for n in parts)
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of n > 0, without str(n)."""
+    estimate = int((n.bit_length() - 1) * math.log10(2)) + 1   # exact or one short
+    return estimate + (n >= 10 ** estimate)
 
 
 class Layout:
@@ -265,15 +281,22 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Tuple[Op, ...]:
     touched.  The ops stay in layout.program while calls ask for the same
     exact step, (r, eta) with the sign of each zero (== ignores it, the ops
     keep it); another step compiles anew.  r < 0 is rejected for every
-    scheme that diffuses, and a non-finite r or eta for every scheme; an
-    advection-diffusion program with negative step fractions warns at
-    r > 0 on each compile, so whenever its step changes, and raises if any
-    sweep's recurrence coefficient b has |b| >= 1, which amplifies along it.
+    scheme that diffuses, and an r or eta that is not a finite real number
+    for every scheme; an advection-diffusion program with negative step
+    fractions warns at r > 0 on each compile, so whenever its step changes,
+    and raises if any sweep's recurrence coefficient b has |b| >= 1, which
+    amplifies along it.
     """
     layout = scheme.layout
     last, exact, ops = layout.program
-    if params is last or exact == (step := (params.r, params.eta, math.copysign(1.0, params.r),
-                                            math.copysign(1.0, params.eta))):
+    if params is last:
+        return ops
+    try:
+        step = (params.r, params.eta, math.copysign(1.0, params.r), math.copysign(1.0, params.eta))
+    except (TypeError, OverflowError):   # not a real number, or beyond the float range
+        raise ParameterError(f"r and eta must be finite, got r = {_shown(params.r)}, "
+                             f"eta = {_shown(params.eta)}") from None
+    if exact == step:
         return ops
     if params.r < 0.0 and scheme.equation is not Equation.ADVECTION:
         raise StabilityError(f"{scheme.equation.value} steps require r >= 0, got r = {params.r}")

@@ -22,11 +22,9 @@ with no nan on entry, and scipy is imported only on that fallback.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 import os
 import shutil
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
@@ -109,6 +107,9 @@ class PairUpdate:
 
 def _build_kernel():
     """Compile (once per source and flags) and load the C kernel; None if either fails."""
+    import hashlib      # here, so that a command that never sweeps never loads them
+    import subprocess
+
     if os.name != "posix":
         return None
     try:
@@ -173,14 +174,17 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     Linux, a sweep of 2^17 samples or more runs there on two threads when
     0 < |b| < 1 for the recurrence coefficient b, the warm-up
     K = ceil(4*53 / -log2|b|) is at most N/8 and the calling thread may
-    run on a second CPU.  The chain is cut into four pieces: the caller
-    runs the first two as two chains interleaved in one loop, a helper
-    thread the last two.  Each piece but the first starts from the chain
+    run on a second CPU.  The chain is cut into eight pieces: the caller runs the first
+    four, a helper thread the last four.  Each thread advances its four
+    pieces together, as the four lanes of one AVX2 vector where the CPU has
+    AVX2 (the kernel checks once, when it loads), or else as four scalar
+    chains interleaved in one loop; both forms round every step as the
+    serial chain does.  Each piece but the first starts from the chain
     state guessed over the K samples before it, and is kept only when that
     guess equals the true end state of the piece before it bit for bit;
     otherwise the caller redoes it from its saved inputs.  So the split
     never changes a bit, and the call stays one C call.  An in-place split
-    holds about 3N/4 saved doubles while it runs.  When the kernel cannot
+    holds about 7N/8 saved doubles while it runs.  When the kernel cannot
     be built, or an array is not a writeable C-contiguous float64 vector,
     the same arithmetic runs through scipy's lfilter instead.  The C chain
     carries z = b*y where lfilter computes 0.0*x - (-b)*y, and takes that
@@ -189,8 +193,8 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     the two forms agree, and where b*y overflowed from a finite x the
     literal form gives the same infinity.  So the two kernels give
     bit-identical results on every field Field1D admits: signed zeros,
-    infinities and nans born inside the sweep included.  A nan written
-    into f.values beforehand may leave nans of different signs in the two
+    infinities and nans born inside the sweep included.  A nan written into
+    f.values beforehand may leave nans of different signs in the two
     kernels.
     """
     global _kernel

@@ -212,6 +212,20 @@ class TestPlans:
         with pytest.raises(ParameterError, match=f"must be finite, got {re.escape(str(value))}$"):
             Scheme("a2c", Equation.ADVECTION, terms, substeps)
 
+    @pytest.mark.parametrize("terms,substeps,shown", [
+        (product(MCN, (1.0,)), 10 ** 5000, "5001 digits"),
+        (product(MCN, (1.0,)), -10 ** 5000, "-5001 digits"),
+        (((1, 10 ** 5000, (Stage(MCN, BaseStep.T2, 1e-300),)),), 1, "5001 digits"),
+        (((10 ** 5000, 1, (Stage(MCN),)), (1 - 10 ** 5000, 1, (Stage(MCN),))), 1, "5001 digits"),
+        (((Fraction(10 ** 5000, 3), 1, (Stage(MCN),)),
+          (1 - Fraction(10 ** 5000, 3), 1, (Stage(MCN),))), 1, "5001 digits over 1 digits"),
+    ], ids=["substeps", "negative-substeps", "power", "int-weight", "fraction-weight"])
+    def test_numbers_too_long_to_print_are_named_by_their_digits(self, terms, substeps, shown):
+        # formatting the error raised ValueError: Exceeds the limit (4300 digits) for integer
+        # string conversion, where resolve_preset already named the digit count
+        with pytest.raises(ParameterError, match=f"got {shown}$"):
+            Scheme("a2c", Equation.ADVECTION, terms, substeps)
+
     def test_mpe_presets_are_exact_rationals(self):
         assert MPE_T4 == ((Fraction(-1, 3), 1), (Fraction(4, 3), 2))
         assert MPE_T6 == ((Fraction(1, 24), 1), (Fraction(-16, 15), 2), (Fraction(81, 40), 3))
@@ -599,6 +613,21 @@ class TestCompiledPrograms:
         unstable = StabilityError if equation is not Equation.ADVECTION else ParameterError
         with pytest.raises(unstable):
             compile_scheme(scheme, StepParams(r=-math.inf))
+
+    @pytest.mark.parametrize("params", [
+        StepParams(10 ** 400, 0.0), StepParams(0.0, 10 ** 400), StepParams(0.0, -10 ** 400),
+        StepParams(Fraction(10 ** 400, 3), 0.0), StepParams(1j, 0.0), StepParams(0.0, 1 + 0j),
+        StepParams(10 ** 5000, 0.0)],
+        ids=["int-r", "int-eta", "negative-int-eta", "fraction-r", "complex-r", "complex-eta",
+             "5001-digit-r"])
+    @pytest.mark.parametrize("equation,name", [(Equation.DIFFUSION, "d2s"),
+                                               (Equation.ADVECTION, "a2c"),
+                                               (Equation.DIFFUSION, "euler")])
+    def test_step_without_a_finite_float_value_rejected(self, equation, name, params):
+        # each raised a bare OverflowError or TypeError from the exact-step key (a direct call;
+        # the CLI passes finite floats only)
+        with pytest.raises(ParameterError, match="^r and eta must be finite"):
+            compile_scheme(resolve_preset(name, equation), params)
 
     @pytest.mark.parametrize("equation,name,params", [
         (Equation.DIFFUSION, "euler", StepParams(r=math.nan)),

@@ -1,11 +1,13 @@
 """Pair-sweep engine against its independent oracles."""
 
+import contextlib
 import ctypes
 import functools
 import importlib
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -784,6 +786,22 @@ class TestKernelChoice:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_does_not_load_the_build_modules(self):
+        # hashlib and subprocess cost about 10 ms of an import without bytecode, and only
+        # building the kernel needs them; ampfactor and phase never sweep
+        script = (
+            "import sys\n"
+            "import sweepfd\n"
+            "loaded = sorted({'hashlib', 'subprocess'} & set(sys.modules))\n"
+            "assert not loaded, f'import sweepfd imported {loaded}'\n"
+        )
+        src = str(Path(sweep_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 # the sizes around the C kernel's split threshold of 2^17 samples
 SPLIT_MIN = 2 ** 17
@@ -797,6 +815,27 @@ def split_counts(handle):
     """(sweeps split, those of them whose helper half was redone) so far in the C kernel."""
     return tuple(ctypes.c_long.in_dll(handle, name).value
                  for name in ("sweep_splits", "sweep_fallbacks"))
+
+
+LANE_FORMS = ("vector", "scalar")
+
+
+@contextlib.contextmanager
+def lanes_as(handle, form):
+    """Run handle's split sweeps in one lane form: the AVX2 lanes ("vector") or "scalar" chains.
+
+    The kernel chooses the form when it loads; the scalar one runs on any
+    CPU, so a host with AVX2 tests both.
+    """
+    choice = ctypes.c_int.in_dll(handle, "sweep_vector")
+    chosen = choice.value
+    if form == "vector" and not chosen:
+        pytest.skip("this CPU has no AVX2, so split sweeps run as scalar chains")
+    choice.value = form == "vector"
+    try:
+        yield
+    finally:
+        choice.value = chosen
 
 
 def splitting_kernel():
@@ -818,8 +857,10 @@ def with_recurrence(a, b, other, direction):
 def split_cases(draw):
     """kernel_cases at the split sizes, with a recurrence coefficient that lets the sweep split.
 
-    The special samples land anywhere or within 300 samples of the middle of
-    the array, where pieces 1 and 2 of a split ascending or descending sweep meet.
+    The special samples land anywhere or within 300 samples of an eighth of
+    the array, near where two pieces of a split ascending or descending sweep
+    meet: lanes of one thread at the odd eighths and at n/4 and 3n/4, the two
+    threads at n/2.
     """
     coeff = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL_COEFFICIENTS))
     direction = draw(st.sampled_from([ASC, DESC]))
@@ -827,7 +868,8 @@ def split_cases(draw):
     n = draw(st.sampled_from(SPLIT_SIZES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.normal(size=n) * draw(st.sampled_from([1e-300, 1.0, 1e300]))
-    where = st.one_of(st.integers(0, n - 1), st.integers(n // 2 - 300, n // 2 + 300))
+    where = st.one_of(st.integers(0, n - 1), st.integers(1, 7).flatmap(
+        lambda eighth: st.integers(eighth * n // 8 - 300, eighth * n // 8 + 300)))
     for j, x in draw(st.lists(st.tuples(where, st.sampled_from(SPECIAL_SAMPLES)), max_size=8)):
         values[j] = x
     return u, direction, values
@@ -836,40 +878,48 @@ def split_cases(draw):
 class TestSplitSweep:
     """Sweeps of 2^17 or more samples run on two threads in the C kernel, with the serial bits."""
 
+    @pytest.mark.parametrize("lanes", LANE_FORMS)
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
     @given(split_cases(), st.sampled_from(("in place",) + TERM_FORMS), st.integers(0, 2**32 - 1))
-    def test_split_sweep_matches_lfilter_bit_for_bit(self, case, form, seed):
+    def test_split_sweep_matches_lfilter_bit_for_bit(self, lanes, case, form, seed):
         handle = splitting_kernel()
         start, keywords = term_keywords(form, case[2], np.random.default_rng(seed))
         splits, _ = split_counts(handle)
-        swept = run_on(handle, *case, start, **keywords)
+        with lanes_as(handle, lanes):
+            swept = run_on(handle, *case, start, **keywords)
         assert split_counts(handle)[0] == splits + 1
         assert_same_bits(swept, run_on(None, *case, start, **keywords),
                          (case[:2], case[2].size, form))
 
-    @pytest.mark.parametrize("band", [None, (1, 1), (2, 2), (3, 3), (1, 2)],
+    @pytest.mark.parametrize("band", [None, (2, 2), (4, 4), (6, 6), (2, 4), (1, 1), (3, 3),
+                                      (5, 5), (7, 7), (1, 3), (5, 7)],
                              ids=["large until the middle", "band before n/4", "band before n/2",
-                                  "band before 3n/4", "band over n/4 and n/2"])
+                                  "band before 3n/4", "band over n/4 and n/2", "band before n/8",
+                                  "band before 3n/8", "band before 5n/8", "band before 7n/8",
+                                  "band over n/8 to 3n/8", "band over 5n/8 to 7n/8"])
     @pytest.mark.parametrize("form", ("in place",) + TERM_FORMS)
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_helper_half_redone_when_its_start_differs(self, direction, form, band):
-        # The C kernel cuts ring samples 2..n-1 into four pieces near n/4, n/2 and 3n/4;
-        # each piece but the first starts from a state guessed over the K = 212 samples
-        # before it (b = 0.5). band = (first, last) names piece boundaries in quarters of n.
-        # None: 1e300 up to 1000 samples before the middle, 1e-300 after, so at the middle
-        # the chain still holds about 1e300 * 2^-1000 = 0.09 of the large samples, which the
-        # guess never sees (pieces 2 and 3 are redone). A band: unit noise, but 1000
-        # samples of 1e300 and then 1e-300 from 3000 samples before its first boundary to
-        # 1000 after its last. Over the 1e-300 samples the rounded chain settles in a band
-        # of fixed points, the true state from above and the guess from below, so they
-        # differ at each boundary inside; after the band the next guess matches again.
+    @pytest.mark.parametrize("lanes", LANE_FORMS)
+    def test_helper_half_redone_when_its_start_differs(self, lanes, direction, form, band):
+        # The C kernel cuts ring samples 2..n-1 into eight pieces near the eighths of n:
+        # the caller's four lanes meet at n/8, n/4 and 3n/8, the helper's at 5n/8, 3n/4 and
+        # 7n/8, and the threads at n/2. Each piece but the first starts from a state guessed
+        # over the K = 212 samples before it (b = 0.5). band = (first, last) names piece
+        # boundaries in eighths of n. None: 1e300 up to 1000 samples before the middle,
+        # 1e-300 after, so at the middle the chain still holds about 1e300 * 2^-1000 = 0.09
+        # of the large samples, which the guess never sees (pieces 4-7 are redone). A band:
+        # unit noise, but 1000 samples of 1e300 and then 1e-300 from 3000 samples before its
+        # first boundary to 1000 after its last. Over the 1e-300 samples the rounded chain
+        # settles in a band of fixed points, the true state from above and the guess from
+        # below, so they differ at each boundary inside; after the band the next guess
+        # matches again.
         n = SPLIT_MIN
         handle = splitting_kernel()
         if band is None:
             ring = np.full(n, 1e-300)
             ring[:n // 2 - 1000] = 1e300
         else:
-            lo, hi = band[0] * n // 4 - 3000, band[1] * n // 4 + 1000
+            lo, hi = band[0] * n // 8 - 3000, band[1] * n // 8 + 1000
             ring = np.random.default_rng(47).normal(size=n)
             ring[lo - 1000:lo] = 1e300
             ring[lo:hi] = 1e-300
@@ -877,7 +927,8 @@ class TestSplitSweep:
         u = PairUpdate(0.5, 0.5, 0.5)
         start, keywords = term_keywords(form, values, np.random.default_rng(31))
         splits, fallbacks = split_counts(handle)
-        swept = run_on(handle, u, direction, values, start, **keywords)
+        with lanes_as(handle, lanes):
+            swept = run_on(handle, u, direction, values, start, **keywords)
         assert split_counts(handle) == (splits + 1, fallbacks + 1)
         assert_same_bits(swept, run_on(None, u, direction, values, start, **keywords), keywords)
 
@@ -894,6 +945,17 @@ class TestSplitSweep:
         swept = run_on(handle, *case)
         assert split_counts(handle) == counts
         assert_same_bits(swept, run_on(None, *case))
+
+    def test_vector_form_chosen_where_the_cpu_has_avx2(self):
+        handle = c_kernel()
+        if handle is None:
+            pytest.skip("the C sweep kernel cannot be built here")
+        avx2 = False
+        if sys.platform.startswith("linux") and platform.machine() == "x86_64":
+            flags = (line.split(":", 1)[1].split() for line in
+                     Path("/proc/cpuinfo").read_text().splitlines() if line.startswith("flags"))
+            avx2 = "avx2" in next(flags, ())
+        assert ctypes.c_int.in_dll(handle, "sweep_vector").value == avx2
 
     def test_no_split_on_one_allowed_cpu(self):
         splitting_kernel()
