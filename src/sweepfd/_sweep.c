@@ -1,7 +1,7 @@
 /* One periodic pair sweep: the compiled kernel behind sweep.sweep().
  *
- * Each function gives, sample for sample, the bits of the lfilter body in
- * sweep.py.  The starred chain (first touches) is the order-1
+ * Each function gives, sample for sample, the bits of the lfilter reference
+ * sweep in tests/oracles.py.  The starred chain (first touches) is the order-1
  * direct-form-II-transposed filter that scipy.signal.lfilter evaluates:
  * y = z + a*x, then z = 0.0*x - (-b)*y.  The chain carries z = b*y
  * instead, two dependent flops per sample rather than three.  The two

@@ -21,11 +21,17 @@ import numpy as np
 
 from . import composition, grid, oracle, spectral
 from .composition import Comparator, Equation, Scheme, StepParams
-from .errors import DegenerateFieldError, NonFiniteResultError, NumericsError, ParameterError
+from .errors import (
+    DegenerateFieldError,
+    KernelUnavailable,
+    NonFiniteResultError,
+    NumericsError,
+    ParameterError,
+)
 from .grid import Field1D
 
 USAGE_EXIT = 2
-FAILURE_EXIT = 1   # a numerical failure, or a CSV that could not be written
+FAILURE_EXIT = 1   # a numerical failure, no sweep kernel, or a CSV that could not be written
 # ceiling on steps x N x nx of one NxNAME scheme's run (N = 1 for a plain NAME):
 # hours of CPU time at any nx; a request beyond it (e.g. --dt 1e-300 --tfinal 1)
 # would never finish
@@ -439,6 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_EXIT
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
+    except KernelUnavailable as exc:
+        print(f"kernel error: {exc}", file=sys.stderr)
         return FAILURE_EXIT
     except WriteError as exc:
         if str(exc):

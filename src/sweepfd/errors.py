@@ -2,6 +2,7 @@
 
 Everything numerical derives from NumericsError so callers (and the CLI)
 can distinguish invalid-parameter situations from plain usage mistakes.
+KernelUnavailable, raised when no sweep can run on this host, is not one.
 """
 
 
@@ -39,3 +40,10 @@ class InvalidCoefficientError(NumericsError):
 
 class NonFiniteResultError(NumericsError):
     """A scheme's output became non-finite (inf or nan)."""
+
+
+class KernelUnavailable(RuntimeError):
+    """The C sweep kernel cannot be built or loaded, so no sweep can run.
+
+    Not a NumericsError: no choice of parameters avoids it.
+    """

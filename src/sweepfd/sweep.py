@@ -13,10 +13,10 @@ A sweep runs in a small C kernel (_sweep.c), compiled with the system C
 compiler on the first sweep and cached per user under
 $XDG_CACHE_HOME/sweepfd (default ~/.cache/sweepfd), keyed by the sha256
 of the source and the compiler flags.  On Linux it runs a sweep of 2^17
-samples or more on two threads, with the serial bits.  Without a
-compiler or a writable private cache it runs the same recurrence through
-scipy.signal.lfilter; both kernels give bit-identical results on fields
-with no nan on entry, and scipy is imported only on that fallback.
+samples or more on two threads, with the serial bits.  There is no
+other sweep path: without a compiler or a private cache a sweep raises
+KernelUnavailable.  The tests check the kernel bit for bit against a
+reference sweep built on scipy.signal.lfilter; the runtime needs no scipy.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidCoefficientError, SingularCoefficientError
+from .errors import InvalidCoefficientError, KernelUnavailable, SingularCoefficientError
 from .grid import Field1D
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 # -ffp-contract=off: a fused multiply-add would change the bits
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", "-lm")
-_UNBUILT = object()
-_kernel = _UNBUILT  # the loaded C library once built; None when sweeps use lfilter
+_kernel = None  # the loaded C library once a build succeeds
 
 
 class SweepDirection(Enum):
@@ -106,12 +105,12 @@ class PairUpdate:
 
 
 def _build_kernel():
-    """Compile (once per source and flags) and load the C kernel; None if either fails."""
+    """Compile (once per source and flags) and load the C kernel, or raise KernelUnavailable."""
     import hashlib      # here, so that a command that never sweeps never loads them
     import subprocess
 
     if os.name != "posix":
-        return None
+        raise KernelUnavailable(f"the C sweep kernel needs a POSIX host, not {os.name!r}")
     try:
         source = _SOURCE.read_bytes()
         base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -119,25 +118,31 @@ def _build_kernel():
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = cache.stat()
         if st.st_uid != os.getuid() or st.st_mode & 0o022:
-            return None  # a library another user can replace is never loaded
+            # a library another user can replace is never loaded
+            raise KernelUnavailable(f"the C sweep kernel cache {cache} must be owned by this "
+                                    "user and writable by no one else")
         key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
         lib = cache / f"_sweep-{key}.so"
         if not lib.exists():
             cc = shutil.which("cc")
             if cc is None:
-                return None
+                raise KernelUnavailable("no C compiler `cc` on PATH to build the sweep kernel")
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp],
-                               input=source, capture_output=True, check=True)
+                built = subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp],
+                                       input=source, capture_output=True)
+                if built.returncode:
+                    said = built.stderr.decode(errors="replace").strip().splitlines()
+                    raise KernelUnavailable(f"{cc} could not build the C sweep kernel: "
+                                            + (said or [f"exit {built.returncode}"])[0])
                 os.replace(tmp, lib)  # atomic, so concurrent builders are safe
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         kernel = ctypes.CDLL(str(lib))
-    except (OSError, subprocess.CalledProcessError):
-        return None
+    except OSError as exc:
+        raise KernelUnavailable(f"the C sweep kernel cannot be built or loaded: {exc}") from None
     coefficients = (ctypes.c_double,) * 3
     for fn in (kernel.sweep_asc, kernel.sweep_desc):
         fn.argtypes = (ctypes.c_void_p, ctypes.c_long, *coefficients)
@@ -168,48 +173,48 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     0.0 + w*s_j without an offset.  Those are the bits of sweeping a copy
     of source and then numpy's multiply and add.  source and offset are
     numpy arrays of f's shape; neither may overlap f.values, except that
-    source may be f.values itself.
+    source may be f.values itself.  f.values, source and offset must each
+    be a writeable C-contiguous float64 vector of at least 3 samples (a
+    Field1D's own values always are); otherwise the sweep raises
+    ValueError before it writes a sample.
 
-    The pass runs in the compiled C kernel, built on the first call.  On
-    Linux, a sweep of 2^17 samples or more runs there on two threads when
-    0 < |b| < 1 for the recurrence coefficient b, the warm-up
-    K = ceil(4*53 / -log2|b|) is at most N/8 and the calling thread may
-    run on a second CPU.  The chain is cut into eight pieces: the caller runs the first
-    four, a helper thread the last four.  Each thread advances its four
-    pieces together, as the four lanes of one AVX2 vector where the CPU has
-    AVX2 (the kernel checks once, when it loads), or else as four scalar
-    chains interleaved in one loop; both forms round every step as the
-    serial chain does.  Each piece but the first starts from the chain
-    state guessed over the K samples before it, and is kept only when that
-    guess equals the true end state of the piece before it bit for bit;
-    otherwise the caller redoes it from its saved inputs.  So the split
-    never changes a bit, and the call stays one C call.  An in-place split
-    holds about 7N/8 saved doubles while it runs.  When the kernel cannot
-    be built, or an array is not a writeable C-contiguous float64 vector,
-    the same arithmetic runs through scipy's lfilter instead.  The C chain
-    carries z = b*y where lfilter computes 0.0*x - (-b)*y, and takes that
-    literal form when b*y is a signed zero, an infinity or a nan, one
-    compare on its bits.  A finite nonzero b*y implies a finite x, where
-    the two forms agree, and where b*y overflowed from a finite x the
-    literal form gives the same infinity.  So the two kernels give
-    bit-identical results on every field Field1D admits: signed zeros,
-    infinities and nans born inside the sweep included.  A nan written into
-    f.values beforehand may leave nans of different signs in the two
-    kernels.
+    The pass runs in the compiled C kernel, built on the first call; while
+    it cannot be built, every call raises KernelUnavailable.  On Linux, a
+    sweep of 2^17 samples or more runs there on two threads when 0 < |b| < 1
+    for the recurrence coefficient b, the warm-up K = ceil(4*53 / -log2|b|)
+    is at most N/8 and the calling thread may run on a second CPU.  The
+    chain is cut into eight pieces: the caller runs the first four, a helper
+    thread the last four.  Each thread advances its four pieces together, as
+    the four lanes of one AVX2 vector where the CPU has AVX2 (the kernel
+    checks once, when it loads), or else as four scalar chains interleaved
+    in one loop; both forms round every step as the serial chain does.  Each
+    piece but the first starts from the chain state guessed over the K
+    samples before it, and is kept only when that guess equals the true end
+    state of the piece before it bit for bit; otherwise the caller redoes it
+    from its saved inputs.  So the split never changes a bit, and the call
+    stays one C call.  An in-place split holds about 7N/8 saved doubles
+    while it runs.  The C chain carries z = b*y where lfilter, the tests'
+    reference, computes 0.0*x - (-b)*y, and takes that literal form when b*y
+    is a signed zero, an infinity or a nan, one compare on its bits.  A
+    finite nonzero b*y implies a finite x, where the two forms agree, and
+    where b*y overflowed from a finite x the literal form gives the same
+    infinity.  So the kernel gives the reference's bits on every field
+    Field1D admits: signed zeros, infinities and nans born inside the sweep
+    included.  A nan written into f.values beforehand may leave a nan of the
+    other sign.
     """
     global _kernel
-    if _kernel is _UNBUILT:
+    if _kernel is None:
         _kernel = _build_kernel()
     v = f.values
     if source is None and weight is None and offset is None:
         # _fits(v) written out: this path runs once per sweep of every one-term step
-        if (_kernel is not None and v.dtype == np.float64 and v.ndim == 1 and v.size >= 3
+        if not (v.dtype == np.float64 and v.ndim == 1 and v.size >= 3
                 and v.flags.c_contiguous and v.flags.writeable):
-            run = _kernel.sweep_asc if direction.is_ascending else _kernel.sweep_desc
-            # a c_char view of the buffer is the cheapest pointer ctypes builds
-            run(ctypes.byref(ctypes.c_char.from_buffer(v)), v.size, u.alpha, u.beta, u.lam)
-        else:
-            _lfilter_sweep(v, u, direction)
+            raise ValueError(_UNFIT.format("f.values"))
+        run = _kernel.sweep_asc if direction.is_ascending else _kernel.sweep_desc
+        # a c_char view of the buffer is the cheapest pointer ctypes builds
+        run(ctypes.byref(ctypes.c_char.from_buffer(v)), v.size, u.alpha, u.beta, u.lam)
         return
     if weight is None and offset is not None:
         raise TypeError("an offset needs a weight")
@@ -218,19 +223,16 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     for name, x in (("source", source), ("offset", offset)):
         if x is not None and (x.shape != v.shape or np.may_share_memory(x, v)):
             raise ValueError(f"{name} must have the field's shape and not overlap its samples")
-    if (_kernel is not None and _fits(v) and (source is None or _fits(source))
-            and (offset is None or _fits(offset))):
-        run = _kernel.sweep_asc_term if direction.is_ascending else _kernel.sweep_desc_term
-        run(_pointer(v), None if source is None else _pointer(source),
-            None if offset is None else _pointer(offset), v.size, u.alpha, u.beta, u.lam,
-            0.0 if weight is None else weight, weight is not None)
-        return
-    if source is not None:
-        np.copyto(v, source)
-    _lfilter_sweep(v, u, direction)
-    if weight is not None:
-        np.multiply(weight, v, out=v)
-        np.add(0.0 if offset is None else offset, v, out=v)
+    for name, x in (("f.values", v), ("source", source), ("offset", offset)):
+        if x is not None and not _fits(x):
+            raise ValueError(_UNFIT.format(name))
+    run = _kernel.sweep_asc_term if direction.is_ascending else _kernel.sweep_desc_term
+    run(_pointer(v), None if source is None else _pointer(source),
+        None if offset is None else _pointer(offset), v.size, u.alpha, u.beta, u.lam,
+        0.0 if weight is None else weight, weight is not None)
+
+
+_UNFIT = "{} must be a writeable C-contiguous float64 vector of at least 3 samples"
 
 
 def _fits(x: np.ndarray) -> bool:
@@ -241,44 +243,3 @@ def _fits(x: np.ndarray) -> bool:
 
 def _pointer(x: np.ndarray):
     return ctypes.byref(ctypes.c_char.from_buffer(x))
-
-
-def _lfilter_sweep(v: np.ndarray, u: PairUpdate, direction: SweepDirection) -> None:
-    """The fallback kernel: the starred chain through lfilter, in place.
-
-    The second touches are written in place into the recurrence output and
-    into v, so lfilter's output is the only N-sized allocation.
-    """
-    from scipy.signal import lfilter
-
-    n = v.size
-    a, b, l = u.alpha, u.beta, u.lam
-    if direction.is_ascending:
-        # first touches: star_0 = a u0 + l u1 from pair (0,1); star_1 = b u0 + a u1;
-        # star_j = b star_{j-1} + a u_j afterwards, held in star[j - 2]
-        s0 = a * v[0] + l * v[1]
-        s1 = b * v[0] + a * v[1]
-        star = lfilter([a], [1.0, -b], v[2:], zi=np.array([b * s1]))[0]
-        v[0] = b * star[-1] + a * s0
-        v[1] = a * s1 + l * v[2]
-        # second touches of samples 2..N-2: a*star_j + l*u_{j+1}, summed into star
-        np.multiply(a, star, out=star)
-        np.multiply(l, v[3:], out=v[3:])
-        np.add(star[:-1], v[3:], out=star[:-1])
-        v[2:n - 1] = star[:-1]
-        v[n - 1] = star[-1] + l * s0                 # wrap pair (N-1,0)
-    else:
-        # wrap pair (N-1,0) goes first; star_j for j = N-2..1 is held in star[N-2-j]
-        s0 = b * v[n - 1] + a * v[0]
-        sn = a * v[n - 1] + l * v[0]
-        star = lfilter([a], [1.0, -l], v[n - 2:0:-1], zi=np.array([l * sn]))[0]
-        s1 = star[-1]
-        v[n - 1] = b * v[n - 2] + a * sn
-        # second touches of samples 2..N-2: b*u_{j-1} + a*star_j, summed into star
-        rest = star[-2::-1]                          # star_2..star_{N-2}
-        np.multiply(a, star, out=star)
-        np.multiply(b, v[1:n - 2], out=v[1:n - 2])
-        np.add(v[1:n - 2], rest, out=rest)
-        v[2:n - 1] = rest
-        v[1] = b * s0 + a * s1                       # final pair (0,1)
-        v[0] = a * s0 + l * s1

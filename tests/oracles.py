@@ -1,8 +1,10 @@
 """Independent references the tests compare the library against.
 
-None of these is part of sweepfd: dense generator and sweep matrices,
-the classic fixed-end one-sided sweep, the stage-by-stage compiler of a
-Program nested by term that compile_scheme must match op for op, the
+None of these is part of sweepfd: the lfilter sweep that the C kernel
+must match bit for bit and its loop written out in Python floats, dense
+generator and sweep matrices, the classic
+fixed-end one-sided sweep, the stage-by-stage compiler of a Program
+nested by term that compile_scheme must match op for op, the
 copy-per-term stepper that every step must match bit for bit, the op-by-op
 closed-form factor and the union-grid phase curve that scheme_factor and
 phase_curve must match bit for bit (the stepper and the factor compile
@@ -22,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +71,85 @@ def saulyev_sweep_fixed(v: np.ndarray, gamma: float, beta: float, lam: float,
         rhs = gamma * v[1:n - 1] + beta * v[:n - 2]
         v[n - 2:0:-1] = lfilter([1.0], [1.0, -lam], rhs[::-1],
                                 zi=np.array([lam * v[n - 1]]))[0]
+
+
+def reference_sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
+                    source: Optional[np.ndarray] = None, weight: Optional[float] = None,
+                    offset: Optional[np.ndarray] = None) -> None:
+    """sweep() built from lfilter and N-sized temporaries (the bit-identity oracle).
+
+    The starred chain (first touches) runs through lfilter, whose order-1
+    direct-form-II-transposed form the C kernel must reproduce bit for bit;
+    each second touch is a*star_j + l*u_{j+1} (ascending) or
+    b*u_{j-1} + a*star_j (descending).  The keywords are sweep()'s: the
+    sweep of a copy of source (default f.values) is stored in f.values, or
+    with a weight w, numpy's offset + w*swept (0.0 + w*swept without an
+    offset).
+    """
+    from scipy.signal import lfilter
+
+    v = np.array(f.values if source is None else source)
+    n = v.size
+    a, b, l = u.alpha, u.beta, u.lam
+    star = np.empty(n)
+    out = np.empty(n)
+    if direction.is_ascending:
+        star[0] = a * v[0] + l * v[1]
+        star[1] = b * v[0] + a * v[1]
+        star[2:] = lfilter([a], [1.0, -b], v[2:], zi=np.array([b * star[1]]))[0]
+        out[1:n - 1] = a * star[1:n - 1] + l * v[2:]
+        out[n - 1] = a * star[n - 1] + l * star[0]
+        out[0] = b * star[n - 1] + a * star[0]
+    else:
+        star[0] = b * v[n - 1] + a * v[0]
+        star[n - 1] = a * v[n - 1] + l * v[0]
+        star[n - 2:0:-1] = lfilter([a], [1.0, -l], v[n - 2:0:-1],
+                                   zi=np.array([l * star[n - 1]]))[0]
+        out[2:] = b * v[1:n - 1] + a * star[2:]
+        out[1] = b * star[0] + a * star[1]
+        out[0] = a * star[0] + l * star[1]
+    if weight is not None:
+        out = np.add(0.0 if offset is None else offset, np.multiply(weight, out))
+    f.values[:] = out
+
+
+def scalar_sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
+    """reference_sweep in place, with lfilter's loop written out in Python floats.
+
+    This checks the oracle itself: its lfilter call's coefficients, initial
+    state and slices.  Each first touch y_k of the starred chain takes
+    lfilter's order-1 direct-form-II-transposed form, y_k = z + a*x_k and
+    then z = x_k*0 - y_k*(-c), c the recurrence coefficient (beta ascending,
+    lam descending), from z = c*y of the pair before the chain.  On a field
+    with no nan on entry the two agree bit for bit.
+    """
+    v = f.values.tolist()
+    n = len(v)
+    a, b, l = u.alpha, u.beta, u.lam
+    star = [0.0] * n
+    out = [0.0] * n
+    if direction.is_ascending:
+        star[0] = a * v[0] + l * v[1]
+        star[1] = b * v[0] + a * v[1]
+        chain, c, z = range(2, n), b, b * star[1]
+    else:
+        star[0] = b * v[n - 1] + a * v[0]
+        star[n - 1] = a * v[n - 1] + l * v[0]
+        chain, c, z = range(n - 2, 0, -1), l, l * star[n - 1]
+    for k in chain:
+        star[k] = z + a * v[k]
+        z = v[k] * 0.0 - star[k] * -c
+    if direction.is_ascending:
+        for j in range(1, n - 1):
+            out[j] = a * star[j] + l * v[j + 1]
+        out[n - 1] = a * star[n - 1] + l * star[0]
+        out[0] = b * star[n - 1] + a * star[0]
+    else:
+        for j in range(2, n):
+            out[j] = b * v[j - 1] + a * star[j]
+        out[1] = b * star[0] + a * star[1]
+        out[0] = a * star[0] + l * star[1]
+    f.values[:] = out
 
 
 def sweep_as_matrix(u: PairUpdate, direction: SweepDirection, n: int) -> np.ndarray:

@@ -52,11 +52,11 @@ def child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_child(args, preexec_fn=None, stdout=subprocess.PIPE):
+def run_child(args, preexec_fn=None, stdout=subprocess.PIPE, env=None):
     """Run the CLI in a child process; its stderr is captured."""
-    return subprocess.run([sys.executable, "-m", "sweepfd.cli"] + args, env=child_env(),
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
-                          preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, "-m", "sweepfd.cli"] + args,
+                          env=child_env() if env is None else env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
 def run_capped(args):
@@ -456,6 +456,25 @@ class TestFailedWrite:
             code = proc.wait(timeout=60)
         assert code == 1
         assert err == ""
+
+
+class TestKernelUnavailable:
+    def test_without_a_compiler_stepping_exits_one_and_analysis_runs(self, tmp_path):
+        # with no cc on PATH and an empty kernel cache the C sweep kernel cannot be built;
+        # ampfactor and phase never sweep, so their CSVs keep their bytes
+        (tmp_path / "bin").mkdir()
+        (tmp_path / "cache").mkdir()
+        env = dict(child_env(), PATH=str(tmp_path / "bin"), XDG_CACHE_HOME=str(tmp_path / "cache"))
+        proc = run_child(["run", "--nx", "64", "--steps", "2"], env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("kernel error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        for args in (["ampfactor"], ["phase", "--equation", "advection", "--scheme", "a2c,rw2"]):
+            without, with_cc = run_child(args, env=env), run_child(args)
+            assert without.returncode == 0, without.stderr
+            assert without.stderr == ""
+            assert without.stdout == with_cc.stdout
 
 
 class TestNonFiniteOutput:

@@ -2,7 +2,7 @@
 
 import contextlib
 import ctypes
-import functools
+import errno
 import importlib
 import itertools
 import math
@@ -11,7 +11,6 @@ import platform
 import subprocess
 import sys
 import threading
-import warnings
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -19,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
 
+from sweepfd import composition as composition_module
 from sweepfd import (
     AdvDiffVariant,
     AdvectionVariant,
@@ -37,9 +36,9 @@ from sweepfd import (
     resolve_preset,
     sweep,
 )
-from sweepfd.errors import InvalidCoefficientError, NumericsError, SizeError
+from sweepfd.errors import InvalidCoefficientError, KernelUnavailable, NumericsError, SizeError
 
-from oracles import saulyev_sweep_fixed, sweep_as_matrix
+from oracles import reference_sweep, saulyev_sweep_fixed, scalar_sweep, sweep_as_matrix
 
 sweep_module = importlib.import_module("sweepfd.sweep")  # `sweepfd.sweep` is the function
 
@@ -47,29 +46,20 @@ ASC = SweepDirection.ASCENDING
 DESC = SweepDirection.DESCENDING
 
 
-@functools.cache
 def c_kernel():
-    """The compiled sweep kernel, built once per test session (None without a compiler)."""
-    return sweep_module._build_kernel()
+    """The C kernel that sweep() runs, built on first use."""
+    if sweep_module._kernel is None:
+        sweep_module._kernel = sweep_module._build_kernel()
+    return sweep_module._kernel
 
 
-@pytest.fixture(scope="class")
-def kernel(request):
-    """Run the sweeps of a test on the C kernel or on the lfilter fallback."""
-    handle = None
-    if request.param == "c":
-        handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep_module, "_kernel", handle)
-        yield request.param
+def both_sweepers(test):
+    """Run test with `sweeper` sweep (id c) and its lfilter oracle reference_sweep (id lfilter).
 
-
-def both_kernels(test):
-    """Run test under each kernel; as the outermost mark, the kernel id ends the test id."""
-    test = pytest.mark.usefixtures("kernel")(test)
-    return pytest.mark.parametrize("kernel", ["c", "lfilter"], indirect=True)(test)
+    Under the oracle a test checks the reference that every bit-for-bit test of
+    the kernel relies on.  As the outermost mark, the sweeper id ends the test id.
+    """
+    return pytest.mark.parametrize("sweeper", [sweep, reference_sweep], ids=["c", "lfilter"])(test)
 
 
 def random_update(rng) -> PairUpdate:
@@ -175,16 +165,16 @@ class TestMatrixOracle:
             m = sweep_as_matrix(advection_update(rng), direction, 9)
             assert np.max(np.abs(m.T @ m - np.eye(9))) <= 1e-13
 
-    @both_kernels
+    @both_sweepers
     @pytest.mark.parametrize("n", range(3, 17))
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_sweep_matches_matrix_product(self, n, direction):
+    def test_sweep_matches_matrix_product(self, n, direction, sweeper):
         rng = np.random.default_rng(100 + n)
         for _ in range(8):
             u = random_update(rng)
             f = Field1D(rng.normal(size=n), dx=1.0)
             expected = sweep_as_matrix(u, direction, n) @ f.values
-            sweep(f, u, direction)
+            sweeper(f, u, direction)
             scale = max(np.max(np.abs(f.values)), 1.0)
             assert np.max(np.abs(f.values - expected)) <= 1e-13 * scale
 
@@ -195,42 +185,23 @@ class TestMatrixOracle:
             sweep_as_matrix(PairUpdate(1.0, 0.0, 0.0), ASC, 100)
 
 
-def _reference_sweep(f: Field1D, u: PairUpdate, direction: SweepDirection) -> None:
-    """Straightforward sweep built from N-sized temporaries (bit-identity oracle)."""
-    v = f.values
-    n = v.size
-    a, b, l = u.alpha, u.beta, u.lam
-    star = np.empty(n)
-    out = np.empty(n)
-    if direction.is_ascending:
-        star[0] = a * v[0] + l * v[1]
-        star[1] = b * v[0] + a * v[1]
-        star[2:] = lfilter([a], [1.0, -b], v[2:], zi=np.array([b * star[1]]))[0]
-        out[1:n - 1] = a * star[1:n - 1] + l * v[2:]
-        out[n - 1] = a * star[n - 1] + l * star[0]
-        out[0] = b * star[n - 1] + a * star[0]
-    else:
-        star[0] = b * v[n - 1] + a * v[0]
-        star[n - 1] = a * v[n - 1] + l * v[0]
-        star[n - 2:0:-1] = lfilter([a], [1.0, -l], v[n - 2:0:-1],
-                                   zi=np.array([l * star[n - 1]]))[0]
-        out[2:] = b * v[1:n - 1] + a * star[2:]
-        out[1] = b * star[0] + a * star[1]
-        out[0] = a * star[0] + l * star[1]
-    v[:] = out
-
-
-@both_kernels
+@pytest.mark.parametrize("sweeper, reference", [(sweep, reference_sweep),
+                                                (reference_sweep, scalar_sweep)],
+                         ids=["c", "lfilter"])
 class TestInPlaceKernel:
-    """The in-place sweep must reproduce the pair arithmetic bit for bit."""
+    """The in-place sweep must reproduce the pair arithmetic bit for bit.
+
+    The C kernel is checked against the lfilter oracle (id c), and the oracle
+    against the same arithmetic written out in Python floats (id lfilter).
+    """
 
     @staticmethod
-    def assert_bit_identical(u, direction, values):
+    def assert_bit_identical(sweeper, reference, u, direction, values):
         f, ref = Field1D(values, dx=1.0), Field1D(values, dx=1.0)
         storage = f.values
         with np.errstate(over="ignore", invalid="ignore"):
-            sweep(f, u, direction)
-            _reference_sweep(ref, u, direction)
+            sweeper(f, u, direction)
+            reference(ref, u, direction)
         assert f.values is storage
         assert np.array_equal(f.values, ref.values, equal_nan=True)
         assert np.array_equal(np.signbit(f.values), np.signbit(ref.values))
@@ -238,35 +209,36 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 64, 1000])
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_matches_reference_bit_for_bit(self, n, direction):
+    def test_matches_reference_bit_for_bit(self, n, direction, sweeper, reference):
         rng = np.random.default_rng(7 * n + direction.is_ascending)
         for _ in range(20):
             values = rng.normal(size=n)
             values[rng.integers(0, n, 2)] = 0.0
             values[rng.integers(0, n, 1)] = -0.0
-            self.assert_bit_identical(random_update(rng), direction, values)
+            self.assert_bit_identical(sweeper, reference, random_update(rng), direction, values)
             signed_zeros = rng.choice([0.0, -0.0], size=n)
-            self.assert_bit_identical(random_update(rng), direction, signed_zeros)
+            self.assert_bit_identical(sweeper, reference, random_update(rng), direction,
+                                      signed_zeros)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 64, 1000])
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_overflow_to_inf_matches_reference(self, n, direction):
+    def test_overflow_to_inf_matches_reference(self, n, direction, sweeper, reference):
         rng = np.random.default_rng(11 * n + direction.is_ascending)
         for _ in range(5):
             u = PairUpdate(*(rng.choice([-1.0, 1.0], size=3) * rng.uniform(2.0, 40.0, size=3)))
             values = rng.normal(size=n) * 1e300
             values[rng.integers(0, n)] = 1e308
-            swept = self.assert_bit_identical(u, direction, values)
+            swept = self.assert_bit_identical(sweeper, reference, u, direction, values)
             assert not np.all(np.isfinite(swept))
 
 
-@both_kernels
+@both_sweepers
 class TestTermForms:
     """A sweep reading a source, or weighted, equals sweeping a copy and then numpy's sum."""
 
     @pytest.mark.parametrize("form", TERM_FORMS)
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_matches_sweep_of_a_copy_then_multiply_and_add(self, direction, form):
+    def test_matches_sweep_of_a_copy_then_multiply_and_add(self, direction, form, sweeper):
         rng = np.random.default_rng(29)
         for n in (3, 4, 5, 7, 64) * 4:
             values = rng.normal(size=n)
@@ -278,8 +250,8 @@ class TestTermForms:
             storage = f.values
             ref = Field1D(values, dx=1.0)
             with np.errstate(over="ignore"):
-                sweep(f, u, direction, **keywords)
-                _reference_sweep(ref, u, direction)
+                sweeper(f, u, direction, **keywords)
+                reference_sweep(ref, u, direction)
                 expected = ref.values
                 if "weight" in keywords:
                     expected = np.add(keywords.get("offset", 0.0),
@@ -288,13 +260,13 @@ class TestTermForms:
             assert_same_bits(f.values, expected)
             assert_same_bits(values, source)
 
-    def test_weighted_sum_without_offset_starts_from_positive_zero(self):
+    def test_weighted_sum_without_offset_starts_from_positive_zero(self, sweeper):
         # the swept -0.0 samples stay -0.0 in place; 0.0 + w*(-0.0) is +0.0
         u = PairUpdate(0.6, 0.2, 0.2)
         for direction in (ASC, DESC):
             f, g = Field1D(np.full(9, -0.0), dx=1.0), Field1D(np.full(9, -0.0), dx=1.0)
-            sweep(f, u, direction)
-            sweep(g, u, direction, weight=1.0)
+            sweeper(f, u, direction)
+            sweeper(g, u, direction, weight=1.0)
             assert np.all(np.signbit(f.values)) and not np.any(np.signbit(g.values))
 
 
@@ -452,16 +424,16 @@ def sweep_cases(draw):
     return u, draw(st.sampled_from([ASC, DESC])), values
 
 
-@both_kernels
+@both_sweepers
 class TestSweepProperty:
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(sweep_cases())
-    def test_sweep_matches_matrix_product(self, case):
+    def test_sweep_matches_matrix_product(self, sweeper, case):
         u, direction, values = case
         n = values.size
         f = Field1D(values, dx=1.0)
         expected = sweep_as_matrix(u, direction, n) @ values
-        sweep(f, u, direction)
+        sweeper(f, u, direction)
         # rounding bound: every term of either evaluation order is bounded by the
         # same product taken over |alpha|, |beta|, |lam| and |u|, and each term
         # takes O(n) roundings (plus absolute subnormal ones)
@@ -539,33 +511,34 @@ class TestPositivity:
         u = pair_update(variant, 10.0 ** log_r, 0.0, direction, half=half)
         assert min(u.alpha, u.beta, u.lam) >= 0.0
 
-    @both_kernels
+    @both_sweepers
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(st.sampled_from(POSITIVE_PRESETS), st.floats(-3.0, 4.0), st.integers(1, 5),
            hnp.arrays(np.float64, st.integers(3, 300), elements=st.floats(0.0, 1e300)))
-    def test_diffusion_sweep_presets_keep_a_field_nonnegative(self, name, log_r, steps,
+    def test_diffusion_sweep_presets_keep_a_field_nonnegative(self, sweeper, name, log_r, steps,
                                                              values):
         # every touch is a nonnegative combination of nonnegative samples
         f = Field1D(values, dx=1.0)
         scheme = resolve_preset(name, Equation.DIFFUSION)
-        for _ in range(steps):
-            apply_scheme(f, scheme, StepParams(r=10.0 ** log_r))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(composition_module, "sweep", sweeper)   # apply_scheme's sweeps
+            for _ in range(steps):
+                apply_scheme(f, scheme, StepParams(r=10.0 ** log_r))
         assert np.all(f.values >= 0.0)
 
 
-def run_on(handle, u, direction, values, start=None, **keywords):
-    """The swept values under one kernel handle (None: the lfilter fallback).
+def run_on(sweeper, u, direction, values, start=None, **keywords):
+    """The values swept by sweeper: sweep, or the lfilter oracle reference_sweep.
 
-    f holds values, or start when a source is given; keywords go to sweep,
+    f holds values, or start when a source is given; keywords go to sweeper,
     and a source must come back untouched.
     """
     f = Field1D(np.zeros(values.size), dx=1.0)
     f.values = np.array(values if start is None else start)   # Field1D would reject infinities
     keywords = {key: np.array(x) if isinstance(x, np.ndarray) else x
                 for key, x in keywords.items()}
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-        mp.setattr(sweep_module, "_kernel", handle)
-        sweep(f, u, direction, **keywords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweeper(f, u, direction, **keywords)
     if "source" in keywords:
         assert_same_bits(keywords["source"], values)
     return f.values
@@ -644,12 +617,12 @@ def mirror(n):
     return (-np.arange(n)) % n
 
 
-@both_kernels
+@both_sweepers
 class TestMirrorIdentity:
     """A sweep is the opposite sweep of the mirrored ring, with beta and lam exchanged.
 
     The C kernel runs every descending sweep as the ascending sweep of the
-    mirror.  The lfilter fallback writes both directions out, so under it the
+    mirror.  The lfilter oracle writes both directions out, so under it the
     identity is checked by code that does not rely on it.
     """
 
@@ -657,13 +630,13 @@ class TestMirrorIdentity:
     @given(kernel_cases(max_n=300), st.sampled_from(("in place", "source", "weight",
                                                      "weight offset")),
            st.integers(0, 2**32 - 1))
-    def test_sweep_is_opposite_sweep_of_mirrored_ring(self, case, form, seed):
+    def test_sweep_is_opposite_sweep_of_mirrored_ring(self, sweeper, case, form, seed):
         u, direction, values = case
         start, keywords = term_keywords(form, values, np.random.default_rng(seed))
-        swept = run_on(sweep_module._kernel, u, direction, values, start, **keywords)
+        swept = run_on(sweeper, u, direction, values, start, **keywords)
         m = mirror(values.size)
         opposite = DESC if direction.is_ascending else ASC
-        mirrored = run_on(sweep_module._kernel, PairUpdate(u.alpha, u.lam, u.beta), opposite,
+        mirrored = run_on(sweeper, PairUpdate(u.alpha, u.lam, u.beta), opposite,
                           values[m], None if start is None else start[m],
                           **{key: x[m] if isinstance(x, np.ndarray) else x
                              for key, x in keywords.items()})
@@ -674,42 +647,31 @@ class TestKernelChoice:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(kernel_cases())
     def test_c_kernel_matches_lfilter_bit_for_bit(self, case):
-        handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
-        assert_same_bits(run_on(handle, *case), run_on(None, *case))
+        assert_same_bits(run_on(sweep, *case), run_on(reference_sweep, *case))
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(kernel_cases(), st.sampled_from(TERM_FORMS), st.integers(0, 2**32 - 1))
     def test_c_term_forms_match_lfilter_bit_for_bit(self, case, form, seed):
-        handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
         start, keywords = term_keywords(form, case[2], np.random.default_rng(seed))
-        c = run_on(handle, *case, start, **keywords)
-        assert_same_bits(c, run_on(None, *case, start, **keywords))
+        c = run_on(sweep, *case, start, **keywords)
+        assert_same_bits(c, run_on(reference_sweep, *case, start, **keywords))
 
     @pytest.mark.parametrize("direction", [ASC, DESC])
     def test_c_kernel_matches_lfilter_on_adversarial_sweeps(self, direction):
-        handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
         for case in itertools.chain(adversarial_cases(direction, 1500, 17 + direction.is_ascending),
                                     overflow_cases(direction, 300, 53 + direction.is_ascending)):
-            assert_same_bits(run_on(handle, *case), run_on(None, *case), case)
+            assert_same_bits(run_on(sweep, *case), run_on(reference_sweep, *case), case)
 
     @pytest.mark.parametrize("form", TERM_FORMS)
     @pytest.mark.parametrize("direction", [ASC, DESC])
     def test_c_term_forms_match_lfilter_on_adversarial_sweeps(self, direction, form):
-        handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
         rng = np.random.default_rng(19)
         for case in itertools.chain(adversarial_cases(direction, 150, 23 + direction.is_ascending),
                                     overflow_cases(direction, 60, 59 + direction.is_ascending)):
             start, keywords = term_keywords(form, case[2], rng)
-            c = run_on(handle, *case, start, **keywords)
-            assert_same_bits(c, run_on(None, *case, start, **keywords), (case, keywords))
+            c = run_on(sweep, *case, start, **keywords)
+            assert_same_bits(c, run_on(reference_sweep, *case, start, **keywords),
+                             (case, keywords))
 
     @pytest.mark.parametrize("direction", [ASC, DESC])
     def test_overflow_cases_overflow_b_y_from_finite_samples(self, direction):
@@ -719,65 +681,93 @@ class TestKernelChoice:
 
     @pytest.mark.parametrize("setup", ["no compiler", "compiler fails", "cache is a file",
                                        "cache is shared"])
-    def test_failed_build_falls_back_to_lfilter(self, setup, tmp_path, monkeypatch):
+    def test_failed_build_raises_kernel_unavailable(self, setup, tmp_path, monkeypatch):
         # the cache cases keep the real PATH: only the cache stops the build
         cache = tmp_path / "cache"
         if setup == "no compiler":
             monkeypatch.setenv("PATH", "")
+            cause = "no C compiler `cc` on PATH"
         elif setup == "compiler fails":
             cc = tmp_path / "cc"
-            cc.write_text("#!/bin/sh\nexit 1\n")
+            cc.write_text("#!/bin/sh\necho 'cc: error: this compiler never builds' >&2\nexit 1\n")
             cc.chmod(0o755)
             monkeypatch.setenv("PATH", str(tmp_path))
+            cause = "could not build the C sweep kernel: cc: error: this compiler never builds"
         elif setup == "cache is a file":
             cache.write_text("")
+            cause = f"{os.strerror(errno.ENOTDIR)}: '{cache / 'sweepfd'}'"
         else:
             (cache / "sweepfd").mkdir(parents=True)
             (cache / "sweepfd").chmod(0o777)
+            cause = f"cache {cache / 'sweepfd'} must be owned by this user"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        monkeypatch.setattr(sweep_module, "_kernel", sweep_module._UNBUILT)
+        monkeypatch.setattr(sweep_module, "_kernel", None)
         rng = np.random.default_rng(12)
         values = rng.normal(size=50)
         for direction in (ASC, DESC):
-            u = random_update(rng)
-            f, ref = Field1D(values, dx=1.0), Field1D(values, dx=1.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                sweep(f, u, direction)
-            _reference_sweep(ref, u, direction)
+            f = Field1D(values, dx=1.0)
+            with pytest.raises(KernelUnavailable) as raised:
+                sweep(f, random_update(rng), direction)
+            assert cause in str(raised.value)
             assert sweep_module._kernel is None
-            assert np.array_equal(f.values, ref.values)
+            assert np.array_equal(f.values, values)
         if cache.is_dir():
             assert not list(cache.rglob("*.so"))
 
-    @both_kernels
+    @pytest.mark.parametrize("name", ["f.values", "source", "offset"])
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_strided_values_match_reference(self, direction):
-        # nothing stops a caller from rebinding values to a view the kernel cannot take
+    def test_arrays_the_kernel_cannot_take_are_rejected(self, direction, name):
+        # nothing stops a caller from rebinding values to an array the kernel cannot take, or
+        # from passing one as a source or an offset; such a sweep writes no sample
         rng = np.random.default_rng(13)
         u = random_update(rng)
         base = rng.normal(size=40)
-        between = base[1::2].copy()
-        f = Field1D(np.zeros(20), dx=1.0)
-        f.values = base[::2]
-        ref = Field1D(base[::2], dx=1.0)
-        sweep(f, u, direction)
-        _reference_sweep(ref, u, direction)
-        assert np.array_equal(base[::2], ref.values)
-        assert np.array_equal(base[1::2], between)
+        before = base.copy()
+        read_only = rng.normal(size=20)
+        read_only.flags.writeable = False
+        unfit = [base[::2], base[1::2], read_only, rng.normal(size=20).astype(np.float32)]
+        g = Field1D(rng.normal(size=20), dx=1.0)
+        kept = g.values.copy()
+        if name == "f.values":
+            unfit += [rng.normal(size=2), rng.normal(size=(4, 5))]
+            calls = [(Field1D(np.zeros(20), dx=1.0), keywords)
+                     for keywords in ({}, {"weight": 0.5}) for _ in unfit]
+            for (f, _), x in zip(calls, unfit * 2):
+                f.values = x
+        else:
+            calls = [(g, {"source": x} if name == "source" else {"weight": 0.5, "offset": x})
+                     for x in unfit]
+        expected = [f.values.copy() for f, _ in calls]
+        for (f, keywords), values in zip(calls, expected):
+            with pytest.raises(ValueError, match=f"^{name} must be a writeable C-contiguous"):
+                sweep(f, u, direction, **keywords)
+            assert_same_bits(f.values, values)
+        assert np.array_equal(base, before)
+        assert np.array_equal(g.values, kept)
 
     def test_stepping_does_not_import_scipy(self):
-        # scipy.signal costs about 1 s and 76 MB to import; only the lfilter fallback needs it
-        step = c_kernel() is not None
+        # scipy.signal costs about 1 s and 76 MB to import, and only the tests' oracles use
+        # it: with scipy made unimportable, each command runs on a small grid and exits 0
+        commands = (
+            ["run", "--nx", "64", "--steps", "2", "--scheme", "d2s,t4"],
+            ["norms", "--nx", "64", "--steps", "3", "--scheme", "d2s,t4"],
+            ["converge", "--nx", "64", "--scheme", "d2s,t4", "--dt", "0.1", "--tfinal", "0.4",
+             "--dts", "0.1,0.05,0.025"],
+            ["ampfactor", "--ntheta", "9"],
+            ["phase", "--equation", "advection", "--scheme", "a2c,s4", "--ntheta", "9"],
+        )
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "import sweepfd as sf\n"
             "assert 'scipy' not in sys.modules, 'import sweepfd imported scipy'\n"
-            f"if {step}:\n"
-            "    f = sf.sextic_profile(100, -10.0, 0.2, 0.0)\n"
-            "    scheme = sf.resolve_preset('a2c', sf.Equation.ADVECTION)\n"
-            "    sf.apply_scheme(f, scheme, sf.StepParams.from_physics(0.02, f.dx, 0.0, 1.0))\n"
-            "    assert 'scipy' not in sys.modules, 'an a2c step imported scipy'\n"
+            "sys.modules['scipy'] = None   # from here on, importing scipy raises ImportError\n"
+            "f = sf.sextic_profile(100, -10.0, 0.2, 0.0)\n"
+            "scheme = sf.resolve_preset('a2c', sf.Equation.ADVECTION)\n"
+            "sf.apply_scheme(f, scheme, sf.StepParams.from_physics(0.02, f.dx, 0.0, 1.0))\n"
+            "from sweepfd.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    code = main(argv + ['--out', os.devnull])\n"
+            "    assert code == 0, f'{argv} exited {code}'\n"
         )
         src = str(Path(sweep_module.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -841,8 +831,6 @@ def lanes_as(handle, form):
 def splitting_kernel():
     """The C kernel, where it splits large sweeps: on Linux with a second allowed CPU."""
     handle = c_kernel()
-    if handle is None:
-        pytest.skip("the C sweep kernel cannot be built here")
     if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a sweep splits only on Linux with a second allowed CPU")
     return handle
@@ -886,9 +874,9 @@ class TestSplitSweep:
         start, keywords = term_keywords(form, case[2], np.random.default_rng(seed))
         splits, _ = split_counts(handle)
         with lanes_as(handle, lanes):
-            swept = run_on(handle, *case, start, **keywords)
+            swept = run_on(sweep, *case, start, **keywords)
         assert split_counts(handle)[0] == splits + 1
-        assert_same_bits(swept, run_on(None, *case, start, **keywords),
+        assert_same_bits(swept, run_on(reference_sweep, *case, start, **keywords),
                          (case[:2], case[2].size, form))
 
     @pytest.mark.parametrize("band", [None, (2, 2), (4, 4), (6, 6), (2, 4), (1, 1), (3, 3),
@@ -928,28 +916,25 @@ class TestSplitSweep:
         start, keywords = term_keywords(form, values, np.random.default_rng(31))
         splits, fallbacks = split_counts(handle)
         with lanes_as(handle, lanes):
-            swept = run_on(handle, u, direction, values, start, **keywords)
+            swept = run_on(sweep, u, direction, values, start, **keywords)
         assert split_counts(handle) == (splits + 1, fallbacks + 1)
-        assert_same_bits(swept, run_on(None, u, direction, values, start, **keywords), keywords)
+        assert_same_bits(swept, run_on(reference_sweep, u, direction, values, start, **keywords),
+                         keywords)
 
     @pytest.mark.parametrize("n, b", [(SPLIT_MIN - 1, 0.5), (SPLIT_MIN, 0.995)],
                              ids=["below 2^17", "K above n/8"])
     @pytest.mark.parametrize("direction", [ASC, DESC])
     def test_no_split_below_the_threshold_or_for_a_slow_chain(self, n, b, direction):
         handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
         case = (with_recurrence(0.6, b, 0.3, direction), direction,
                 np.random.default_rng(37).normal(size=n))
         counts = split_counts(handle)
-        swept = run_on(handle, *case)
+        swept = run_on(sweep, *case)
         assert split_counts(handle) == counts
-        assert_same_bits(swept, run_on(None, *case))
+        assert_same_bits(swept, run_on(reference_sweep, *case))
 
     def test_vector_form_chosen_where_the_cpu_has_avx2(self):
         handle = c_kernel()
-        if handle is None:
-            pytest.skip("the C sweep kernel cannot be built here")
         avx2 = False
         if sys.platform.startswith("linux") and platform.machine() == "x86_64":
             flags = (line.split(":", 1)[1].split() for line in
@@ -980,16 +965,15 @@ class TestSplitSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0"]
 
-    def test_two_threads_sweep_at_once(self, monkeypatch):
+    def test_two_threads_sweep_at_once(self):
         # each call owns its helper thread and save buffer, and ctypes releases the GIL
         # during it, so two sweeps overlap; each must keep its serial bits
         handle = splitting_kernel()
-        monkeypatch.setattr(sweep_module, "_kernel", handle)
         rng = np.random.default_rng(43)
         rounds = 4
         cases = [(random_update(rng), direction, rng.normal(size=SPLIT_MIN))
                  for direction in (ASC, DESC) for _ in range(rounds)]
-        expected = [run_on(None, *case) for case in cases]
+        expected = [run_on(reference_sweep, *case) for case in cases]
         fields = [Field1D(values, dx=1.0) for _, _, values in cases]
         interval = sys.getswitchinterval()
         splits, _ = split_counts(handle)
