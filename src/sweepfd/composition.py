@@ -117,12 +117,8 @@ class Comparator(Enum):
         else:
             raise ParameterError("the implicit comparator has no explicit stepper")
 
-    def factor(self, params: StepParams, theta, z=None):
-        """Per-mode amplification factor of one step at theta (a float or an array).
-
-        These closed forms are written in theta; the mode z = e^{i theta}
-        that PairUpdate.factor takes is not read.
-        """
+    def factor(self, params: StepParams, theta):
+        """Per-mode amplification factor of one step at theta (a float or an array)."""
         s2 = np.sin(0.5 * np.asarray(theta)) ** 2
         if self is Comparator.EULER:
             return (1.0 - 4.0 * params.r * s2) + 0j

@@ -32,8 +32,7 @@ class Field1D:
         self.values = np.array(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 3:
             raise SizeError("a field needs at least 3 samples")
-        if not (math.isfinite(self.dx) and self.dx > 0):
-            raise ParameterError(f"dx must be positive and finite, got {self.dx}")
+        _check_spacing(self.dx)
         if not math.isfinite(self.x0):
             raise ParameterError("x0 must be finite")
         if not np.all(np.isfinite(self.values)):
@@ -52,12 +51,17 @@ class Field1D:
         return Field1D(self.values, self.dx, self.x0)  # __post_init__ copies
 
 
+def _check_spacing(dx: float) -> None:
+    """Reject a grid spacing dx that is not positive and finite."""
+    if not (math.isfinite(dx) and dx > 0):
+        raise ParameterError(f"dx must be positive and finite, got {dx}")
+
+
 def gaussian_profile(n: int, x0: float, dx: float, center: float, sigma: float) -> Field1D:
     """Gaussian pulse exp(-(x - center)^2 / (2 sigma^2))."""
     if not (sigma > 0):
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    if not (dx > 0):
-        raise ParameterError(f"dx must be positive, got {dx}")
+    _check_spacing(dx)
     try:
         sigma_squared = sigma ** 2
     except OverflowError:
@@ -68,8 +72,7 @@ def gaussian_profile(n: int, x0: float, dx: float, center: float, sigma: float) 
 
 def sextic_profile(n: int, x0: float, dx: float, center: float) -> Field1D:
     """Steep but smooth pulse exp(-((x - center)/2)^6)."""
-    if not (dx > 0):
-        raise ParameterError(f"dx must be positive, got {dx}")
+    _check_spacing(dx)
     x = x0 + dx * np.arange(n)
     return Field1D(np.exp(-(((x - center) / 2.0) ** 6)), dx, x0)
 

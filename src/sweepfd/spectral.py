@@ -10,13 +10,12 @@ exp(-h) and whose phase is h.imag.  numeric_amplification cross-checks
 the closed forms against the actual sweep engine.
 
 scheme_factor takes a scheme's distinct ops from compile_scheme, one per
-layout row.  At an array of thetas, a program with several sweeps per
-direction takes every ascending factor in one broadcast expression and
-every descending factor in another, from lam z and beta/z formed once
-per distinct update, with the bits of evaluating op by op.  A scalar
-theta is evaluated op by op.  phase_curve tracks the branch on the
-requested thetas themselves when they are its tracking grid.
-numeric_amplification reads where to sample from the layout's sweeps.
+layout row, and evaluates each through its own closed form, at a float
+theta or an array alike; a sweep's rational factor is written once, in
+PairUpdate.mode_factor, and lam z and beta/z are formed once per distinct
+update.  phase_curve tracks the branch on the requested thetas themselves
+when they are its tracking grid.  numeric_amplification reads where to
+sample from the layout's sweeps.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 from .composition import Equation, Scheme, StepParams, apply_scheme, compile_scheme
 from .errors import ParameterError
 from .grid import Field1D
+from .sweep import PairUpdate
 
 PHASE_RESOLUTION = math.pi / 1024.0
 
@@ -71,52 +71,33 @@ def exact_factor(equation: Equation, params: StepParams, theta: Thetas):
     return np.exp(-exact_exponent(equation, params, theta))
 
 
-def _factors(ops, n_asc: int, z: np.ndarray) -> np.ndarray:
-    """The factor of each row's sweep (a program of sweeps only) at the array z.
-
-    The table holds lam, beta and gamma of the ascending rows' updates, and
-    of the descending rows' unless those are the same in the same order (a
-    T2 stage's two sweeps mostly share one update).  lam z and beta/z are
-    formed once for the table; then every ascending factor
-    (gamma + lam z)/(1 - beta/z) is one broadcast expression and every
-    descending factor (gamma + beta/z)/(1 - lam z) another, with the bits of
-    PairUpdate.factor.  Updates equal by == may differ in the sign of a
-    zero; either gives the same bits, since lam z and beta/z each enter a
-    sum with a nonzero term or +0.0, and gamma is never -0.0.
-    """
-    asc = [x for head, _ in ops[:n_asc] for x in (head.lam, head.beta, head.gamma)]
-    desc = [x for head, _ in ops[n_asc:] for x in (head.lam, head.beta, head.gamma)]
-    shared = asc == desc
-    lam, beta, gamma = np.array(asc if shared else asc + desc, dtype=float).reshape(
-        (-1, 3) + (1,) * z.ndim).swapaxes(0, 1)
-    lz = lam * z
-    bz = beta / z
-    d = slice(0 if shared else n_asc, None)
-    out = np.empty((len(ops),) + z.shape, dtype=complex)
-    np.divide(gamma[:n_asc] + lz[:n_asc], 1.0 - bz[:n_asc], out=out[:n_asc])
-    np.divide(gamma[d] + bz[d], 1.0 - lz[d], out=out[n_asc:])
-    return out
-
-
 def scheme_factor(scheme: Scheme, params: StepParams, theta: Thetas):
     """Closed-form factor of a scheme, read off its compiled row ops.
 
-    Each distinct op of the scheme's layout gives its factor from theta and
-    the mode z = e^{i theta} computed once: at an array of thetas of any
-    shape (which g keeps), a program with several sweeps per direction
-    takes all of them at once (_factors), any other op by op.  Op factors
-    multiply within a stage, stage products multiply, each term's product
-    is raised to its power, the terms add with their weights (a single term
-    unweighted) and the sum is raised to substeps.
+    Each distinct op of the scheme's layout gives its factor at theta, a
+    float or an array of any shape (which g keeps): a sweep's from the mode
+    z = e^{i theta} computed once, with lam z and beta/z formed once per
+    distinct update.  Op factors multiply within a stage, stage products
+    multiply, each term's product is raised to its power, the terms add
+    with their weights (a single term unweighted) and the sum is raised to
+    substeps.
     """
     layout = scheme.layout
     ops = compile_scheme(scheme, params)
     z = np.exp(1j * np.asarray(theta, dtype=float))
-    # a program of one sweep per direction is cheaper op by op
-    if z.ndim and max(layout.n_asc, layout.n_desc) > 1:
-        factors = _factors(ops, layout.n_asc, z)
-    else:   # numpy's scalar complex arithmetic does not round like its array loops
-        factors = [head.factor(arg, theta, z) for head, arg in ops]
+    # A T2 stage's two sweeps mostly share one update, so its modes are formed
+    # once.  Updates equal by == may differ in the sign of a zero; either one's
+    # modes give the same bits, since lam z and beta/z each enter a sum with a
+    # nonzero term or +0.0, and gamma is never -0.0.
+    modes = {}
+    factors = []
+    for head, arg in ops:
+        if isinstance(head, PairUpdate):
+            if head not in modes:
+                modes[head] = (head.lam * z, head.beta / z)
+            factors.append(head.mode_factor(arg, *modes[head]))
+        else:
+            factors.append(head.factor(arg, theta))
     stages = [reduce(mul, (factors[r] for r in rows)) for rows in layout.stage_rows]
     terms = []
     for weight, power, ids in layout.terms:

@@ -73,22 +73,26 @@ class PairUpdate:
         """Coefficient b of the sweep's one-sided recurrence: beta ascending, lam descending."""
         return self.beta if direction.is_ascending else self.lam
 
-    def factor(self, direction: SweepDirection, theta, z=None):
+    def factor(self, direction: SweepDirection, theta):
         """Interior per-mode factor of one sweep at theta (a float or an array).
 
-        Ascending: (gamma + lam z) / (1 - beta / z) with the mode
-        z = e^{i theta}; descending mirrors the exponents.  A caller that
-        evaluates many factors at one theta passes z = np.exp(1j*theta)
-        (theta as a float array) and theta is not read.  Boundary
-        corrections decay geometrically into the interior and do not enter
-        this form.
+        Boundary corrections decay geometrically into the interior and do
+        not enter this form; mode_factor gives it from z = e^{i theta}.
         """
-        if z is None:
-            z = np.exp(1j * np.asarray(theta, dtype=float))
-        gamma = self.gamma
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        return self.mode_factor(direction, self.lam * z, self.beta / z)
+
+    def mode_factor(self, direction: SweepDirection, lam_z, beta_z):
+        """The rational factor of one sweep from lam z and beta/z at the mode z = e^{i theta}.
+
+        Ascending: (gamma + lam z) / (1 - beta/z); descending mirrors the
+        exponents.  A caller that evaluates both sweeps of an update, or
+        several updates equal by ==, forms lam z and beta/z once and passes
+        them to each.
+        """
         if direction.is_ascending:
-            return (gamma + self.lam * z) / (1.0 - self.beta / z)
-        return (gamma + self.beta / z) / (1.0 - self.lam * z)
+            return (self.gamma + lam_z) / (1.0 - beta_z)
+        return (self.gamma + beta_z) / (1.0 - lam_z)
 
     def boundary_weight(self, direction: SweepDirection) -> float:
         """Weight chi = alpha/(1 - b) of the seam sample in the conserved modified norm.

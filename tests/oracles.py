@@ -275,18 +275,17 @@ def diffusion_t2_factor(variant: coef.DiffusionVariant, r: float, theta: Thetas)
 
 
 def scheme_factor_by_ops(scheme: Scheme, params: StepParams, theta: Thetas):
-    """scheme_factor evaluated op by op, with no cached tables.
+    """scheme_factor evaluated op by op, with no modes shared between ops.
 
-    Each distinct op's PairUpdate.factor or Comparator.factor at theta and
-    z = e^{i theta}; op factors multiply within a stage, stage products
-    multiply, each term's product is raised to its power (1 included), the
-    terms add with their weights and the sum is raised to substeps (1
-    included).  scheme_factor must give these bits at every theta shape.
+    Each distinct op's PairUpdate.factor or Comparator.factor at theta; op
+    factors multiply within a stage, stage products multiply, each term's
+    product is raised to its power (1 included), the terms add with their
+    weights and the sum is raised to substeps (1 included).  scheme_factor
+    must give these bits at every theta shape.
     """
     program = compile_scheme_by_stages(scheme, params)
-    z = np.exp(1j * np.asarray(theta, dtype=float))
     ops = dict.fromkeys(op for _, _, stages in program.terms for stage in stages for op in stage)
-    factors = {(head, arg): head.factor(arg, theta, z) for head, arg in ops}
+    factors = {(head, arg): head.factor(arg, theta) for head, arg in ops}
     terms = []
     for weight, power, stages in program.terms:
         product = reduce(mul, (reduce(mul, (factors[op] for op in stage)) for stage in stages))

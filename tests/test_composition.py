@@ -386,21 +386,62 @@ SINGLE_TERM = [resolve_preset(prefix + name, equation) for equation in Equation
                    (1, 2, (Stage(DiffusionVariant.EXPONENTIAL, BaseStep.SWEEP_1A, 0.5),)),))]
 
 
+# The strategies below are built once, at import: building them again on every
+# draw took most of the time of the properties that draw from them.
+
+# each variant of a drawn product repeats these fractions, signed zeros among
+# them, and a last fraction completes its whole step
+REPEATED_FRACTIONS = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.25, 1.0, FOREST_RUTH[1]]), max_size=4)
+PRODUCT_VARIANTS = {equation: st.sampled_from(variants) for equation, variants in (
+    (Equation.DIFFUSION, [(v,) for v in DiffusionVariant]),
+    (Equation.ADVECTION, [(v,) for v in AdvectionVariant]),
+    (Equation.ADV_DIFF, [(v,) for v in AdvDiffVariant] + [(SM, MCN)]))}
+EQUATIONS = st.sampled_from(list(Equation))
+ONE_OR_TWO = st.sampled_from([1, 2])
+
+
+@st.composite
+def repeated_stage_products(draw):
+    equation = draw(EQUATIONS)
+    power = draw(ONE_OR_TWO)
+    stages = []
+    for variant in draw(PRODUCT_VARIANTS[equation]):
+        fractions = draw(REPEATED_FRACTIONS)
+        fractions.append(1.0 / power - math.fsum(fractions))
+        stages += [Stage(variant, BaseStep.T2, a) for a in fractions]
+    terms = ((1, power, tuple(draw(st.permutations(stages)))),)
+    try:
+        return Scheme("user", equation, terms, draw(ONE_OR_TWO))
+    except NumericsError:
+        reject()   # a negative diffusion fraction
+
+
+STEPPED_SCHEMES = st.one_of(
+    st.sampled_from(MULTI_TERM + [POSITIVE_MIX, dataclasses.replace(POSITIVE_MIX, substeps=2)]),
+    st.sampled_from(SINGLE_TERM), repeated_stage_products())
+STEPPED_ETAS = st.floats(-3.0, 3.0)
+STEPPED_RS = st.floats(0.0, 50.0)
+FIELD_SIZES = st.integers(3, 60)
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+# by length: a drawn field's samples, and a run of signed zeros in it
+FIELDS = {n: hnp.arrays(np.float64, n, elements=st.one_of(st.floats(-1e3, 1e3), SIGNED_ZEROS))
+          for n in range(3, 61)}
+ZERO_RUNS = {n: hnp.arrays(np.float64, n, elements=SIGNED_ZEROS) for n in range(61)}
+ZERO_RUN_ENDS = {n: st.integers(0, n) for n in range(3, 61)}
+
+
 @st.composite
 def stepping_cases(draw):
-    scheme = draw(st.one_of(
-        st.sampled_from(MULTI_TERM + [POSITIVE_MIX, dataclasses.replace(POSITIVE_MIX, substeps=2)]),
-        st.sampled_from(SINGLE_TERM), repeated_stage_products()))
-    eta = draw(st.floats(-3.0, 3.0)) if scheme.equation is not Equation.DIFFUSION else 0.0
-    params = StepParams(draw(st.floats(0.0, 50.0)), eta)
-    n = draw(st.integers(3, 60))
-    sample = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
-    values = draw(hnp.arrays(np.float64, n, elements=sample))
+    scheme = draw(STEPPED_SCHEMES)
+    eta = draw(STEPPED_ETAS) if scheme.equation is not Equation.DIFFUSION else 0.0
+    params = StepParams(draw(STEPPED_RS), eta)
+    n = draw(FIELD_SIZES)
+    values = draw(FIELDS[n])
     # a run of signed zeros, often the whole field
-    start, stop = (0, n) if draw(st.booleans()) else sorted(draw(st.integers(0, n))
+    start, stop = (0, n) if draw(st.booleans()) else sorted(draw(ZERO_RUN_ENDS[n])
                                                             for _ in range(2))
-    values[start:stop] = draw(hnp.arrays(np.float64, stop - start,
-                                         elements=st.sampled_from([0.0, -0.0])))
+    values[start:stop] = draw(ZERO_RUNS[stop - start])
     return scheme, params, values
 
 
@@ -558,7 +599,7 @@ class TestCompiledPrograms:
     @pytest.mark.parametrize("equation,name", EVERY_PRESET + [
         (equation, "3x" + name) for equation in Equation for name in preset_names(equation)])
     def test_one_op_per_layout_row_in_direction_order(self, equation, name):
-        # spectral's broadcast factors slice the ops at n_asc and n_asc + n_desc
+        # compile_scheme's documented output; layout.sweeps counts the rows below n_asc + n_desc
         scheme = resolve_preset(name, equation)
         layout, ops = scheme.layout, compile_scheme(scheme, self.PARAMS)
         assert isinstance(ops, tuple) and len(ops) == len(layout.rows)
@@ -660,30 +701,6 @@ class TestCompiledPrograms:
         with pytest.raises(SpatialAmplificationError, match="eta > -1"):
             apply_scheme(f, spec, StepParams(eta=1.4))
         assert np.array_equal(f.values, before)
-
-
-# each variant of a drawn product repeats these fractions, signed zeros among
-# them, and a last fraction completes its whole step
-REPEATED_FRACTIONS = st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.25, 1.0, FOREST_RUTH[1]])
-PRODUCT_VARIANTS = {Equation.DIFFUSION: [(v,) for v in DiffusionVariant],
-                    Equation.ADVECTION: [(v,) for v in AdvectionVariant],
-                    Equation.ADV_DIFF: [(v,) for v in AdvDiffVariant] + [(SM, MCN)]}
-
-
-@st.composite
-def repeated_stage_products(draw):
-    equation = draw(st.sampled_from(list(Equation)))
-    power = draw(st.sampled_from([1, 2]))
-    stages = []
-    for variant in draw(st.sampled_from(PRODUCT_VARIANTS[equation])):
-        fractions = draw(st.lists(REPEATED_FRACTIONS, max_size=4))
-        fractions.append(1.0 / power - math.fsum(fractions))
-        stages += [Stage(variant, BaseStep.T2, a) for a in fractions]
-    terms = ((1, power, tuple(draw(st.permutations(stages)))),)
-    try:
-        return Scheme("user", equation, terms, draw(st.sampled_from([1, 2])))
-    except NumericsError:
-        reject()   # a negative diffusion fraction
 
 
 def nested(scheme, ops):

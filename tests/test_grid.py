@@ -45,6 +45,11 @@ class TestField1D:
         with pytest.raises(ParameterError):
             Field1D(np.zeros(5), dx=math.nan)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_origin(self, x0):
+        with pytest.raises(ParameterError, match="x0 must be finite"):
+            Field1D(np.zeros(5), dx=0.1, x0=x0)
+
     def test_rejects_non_finite_samples(self):
         with pytest.raises(ParameterError):
             Field1D([0.0, math.inf, 0.0], dx=0.1)
@@ -118,6 +123,26 @@ class TestSexticProfile:
     def test_two_half_widths_out(self):
         f = sextic_profile(9, x0=-4.0, dx=1.0, center=0.0)
         assert f.values[0] == pytest.approx(math.exp(-64.0), rel=1e-12)
+
+
+# every spacing Field1D rejects: not positive, or not finite
+BAD_SPACINGS = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestProfileSpacing:
+    """Each profile rejects the spacings Field1D rejects before it builds an
+    array, so no numpy warning comes first (dx = inf reached x0 + dx*arange(n))."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dx", BAD_SPACINGS)
+    @pytest.mark.parametrize("profile", [
+        lambda dx: gaussian_profile(8, 0.0, dx, 0.0, 1.0),
+        lambda dx: sextic_profile(8, 0.0, dx, 0.0)], ids=["gaussian", "sextic"])
+    def test_rejects_what_field1d_rejects(self, profile, dx):
+        with pytest.raises(ParameterError, match="dx must be positive and finite"):
+            Field1D(np.zeros(8), dx=dx)
+        with pytest.raises(ParameterError, match="dx must be positive and finite"):
+            profile(dx)
 
 
 class TestNorm:

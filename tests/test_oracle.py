@@ -17,6 +17,7 @@ from sweepfd import (
     gaussian_profile,
 )
 from sweepfd.errors import ParameterError
+from sweepfd.oracle import FLOOR_RELATIVE
 from sweepfd.spectral import exact_factor
 
 from oracles import advection_generator, diffusion_generator
@@ -127,6 +128,19 @@ class TestFitPowerLaw:
         fit = fit_power_law(dts, values)
         assert fit.order == pytest.approx(3.0, abs=1e-3)
         assert abs(fit.plateau) <= 1e-8
+
+    def test_keeps_the_first_plateau_when_one_residual_clears_the_floor(self):
+        # only one residual about the first Richardson plateau exceeds the rounding
+        # floor, too few to refit the order: the fit stops with that plateau
+        dts = (0.4, 0.2, 0.025, 0.0125)
+        values = (5.0000000000016, 5.0000000000004, 5.000000000001, 5.000000000001)
+        fit = fit_power_law(dts, values)
+        diffs = np.abs(np.subtract(values[:2], values[-1]))
+        assert fit.order == float(np.polyfit(np.log(dts[:2]), np.log(diffs), 1)[0])
+        ratio = (dts[-2] / dts[-1]) ** fit.order
+        assert fit.plateau == (ratio * values[-1] - values[-2]) / (ratio - 1.0)
+        floor = max(values) * FLOOR_RELATIVE
+        assert np.sum(np.abs(np.subtract(values, fit.plateau)) > floor) == 1
 
     def test_converged_data_rejected(self):
         with pytest.raises(ParameterError):

@@ -248,6 +248,11 @@ class TestPhase:
         with pytest.raises(ParameterError):
             phase_angle(preset("d2s", Equation.DIFFUSION), StepParams(r=0.5), 0.3)
 
+    def test_negative_theta_rejected(self):
+        # the branch is tracked from theta = 0 upward
+        with pytest.raises(ParameterError, match="thetas must be >= 0"):
+            phase_curve(preset("a2c", Equation.ADVECTION), StepParams(eta=0.7), [0.5, -0.1])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_theta_rejected(self, bad):
         # the tracking grid reaches max theta: a nan or an infinity has none
@@ -459,9 +464,10 @@ MIXED_PRODUCT = Scheme("rw-a2c", Equation.ADVECTION,
 
 
 class TestTablesMatchOpByOp:
-    """scheme_factor's per-scheme layout and broadcast factors, and phase_curve's
-    tracking on the request, reproduce the op-by-op factor and the union-grid
-    phase curve of tests/oracles.py bit for bit: values, signed zeros, shapes."""
+    """scheme_factor's per-scheme layout and modes shared per update, and
+    phase_curve's tracking on the request, reproduce the op-by-op factor and
+    the union-grid phase curve of tests/oracles.py bit for bit: values,
+    signed zeros, shapes."""
 
     @pytest.mark.filterwarnings("ignore:negative substeps:RuntimeWarning")
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -260,6 +260,23 @@ class TestTermForms:
             assert_same_bits(f.values, expected)
             assert_same_bits(values, source)
 
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_source_may_be_the_fields_own_samples(self, direction, sweeper):
+        # source=f.values reads f itself: the in-place sweep, or its weighted sum
+        rng = np.random.default_rng(31)
+        for n in (3, 4, 5, 7, 64) * 2:
+            values = rng.normal(size=n)
+            values[rng.integers(0, n, 2)] = -0.0
+            offset = rng.normal(size=n)
+            offset[rng.integers(0, n, 2)] = -0.0
+            u, weight = random_update(rng), float(rng.uniform(-2.0, 2.0))
+            plain, same, weighted = (Field1D(values, dx=1.0) for _ in range(3))
+            sweeper(plain, u, direction)
+            sweeper(same, u, direction, source=same.values)
+            sweeper(weighted, u, direction, source=weighted.values, weight=weight, offset=offset)
+            assert_same_bits(same.values, plain.values)
+            assert_same_bits(weighted.values, np.add(offset, np.multiply(weight, plain.values)))
+
     def test_weighted_sum_without_offset_starts_from_positive_zero(self, sweeper):
         # the swept -0.0 samples stay -0.0 in place; 0.0 + w*(-0.0) is +0.0
         u = PairUpdate(0.6, 0.2, 0.2)
