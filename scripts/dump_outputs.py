@@ -3,14 +3,15 @@
     PYTHONPATH=src python scripts/dump_outputs.py OUTDIR
 
 For every preset, plain and as `2x`/`3x`, the file opens with a `layout:`
-line, the `rows`, `runs` and `sweeps` of `Scheme.layout`.  Then at each
-(r, eta) of POINTS it records the `program:` line, the repr of the tuple
-that `compile_scheme` returns, one op per layout row (the layout's runs
-index each term's ops in run order, so the line reads back into its
-terms); the bytes of `scheme_factor` on 33 thetas in [0, pi] and at the
-scalar theta of one lattice mode; for advection presets the bytes of
-`phase_curve` on its 1025-point tracking grid of [0, pi] and on the 33
-thetas (off that grid); the field bytes after 3 steps of `apply_scheme`;
+line, the `stage_rows`, `runs` and `sweeps` of `Scheme.layout`.  Then at
+each (r, eta) of POINTS it records the `program:` line, the repr of the
+tuple that `compile_scheme` returns, each distinct stage's ops in turn, one
+per layout row (the stage rows index each stage's ops and the runs each
+term's ops in run order, so the line reads back into its terms); the bytes
+of `scheme_factor` on 33 thetas in [0, pi] and at the scalar theta of one
+lattice mode; for advection presets the bytes of `phase_curve` on its
+1025-point tracking grid of [0, pi] and on the 33 thetas (off that grid);
+the field bytes after 3 steps of `apply_scheme`;
 `numeric_amplification` at the lattice mode; the type and message of any
 error these raise, and every warning.  `oracle.txt` records the bytes of
 `exact_evolve` on a Gaussian at each N of ORACLE_NS and each (D, v, dt) of
@@ -65,7 +66,8 @@ def stepped(scheme, params):
 
 def dump(scheme, lines):
     layout = scheme.layout
-    lines.append(f"layout: rows {layout.rows} runs {layout.runs} sweeps {layout.sweeps}")
+    lines.append(f"layout: stage_rows {layout.stage_rows} runs {layout.runs} "
+                 f"sweeps {layout.sweeps}")
     for r, eta in POINTS:
         params = sf.StepParams(r, eta)
         lines.append(f"== {params}")

@@ -9,13 +9,13 @@ diffusion substep with a_i < 0 is unstable) or from a multi-product
 expansion sum_k c_k T2^k(dt/k), whose weights are exact rationals.
 
 Scheme.layout lays the plan out once per scheme: distinct stages, terms
-of stage indices, op rows by direction, each term's rows in run order and
+of stage indices, each stage's op rows, each term's rows in run order and
 the sweeps per step.  compile_scheme resolves each distinct stage at given
-step parameters into the op of each layout row, a (head, arg) pair: a
-(PairUpdate, SweepDirection) sweep or a (Comparator, StepParams) step; the
-layout keeps the last step's ops.  Each head answers for its op, how it
-steps and its amplification factor, so stepping, the closed-form factor
-and the numeric readout read the layout and index its row ops.
+step parameters into its ops, stage by stage, one (head, arg) pair per
+row: a (PairUpdate, SweepDirection) sweep or a (Comparator, StepParams)
+step; the layout keeps the last step's ops.  Each head answers for its op,
+how it steps and its amplification factor, so stepping, the closed-form
+factor and the numeric readout read the layout and index its row ops.
 """
 
 from __future__ import annotations
@@ -236,12 +236,12 @@ class Layout:
     stages holds the scheme's distinct stages in first-seen order, told
     apart by repr: Stage(v, T2, 0.0) == Stage(v, T2, -0.0), but their ops
     differ in the sign of a zero.  terms holds each term as (float weight,
-    power, stage indices).  rows holds each distinct op as (stage index, op
-    index): the n_asc ascending sweeps, then the n_desc descending sweeps,
-    then the comparators.  stage_rows holds each stage's rows, and runs each
-    term's rows power times, in run order; sweeps counts one step's sweeps.
-    Only program depends on step parameters: compile_scheme's last params,
-    their exact step and the op of each row there, which readers index by row.
+    power, stage indices).  A row is one op of one distinct stage, and the
+    rows run stage by stage: stage_rows holds each stage's rows, its ops in
+    run order.  runs holds each term's rows power times, in run order;
+    sweeps counts one step's sweeps.  Only program depends on step
+    parameters: compile_scheme's last params, their exact step and the op
+    of each row there, which readers index by row.
     """
 
     def __init__(self, scheme: Scheme):
@@ -250,19 +250,13 @@ class Layout:
             first.setdefault(repr(stage), (len(first), stage))[0] for stage in stages))
             for weight, power, stages in scheme.terms)
         self.stages = tuple(stage for _, stage in first.values())
-        groups = ([], [], [])
-        for i, stage in enumerate(self.stages):
-            for k, d in enumerate(stage.base.directions if isinstance(stage, Stage) else (None,)):
-                groups[2 if d is None else int(d is SweepDirection.DESCENDING)].append((i, k))
-        self.n_asc, self.n_desc = len(groups[0]), len(groups[1])
-        self.rows = tuple(groups[0] + groups[1] + groups[2])
-        # a T2 stage's ascending row comes before its descending one: row order is run order
-        self.stage_rows = tuple(tuple(r for r, (j, _) in enumerate(self.rows) if j == i)
-                                for i in range(len(self.stages)))
+        sweeps = [len(s.base.directions) if isinstance(s, Stage) else 0 for s in self.stages]
+        rows = iter(range(sum(sweeps) or 1))   # a comparator stands alone: one op, no sweep
+        self.stage_rows = tuple(tuple(next(rows) for _ in range(n or 1)) for n in sweeps)
         self.runs = tuple(tuple(r for i in stages * power for r in self.stage_rows[i])
                           for _, power, stages in self.terms)
-        self.sweeps = scheme.substeps * sum(r < self.n_asc + self.n_desc
-                                            for run in self.runs for r in run)
+        self.sweeps = scheme.substeps * sum(power * sum(sweeps[i] for i in stages)
+                                            for _, power, stages in self.terms)
         self.program = (None, None, ())
 
 
@@ -270,7 +264,7 @@ class Layout:
 # sweep programs
 
 def compile_scheme(scheme: Scheme, params: StepParams) -> Tuple[Op, ...]:
-    """The sweep program of one step of scheme at params: the op of each layout row.
+    """The sweep program of one step of scheme at params: each distinct stage's ops in turn.
 
     Every coefficient is resolved here, once per distinct stage of the
     scheme's layout, so construction errors are raised before a field is
@@ -304,14 +298,13 @@ def compile_scheme(scheme: Scheme, params: StepParams) -> Tuple[Op, ...]:
         warnings.warn(f"negative substeps diffuse backwards: {scheme.name} at r = {params.r} "
                       "is stable only for small r", RuntimeWarning, stacklevel=2)
     sub = params if scheme.substeps == 1 else params.scaled(1.0 / scheme.substeps)
-    resolved = [stage.ops(sub) for stage in layout.stages]
-    for head, arg in (op for ops in resolved for op in ops):
+    ops = tuple(op for stage in layout.stages for op in stage.ops(sub))
+    for head, arg in ops:
         if isinstance(head, PairUpdate) and abs(head.recurrence(arg)) >= 1.0:
             raise SpatialAmplificationError(
                 f"{scheme.name} at r = {params.r}, eta = {params.eta}: one of its {arg.value} "
                 f"sweeps has recurrence coefficient |b| = {abs(head.recurrence(arg))} >= 1 "
                 "and amplifies along it")
-    ops = tuple(resolved[i][k] for i, k in layout.rows)
     layout.program = (params, step, ops)   # replaced whole: a thread reads one slot or the other
     return ops
 
@@ -374,6 +367,8 @@ def jump_fractions(m: int) -> Tuple[float, ...]:
     Then sum a = 1 and sum a^3 = 0.  m = 1 is Yoshida's triple jump (Phys.
     Lett. A 150, 262, 1990), m = 2 Suzuki's five-stage fractal.
     """
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ParameterError(f"jump fractions need an integer m >= 1, got {m!r}")
     c = (2.0 * m) ** (1.0 / 3.0)
     a = 1.0 / (2.0 * m - c)
     return (a,) * m + (-c * a,) + (a,) * m
@@ -385,8 +380,8 @@ def mpe_weights(order: int) -> Tuple[Tuple[Fraction, int], ...]:
     c_k = prod_{j != k} k^2 / (k^2 - j^2) solves sum_k c_k k^(-2m) = 0 for
     m = 1 .. order/2 - 1 (Chin & Geiser 2011, arXiv:1005.2201).
     """
-    if order < 2 or order % 2:
-        raise ParameterError(f"multi-product orders are even and >= 2, got {order}")
+    if not isinstance(order, numbers.Integral) or order < 2 or order % 2:
+        raise ParameterError(f"multi-product orders are even integers >= 2, got {order!r}")
     ks = range(1, order // 2 + 1)
     return tuple((math.prod((Fraction(k * k, k * k - j * j) for j in ks if j != k),
                             start=Fraction(1)), k) for k in ks)

@@ -9,13 +9,13 @@ semi-discretised equation (not the continuum one), whose factor is
 exp(-h) and whose phase is h.imag.  numeric_amplification cross-checks
 the closed forms against the actual sweep engine.
 
-scheme_factor takes a scheme's distinct ops from compile_scheme, one per
-layout row, and evaluates each through its own closed form, at a float
+scheme_factor takes a scheme's distinct ops from compile_scheme, stage
+by stage, and evaluates each through its own closed form, at a float
 theta or an array alike; a sweep's rational factor is written once, in
 PairUpdate.mode_factor, and lam z and beta/z are formed once per distinct
 update.  phase_curve tracks the branch on the requested thetas themselves
 when they are its tracking grid.  numeric_amplification reads where to
-sample from the layout's sweeps.
+sample from the layout's sweeps and, for a lone sweep, its stage.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .composition import Equation, Scheme, StepParams, apply_scheme, compile_scheme
+from .composition import BaseStep, Equation, Scheme, StepParams, apply_scheme, compile_scheme
 from .errors import ParameterError
 from .grid import Field1D
 from .sweep import PairUpdate
 
 PHASE_RESOLUTION = math.pi / 1024.0
+PHASE_MAX_THETA = 64.0 * math.pi   # a tracking grid of at most 65,537 points
 
 Thetas = Union[float, np.ndarray]
 
@@ -118,7 +119,8 @@ def phase_curve(scheme: Scheme, params: StepParams, thetas: Sequence[float]) -> 
     PHASE_RESOLUTION, so multiples of 2 pi are resolved even when arg(g)
     wraps.  When the request is that grid bit for bit (e.g. 1025 points on
     [0, pi]) the phase is tracked on the request itself; otherwise on the
-    union of the grid and the request, read off at the request.
+    union of the grid and the request, read off at the request.  Thetas
+    beyond PHASE_MAX_THETA are rejected before the grid is built.
     """
     if scheme.equation is not Equation.ADVECTION:
         raise ParameterError("phase angles are defined for advection schemes")
@@ -126,9 +128,9 @@ def phase_curve(scheme: Scheme, params: StepParams, thetas: Sequence[float]) -> 
     if np.any(req < 0.0):
         raise ParameterError("phase tracking starts at theta = 0; thetas must be >= 0")
     tmax = float(req.max(initial=0.0))
-    if not math.isfinite(tmax):
-        raise ParameterError(f"phase tracking needs finite thetas, got theta = "
-                             f"{req[~np.isfinite(req)].flat[0]}")
+    if not tmax <= PHASE_MAX_THETA:   # a nan fails too
+        raise ParameterError(f"phase tracking needs finite thetas <= {PHASE_MAX_THETA}, "
+                             f"got theta = {req[~(req <= PHASE_MAX_THETA)].flat[0]}")
     n_fine = max(2, int(math.ceil(tmax / PHASE_RESOLUTION)) + 1)
     grid = np.linspace(0.0, tmax, n_fine)
     if req.shape == grid.shape and req.tobytes() == grid.tobytes():
@@ -152,6 +154,8 @@ def numeric_amplification(scheme: Scheme, params: StepParams, theta: float,
     of one sweep leaves its transient at the seam it starts from and reads
     at the far end; any other step reads mid-grid.
     """
+    if not hasattr(type(n), "__index__"):   # what operator.index takes: ints, numpy integers
+        raise ParameterError(f"n must be an integer, got {n!r}")
     mode_index = theta * n / (2.0 * math.pi)
     if not math.isfinite(mode_index) or abs(mode_index - round(mode_index)) > 1e-9:
         raise ParameterError(f"theta = {theta} is not a lattice mode of an {n}-point grid")
@@ -161,6 +165,7 @@ def numeric_amplification(scheme: Scheme, params: StepParams, theta: float,
     apply_scheme(re, scheme, params)
     apply_scheme(im, scheme, params)
     layout = scheme.layout
-    idx = (n - 2 if layout.n_asc else 2) if layout.sweeps == 1 else n // 2
+    one_sweep = layout.sweeps == 1   # then the layout's only stage is that sweep
+    idx = (n - 2 if layout.stages[0].base is BaseStep.SWEEP_1A else 2) if one_sweep else n // 2
     g = (re.values[idx] + 1j * im.values[idx]) / cmath.exp(1j * theta * idx)
     return AmplificationSample(float(theta), complex(g))

@@ -309,6 +309,18 @@ class TestGeneratedWeights:
         with pytest.raises(ParameterError):
             mpe_weights(order)
 
+    @pytest.mark.parametrize("order", [4.0, 2.5, "4", None])
+    def test_mpe_order_must_be_an_integer(self, order):
+        # 4.0 raised a bare TypeError from range()
+        with pytest.raises(ParameterError, match="multi-product orders"):
+            mpe_weights(order)
+
+    @pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, "2", None])
+    def test_jump_count_must_be_a_positive_integer(self, m):
+        # 0 raised ZeroDivisionError, -1 returned complex fractions, 1.5 a bare TypeError
+        with pytest.raises(ParameterError, match="jump fractions"):
+            jump_fractions(m)
+
     def test_expansion_steps_each_term_at_dt_over_k(self):
         terms = expansion(SM, MPE_T6)
         assert [(c, k) for c, k, _ in terms] == list(MPE_T6)
@@ -598,18 +610,17 @@ class TestCompiledPrograms:
 
     @pytest.mark.parametrize("equation,name", EVERY_PRESET + [
         (equation, "3x" + name) for equation in Equation for name in preset_names(equation)])
-    def test_one_op_per_layout_row_in_direction_order(self, equation, name):
-        # compile_scheme's documented output; layout.sweeps counts the rows below n_asc + n_desc
+    def test_one_op_per_layout_row_in_stage_order(self, equation, name):
+        # compile_scheme's documented output: each distinct stage's ops, stage after stage
         scheme = resolve_preset(name, equation)
         layout, ops = scheme.layout, compile_scheme(scheme, self.PARAMS)
-        assert isinstance(ops, tuple) and len(ops) == len(layout.rows)
-        ends = (layout.n_asc, layout.n_asc + layout.n_desc)
-        assert all(isinstance(head, PairUpdate) and arg is SweepDirection.ASCENDING
-                   for head, arg in ops[:ends[0]])
-        assert all(isinstance(head, PairUpdate) and arg is SweepDirection.DESCENDING
-                   for head, arg in ops[ends[0]:ends[1]])
-        assert all(isinstance(head, Comparator) and arg == self.PARAMS.scaled(1 / scheme.substeps)
-                   for head, arg in ops[ends[1]:])
+        sub = self.PARAMS.scaled(1 / scheme.substeps)
+        assert isinstance(ops, tuple)
+        assert [r for rows in layout.stage_rows for r in rows] == list(range(len(ops)))
+        assert len(layout.stage_rows) == len(layout.stages)
+        for stage, rows in zip(layout.stages, layout.stage_rows):
+            assert repr(tuple(ops[r] for r in rows)) == repr(stage.ops(sub))
+        assert all(arg == sub for head, arg in ops if isinstance(head, Comparator))
 
     @pytest.mark.parametrize("equation,name", EVERY_PRESET)
     def test_sweep_count_matches_benchmark_prediction(self, equation, name):

@@ -27,8 +27,8 @@ from sweepfd import (
     resolve_preset,
     scheme_factor,
 )
-from sweepfd.errors import NumericsError, ParameterError
-from sweepfd.spectral import exact_factor
+from sweepfd.errors import NumericsError, ParameterError, SizeError
+from sweepfd.spectral import PHASE_MAX_THETA, exact_factor
 
 from oracles import (
     diffusion_t2_factor,
@@ -259,6 +259,22 @@ class TestPhase:
         with pytest.raises(ParameterError, match=f"theta = {bad}"):
             phase_curve(preset("a2c", Equation.ADVECTION), StepParams(eta=0.7), [0.5, bad])
 
+    @pytest.mark.parametrize("beyond", ["1e10", "just above the ceiling"])
+    def test_theta_beyond_the_grid_ceiling_rejected(self, beyond):
+        # 1e10 asked numpy for a 3.3e12-point tracking grid and raised its bare
+        # _ArrayMemoryError (23.7 TiB); a theta near 1e6 would take gigabytes
+        theta = 1e10 if beyond == "1e10" else math.nextafter(PHASE_MAX_THETA, math.inf)
+        with pytest.raises(ParameterError,
+                           match=f"thetas <= {PHASE_MAX_THETA}, got theta = {theta}"):
+            phase_curve(preset("a2c", Equation.ADVECTION), StepParams(eta=0.4), [0.5, theta])
+
+    def test_the_grid_ceiling_itself_is_tracked(self):
+        # the ceiling admits every theta the CLI, the dump and the tests ask for (up to 2 pi)
+        assert PHASE_MAX_THETA >= 2.0 * math.pi
+        scheme, params = preset("a2c", Equation.ADVECTION), StepParams(eta=0.4)
+        phase = phase_curve(scheme, params, [0.5, PHASE_MAX_THETA])
+        assert np.array_equal(phase, phase_curve_on_union(scheme, params, [0.5, PHASE_MAX_THETA]))
+
 
 class TestExponentMatching:
     def test_d2s_leading_exponent_is_r(self):
@@ -385,6 +401,17 @@ class TestNumericAmplification:
             numeric_amplification(preset("d2s", Equation.DIFFUSION), StepParams(r=1.0),
                                   0.1, 64)
 
+    @pytest.mark.parametrize("n", [8.0, 64.0, 8.5])
+    def test_non_integer_sample_count_rejected(self, n):
+        # n = 8.0 stepped two 8-sample fields and then raised IndexError on the readout
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            numeric_amplification(preset("d2s", Equation.DIFFUSION), StepParams(r=1.0), 0.0, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_samples_left_to_the_field(self, n):
+        with pytest.raises(SizeError):
+            numeric_amplification(preset("d2s", Equation.DIFFUSION), StepParams(r=1.0), 0.0, n)
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308])
     def test_non_finite_mode_index_rejected(self, theta):
         # nan and +-inf used to escape from round() as ValueError / OverflowError;
@@ -457,7 +484,8 @@ def same_bits(a, b):
 
 
 # a product whose Roberts-Weiss stage has one update per direction and whose
-# Crank-Nicolson stage shares one, so its descending rows read their own updates
+# Crank-Nicolson stage shares one, so one stage's descending sweep forms its own
+# modes and the other's reads its ascending sweep's
 MIXED_PRODUCT = Scheme("rw-a2c", Equation.ADVECTION,
                        ((1, 1, (Stage(AdvectionVariant.ROBERTS_WEISS),
                                 Stage(AdvectionVariant.MATCHED_CN))),))
