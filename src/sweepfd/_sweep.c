@@ -79,8 +79,9 @@
  * (base ? base[j] : 0.0) + w*value in place of each value: the bits of
  * numpy's multiply then add, summing from 0.0 when there is no base.
  * Every sample is read before any is written, so src == v is an in-place
- * sweep; base must not overlap v.  Each entry point expands its own copy
- * of asc, specialised by its constant arguments.
+ * sweep; base must not overlap v.  asc and split are compiled once, with
+ * the direction, src, base and weighting read at run time; only the hot
+ * loops, lanes_avx2 and advance, are expanded per direction and form.
  *
  * Build with -ffp-contract=off (a fused multiply-add changes the bits),
  * -pthread and -lm; no -march flag is needed, as only lanes is compiled
@@ -366,8 +367,8 @@ BODY double *slot(double *buf, long i, long lo, long hi, long step)
 }
 
 /* samples 2..n-1 of asc from chain c on two threads; 0, having written nothing, without a split */
-BODY int split(struct chain *c, double *p, const double *q, const double *o, int in_place,
-               long n, long step, double a, double b, double l, double w, int weighted)
+static int split(struct chain *c, double *p, const double *q, const double *o, int in_place,
+                 long n, long step, double a, double b, double l, double w, int weighted)
 {
     if (n < (1L << 17) || !(fabs(b) > 0.0 && fabs(b) < 1.0))
         return 0;
@@ -447,8 +448,8 @@ BODY int split(struct chain *c, double *p, const double *q, const double *o, int
 #endif
 
 /* pairs (0,1), (1,2), ..., (n-1,0) of the ring, or of its mirror when step = -1 */
-BODY void asc(double *v, const double *src, const double *base, long n, long step,
-              double a, double b, double l, double w, int weighted)
+static void asc(double *v, const double *src, const double *base, long n, long step,
+                double a, double b, double l, double w, int weighted)
 {
     long end = step > 0 ? 0 : n;
     double *p = v + end;
@@ -469,20 +470,6 @@ BODY void asc(double *v, const double *src, const double *base, long n, long ste
     p[step * (n - 1)] = out(a * c.y + l * s0, o, step * (n - 1), w, weighted);   /* wrap pair */
 }
 
-/* the term forms: one copy of asc per weighting */
-BODY void term(double *v, const double *src, const double *base, long n, long step,
-               double a, double b, double l, double w, int weighted)
-{
-    if (!src)
-        src = v;
-    if (!weighted)
-        asc(v, src, 0, n, step, a, b, l, w, 0);
-    else if (base)
-        asc(v, src, base, n, step, a, b, l, w, 1);
-    else
-        asc(v, src, 0, n, step, a, b, l, w, 1);
-}
-
 void sweep_asc(double *v, long n, double a, double b, double l)
 {
     asc(v, v, 0, n, 1, a, b, l, 1.0, 0);
@@ -496,11 +483,11 @@ void sweep_desc(double *v, long n, double a, double b, double l)
 void sweep_asc_term(double *v, const double *src, const double *base, long n,
                     double a, double b, double l, double w, int weighted)
 {
-    term(v, src, base, n, 1, a, b, l, w, weighted);
+    asc(v, src ? src : v, base, n, 1, a, b, l, w, weighted);
 }
 
 void sweep_desc_term(double *v, const double *src, const double *base, long n,
                      double a, double b, double l, double w, int weighted)
 {
-    term(v, src, base, n, -1, a, l, b, w, weighted);
+    asc(v, src ? src : v, base, n, -1, a, l, b, w, weighted);
 }

@@ -230,13 +230,10 @@ def _step_count(t: float, dt: float) -> int:
 
 def _step_params(dt: float, dx: float, dcoef: float, vel: float) -> StepParams:
     """StepParams of the physics; an r or eta with no finite value is a usage error."""
-    if dx * dx == 0.0:   # r = dt*dcoef/dx^2 would divide by zero
-        raise UsageError(f"dx = {dx} is too small: dx^2 underflows to 0")
-    params = StepParams.from_physics(dt, dx, dcoef, vel)
-    if not (math.isfinite(params.r) and math.isfinite(params.eta)):
-        raise UsageError(f"r = {params.r}, eta = {params.eta}: dt, dx, --dcoef and --vel "
-                         "give no finite step")
-    return params
+    try:
+        return StepParams.from_physics(dt, dx, dcoef, vel)
+    except ParameterError as exc:
+        raise UsageError(exc.args[0]) from exc
 
 
 def _bounded(steps: int, nx: int, substeps: int) -> int:

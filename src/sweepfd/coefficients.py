@@ -45,10 +45,22 @@ def _saulyev_ratio(x: float) -> float:
     return (1.0 - x) / (1.0 + x)
 
 
+def _overflow(variant: Enum, r: float) -> ParameterError:
+    """The error for variant's update at an r < 0 whose coefficients exceed the float range."""
+    return ParameterError(f"{variant.value} update at r = {r} overflows: its coefficients "
+                          "exceed the float range")
+
+
 def diffusion_gamma(variant: DiffusionVariant, r: float) -> float:
-    """Damping factor gamma(r); pure function, defined for either sign of r but r = -1."""
+    """Damping factor gamma(r); pure function, defined for either sign of r but r = -1.
+
+    exp(-2r) overflows below r of about -354.9, which raises ParameterError.
+    """
     if variant is DiffusionVariant.EXPONENTIAL:
-        return math.exp(-2.0 * r)
+        try:
+            return math.exp(-2.0 * r)
+        except OverflowError:
+            raise _overflow(variant, r) from None
     return _saulyev_ratio(r)
 
 
@@ -116,7 +128,8 @@ def _split_update(r: float, eta: float) -> PairUpdate:
     and psi >= 1, e^-r cosh(psi) = (e^{psi-r} + e^{-psi-r})/2 and
     e^-r sinh(psi)/psi = (e^{psi-r} - e^{-psi-r})/(2 psi), with
     psi - r = -(eta/2)^2/(psi + r): neither exponential overflows, which
-    cosh(psi) does above psi = 710.
+    cosh(psi) does above psi = 710.  At r < 0 the coefficients grow like
+    e^{2|r|} and overflow from about r = -355, which raises ParameterError.
     """
     half_eta = 0.5 * eta
     psi_squared = r * r - half_eta * half_eta
@@ -129,11 +142,14 @@ def _split_update(r: float, eta: float) -> PairUpdate:
         decay = math.exp(-psi - r)
         shc = (grow - decay) / (2.0 * psi)
         return PairUpdate(0.5 * (grow + decay), (r + half_eta) * shc, (r - half_eta) * shc)
-    damp = math.exp(-r)
-    shc = sinhc(psi_squared)
-    return PairUpdate(damp * _cosh_from_square(psi_squared),
-                      damp * (r + half_eta) * shc,
-                      damp * (r - half_eta) * shc)
+    try:   # a math function or a product (then rejected by PairUpdate) overflows
+        damp = math.exp(-r)
+        shc = sinhc(psi_squared)
+        return PairUpdate(damp * _cosh_from_square(psi_squared),
+                          damp * (r + half_eta) * shc,
+                          damp * (r - half_eta) * shc)
+    except (OverflowError, InvalidCoefficientError):
+        raise _overflow(AdvDiffVariant.SPLIT_DERIVED, r) from None
 
 
 def _rw_update(r: float, eta: float, direction: SweepDirection) -> PairUpdate:

@@ -85,7 +85,13 @@ class StepParams:
     @classmethod
     def from_physics(cls, dt: float, dx: float, diffusivity: float = 0.0,
                      velocity: float = 0.0) -> "StepParams":
-        return cls(dt * diffusivity / (dx * dx), velocity * dt / dx)
+        if dx * dx == 0.0:   # r = dt*D/dx^2 would divide by zero
+            raise ParameterError(f"dx = {dx} is too small: dx^2 underflows to 0")
+        r, eta = dt * diffusivity / (dx * dx), velocity * dt / dx
+        if not (math.isfinite(r) and math.isfinite(eta)):
+            raise ParameterError(f"r = {r}, eta = {eta}: dt = {dt}, dx = {dx}, diffusivity = "
+                                 f"{diffusivity} and velocity = {velocity} give no finite step")
+        return cls(r, eta)
 
     def scaled(self, factor: float) -> "StepParams":
         return StepParams(self.r * factor, self.eta * factor)
@@ -394,6 +400,9 @@ def product(variant: coef.Variant, fractions: Sequence[float]) -> Terms:
 
 def expansion(variant: coef.Variant, weights: Sequence[Tuple[Fraction, int]]) -> Terms:
     """Multi-product expansion sum_k c_k T2^k(dt/k) of weights ((c_k, k), ...)."""
+    for _, k in weights:
+        if not isinstance(k, numbers.Integral) or k < 1:
+            raise ParameterError(f"multi-product step counts are integers >= 1, got {k!r}")
     return tuple((c, k, (Stage(variant, BaseStep.T2, 1.0 / k),)) for c, k in weights)
 
 

@@ -1,6 +1,7 @@
 """Coefficient constructors for every scheme variant."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from sweepfd import (
+    FOREST_RUTH,
     AdvDiffVariant,
     AdvectionVariant,
     BaseStep,
@@ -21,6 +23,7 @@ from sweepfd import (
     diffusion_gamma,
     matched_cn_s,
     pair_update,
+    product,
 )
 from sweepfd.coefficients import sinhc
 from sweepfd.errors import (
@@ -62,6 +65,17 @@ class TestDiffusionCoeffs:
             compile_scheme(Scheme("d1a", Equation.DIFFUSION, (
                 (1, 1, (Stage(DiffusionVariant.EXPONENTIAL, BaseStep.SWEEP_1A),)),)),
                 StepParams(r=-0.1))
+
+    @pytest.mark.parametrize("r", [-400.0, -1e300])
+    def test_exponential_gamma_overflow_rejected(self, r):
+        # exp(-2r) overflowed into a bare OverflowError below r of about -354.9
+        with pytest.raises(ParameterError, match=f"exponential.*r = {re.escape(str(r))}"):
+            diffusion_gamma(DiffusionVariant.EXPONENTIAL, r)
+        with pytest.raises(ParameterError, match="exponential"):
+            pair_update(DiffusionVariant.EXPONENTIAL, 2.0 * r, 0.0, ASC, half=True)
+
+    def test_exponential_gamma_up_to_its_overflow(self):
+        assert diffusion_gamma(DiffusionVariant.EXPONENTIAL, -354.0) == math.exp(708.0)
 
     def test_monotone_damping(self):
         rs = np.linspace(0.0, 20.0, 81)
@@ -237,6 +251,25 @@ class TestSplitDerived:
         u = pair_update(AdvDiffVariant.SPLIT_DERIVED, -2.0, 0.0, ASC)
         assert u.alpha == math.exp(2.0) * math.cosh(2.0)
         assert u.beta == u.lam == math.exp(2.0) * -2.0 * (math.sinh(2.0) / 2.0)
+
+    @pytest.mark.parametrize("r,eta", [(-800.0, 0.0), (-720.0, 1600.0), (-425.6, 0.15)])
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    def test_overflowing_negative_r_rejected(self, r, eta, direction):
+        # e^-r overflowed into a bare OverflowError at r = -800 and, with psi^2 < 0, at
+        # r = -720; at r = -425.6 e^-r and cosh(psi) are finite, but their product is not,
+        # and PairUpdate rejected alpha
+        with pytest.raises(ParameterError, match=f"split-derived.*r = {re.escape(str(r))}"):
+            pair_update(AdvDiffVariant.SPLIT_DERIVED, r, eta, direction)
+
+    @pytest.mark.parametrize("r", [500.0, 1000.0])
+    def test_composition_with_an_overflowing_negative_stage_rejected(self, r):
+        # Forest-Ruth's middle stage sweeps at about -0.85 r: at r = 1000 compiling the
+        # scheme raised a bare OverflowError, and at r = 500 InvalidCoefficientError
+        scheme = Scheme("sfr", Equation.ADV_DIFF, product(AdvDiffVariant.SPLIT_DERIVED,
+                                                          FOREST_RUTH))
+        with pytest.warns(RuntimeWarning, match="negative substeps"), \
+                pytest.raises(ParameterError, match="split-derived"):
+            compile_scheme(scheme, StepParams(r, 0.3))
 
     def test_sinhc_branches_are_smooth(self):
         assert sinhc(0.0) == 1.0

@@ -321,6 +321,13 @@ class TestGeneratedWeights:
         with pytest.raises(ParameterError, match="jump fractions"):
             jump_fractions(m)
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, None])
+    def test_expansion_step_count_must_be_a_positive_integer(self, k):
+        # 0 raised ZeroDivisionError, None a bare TypeError, and -1 built a stage of
+        # fraction -1.0 that Scheme later rejected as a term power
+        with pytest.raises(ParameterError, match="step count"):
+            expansion(AdvectionVariant.MATCHED_CN, ((1, k),))
+
     def test_expansion_steps_each_term_at_dt_over_k(self):
         terms = expansion(SM, MPE_T6)
         assert [(c, k) for c, k, _ in terms] == list(MPE_T6)
@@ -901,6 +908,23 @@ class TestStepParams:
         p = StepParams.from_physics(dt=0.1, dx=0.1, diffusivity=0.5, velocity=1.0)
         assert p.r == pytest.approx(5.0, rel=1e-15)
         assert p.eta == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("dx", [0.0, 1e-200, -1e-170])
+    @pytest.mark.parametrize("diffusivity", [0.5, 0.0])
+    def test_vanishing_dx_squared_rejected(self, dx, diffusivity):
+        # r = dt*D/dx^2 divided by zero: a bare ZeroDivisionError
+        with pytest.raises(ParameterError, match="dx"):
+            StepParams.from_physics(0.1, dx, diffusivity, 1.0)
+
+    @pytest.mark.parametrize("dt, dx, diffusivity, velocity", [
+        (0.1, 1e-160, 0.5, 1.0),     # dx^2 = 1e-320 is subnormal, not 0: r = inf
+        (1e300, 1e-10, 0.0, 1.0),    # eta = inf
+        (0.1, 0.1, float("nan"), 0.0),
+    ])
+    def test_non_finite_step_rejected(self, dt, dx, diffusivity, velocity):
+        # float division overflows to inf without raising, so the step came back non-finite
+        with pytest.raises(ParameterError, match="no finite step"):
+            StepParams.from_physics(dt, dx, diffusivity, velocity)
 
     def test_scaled(self):
         p = StepParams(r=1.0, eta=2.0).scaled(0.25)

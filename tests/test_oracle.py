@@ -106,6 +106,12 @@ class TestExactEvolve:
         out = exact_evolve(f, D, v, dt)
         assert np.max(np.abs(out.values - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("diffusivity", [0.5, 0.0])
+    def test_spacing_whose_square_underflows_rejected(self, diffusivity):
+        # Field1D takes dx = 1e-200, but dx^2 underflows to 0: a bare ZeroDivisionError
+        with pytest.raises(ParameterError, match="dx"):
+            exact_evolve(Field1D(np.ones(8), dx=1e-200), diffusivity, 0.0, 0.1)
+
 
 class TestFitPowerLaw:
     def test_recovers_plateau_and_order(self):

@@ -940,15 +940,18 @@ class TestSplitSweep:
 
     @pytest.mark.parametrize("n, b", [(SPLIT_MIN - 1, 0.5), (SPLIT_MIN, 0.995)],
                              ids=["below 2^17", "K above n/8"])
+    @pytest.mark.parametrize("form", ("in place",) + TERM_FORMS)
     @pytest.mark.parametrize("direction", [ASC, DESC])
-    def test_no_split_below_the_threshold_or_for_a_slow_chain(self, n, b, direction):
+    def test_no_split_below_the_threshold_or_for_a_slow_chain(self, direction, form, n, b):
+        # every storage form of a long serial chain, beyond kernel_cases' 2000 samples
         handle = c_kernel()
         case = (with_recurrence(0.6, b, 0.3, direction), direction,
                 np.random.default_rng(37).normal(size=n))
+        start, keywords = term_keywords(form, case[2], np.random.default_rng(41))
         counts = split_counts(handle)
-        swept = run_on(sweep, *case)
+        swept = run_on(sweep, *case, start, **keywords)
         assert split_counts(handle) == counts
-        assert_same_bits(swept, run_on(reference_sweep, *case))
+        assert_same_bits(swept, run_on(reference_sweep, *case, start, **keywords), keywords)
 
     def test_vector_form_chosen_where_the_cpu_has_avx2(self):
         handle = c_kernel()
