@@ -2,7 +2,8 @@
 
 Each subcommand writes one CSV (stdout or --out) whose '#' header echoes
 every parameter, so reruns are byte-identical and each experiment recipe
-in the README is a single command.
+in the README is a single command.  Each command reads one namespace:
+the parsed options, checked and resolved by _resolve_setup.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import stat
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -53,44 +53,6 @@ class UsageError(Exception):
 
 class WriteError(Exception):
     """The CSV could not be written; no message when stdout's reader has gone."""
-
-
-@dataclass
-class Setup:
-    """Resolved experiment configuration shared by all subcommands."""
-
-    equation: Equation
-    schemes: List[Scheme]
-    nx: int
-    xmin: float
-    xmax: float
-    dx: float
-    dcoef: float
-    vel: float
-    dt: float
-    params: StepParams
-    steps: int
-    profile: str
-    center: float
-    sigma: float
-    out: Optional[str]
-
-    def field(self) -> Field1D:
-        if self.profile == "gaussian":
-            return grid.gaussian_profile(self.nx, self.xmin, self.dx, self.center, self.sigma)
-        return grid.sextic_profile(self.nx, self.xmin, self.dx, self.center)
-
-    def header(self, command: str) -> List[str]:
-        p = self.params
-        return [
-            f"# sweepfd {command}",
-            f"# equation={self.equation.value} schemes={','.join(s.name for s in self.schemes)}",
-            f"# nx={self.nx} xmin={fmt(self.xmin)} xmax={fmt(self.xmax)} dx={fmt(self.dx)}",
-            f"# dcoef={fmt(self.dcoef)} vel={fmt(self.vel)} dt={fmt(self.dt)} steps={self.steps}",
-            f"# r={fmt(p.r)} eta={fmt(p.eta)}",
-            f"# profile={self.profile} center={fmt(self.center)} sigma={fmt(self.sigma)}",
-            "# deterministic: no randomness anywhere; reruns are byte-identical",
-        ]
 
 
 def fmt(x: float) -> str:
@@ -245,7 +207,9 @@ def _bounded(steps: int, nx: int, substeps: int) -> int:
     return steps
 
 
-def _resolve_setup(args: argparse.Namespace) -> Setup:
+def _resolve_setup(args: argparse.Namespace) -> argparse.Namespace:
+    """A new namespace of the checked options: equation is the Equation, dcoef and vel are
+    zeroed where it cannot use them, and schemes, dx, params and steps are added."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name} must be finite, got {value}")
@@ -302,9 +266,28 @@ def _resolve_setup(args: argparse.Namespace) -> Setup:
     # physics the equation cannot use is zeroed so the r/eta echo is honest
     dcoef = 0.0 if equation is Equation.ADVECTION else args.dcoef
     vel = 0.0 if equation is Equation.DIFFUSION else args.vel
-    return Setup(equation, schemes, args.nx, args.xmin, args.xmax, dx,
-                 dcoef, vel, args.dt, _step_params(args.dt, dx, dcoef, vel), steps,
-                 args.profile, args.center, args.sigma, args.out)
+    return argparse.Namespace(**{
+        **vars(args), "equation": equation, "schemes": schemes, "dx": dx, "dcoef": dcoef,
+        "vel": vel, "params": _step_params(args.dt, dx, dcoef, vel), "steps": steps})
+
+
+def _field(setup: argparse.Namespace) -> Field1D:
+    if setup.profile == "gaussian":
+        return grid.gaussian_profile(setup.nx, setup.xmin, setup.dx, setup.center, setup.sigma)
+    return grid.sextic_profile(setup.nx, setup.xmin, setup.dx, setup.center)
+
+
+def _header(setup: argparse.Namespace, command: str) -> List[str]:
+    p = setup.params
+    return [
+        f"# sweepfd {command}",
+        f"# equation={setup.equation.value} schemes={','.join(s.name for s in setup.schemes)}",
+        f"# nx={setup.nx} xmin={fmt(setup.xmin)} xmax={fmt(setup.xmax)} dx={fmt(setup.dx)}",
+        f"# dcoef={fmt(setup.dcoef)} vel={fmt(setup.vel)} dt={fmt(setup.dt)} steps={setup.steps}",
+        f"# r={fmt(p.r)} eta={fmt(p.eta)}",
+        f"# profile={setup.profile} center={fmt(setup.center)} sigma={fmt(setup.sigma)}",
+        "# deterministic: no randomness anywhere; reruns are byte-identical",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,31 +308,30 @@ def _evolve(initial: Field1D, scheme: Scheme, params: StepParams, stops: Iterabl
         yield stop, f
 
 
-def _curves(setup: Setup, ntheta: int, curve: Callable):
+def _curves(setup: argparse.Namespace, curve: Callable):
     """thetas = linspace(0, pi, ntheta), the exact exponent h there and each scheme's
     curve(scheme, thetas, h), checked."""
-    thetas = np.linspace(0.0, np.pi, ntheta)
+    thetas = np.linspace(0.0, np.pi, setup.ntheta)
     with np.errstate(all="ignore"):   # overflow surfaces as a non-finite curve value
         h = spectral.exact_exponent(setup.equation, setup.params, thetas)
         return thetas, h, [_finite(curve(s, thetas, h), s, thetas) for s in setup.schemes]
 
 
-def cmd_ampfactor(setup: Setup, args: argparse.Namespace) -> None:
-    thetas, h, factors = _curves(setup, args.ntheta,
-                                 lambda s, t, h: spectral.scheme_factor(s, setup.params, t))
+def cmd_ampfactor(setup: argparse.Namespace) -> None:
+    thetas, h, factors = _curves(setup, lambda s, t, h: spectral.scheme_factor(s, setup.params, t))
     names, columns = ["theta"], [thetas]
     for name, g in zip(["exact"] + [s.name for s in setup.schemes], [np.exp(-h)] + factors):
         names += [f"{name}_re", f"{name}_im", f"{name}_abs", f"{name}_phase"]
         columns += [g.real, g.imag, np.abs(g), -np.angle(g)]
-    write_csv(setup.out, setup.header("ampfactor"), names, columns)
+    write_csv(setup.out, _header(setup, "ampfactor"), names, columns)
 
 
-def cmd_run(setup: Setup, args: argparse.Namespace) -> None:
-    times = sorted(_numbers(args.checkpoints, "--checkpoints")) if args.checkpoints else []
+def cmd_run(setup: argparse.Namespace) -> None:
+    times = sorted(_numbers(setup.checkpoints, "--checkpoints")) if setup.checkpoints else []
     marks = sorted({_step_count(t, setup.dt) for t in times})
     if any(m < 1 or m > setup.steps for m in marks):   # u_initial is the step-0 column
         raise UsageError("checkpoints must lie inside the run")
-    initial = setup.field()   # never stepped: each scheme steps its own copy
+    initial = _field(setup)   # never stepped: each scheme steps its own copy
     names, columns = ["x", "u_initial"], [initial.x, initial.values]
     norm_notes = [f"# norm initial={fmt(grid.norm(initial))}"]
     labels = [(f"t{m * setup.dt:g}", f"t={fmt(m * setup.dt)}: ") for m in marks] + \
@@ -362,17 +344,17 @@ def cmd_run(setup: Setup, args: argparse.Namespace) -> None:
             columns.append(f.values if suffix == "final" else f.values.copy())
             norm = _finite(grid.norm(f), scheme, step)
             norm_notes.append(f"# norm {scheme.name} {note}{fmt(norm)}")
-    write_csv(setup.out, setup.header("run") + norm_notes, names, columns)
+    write_csv(setup.out, _header(setup, "run") + norm_notes, names, columns)
 
 
-def cmd_converge(setup: Setup, args: argparse.Namespace) -> None:
-    dts_in = _numbers(args.dts, "--dts")
+def cmd_converge(setup: argparse.Namespace) -> None:
+    dts_in = _numbers(setup.dts, "--dts")
     if len(dts_in) < 2 or any(b >= a for a, b in zip(dts_in, dts_in[1:])):
         raise UsageError("--dts needs at least two strictly decreasing values")
     total_time = setup.steps * setup.dt
     if total_time == 0.0:
         raise UsageError("converge needs a positive run time; --steps is 0")
-    measure = grid.abs_moment if args.observable == "abs-moment" else grid.abs_weighted_mean
+    measure = grid.abs_moment if setup.observable == "abs-moment" else grid.abs_weighted_mean
     dts_used = []
     substeps = max(s.substeps for s in setup.schemes)
     for i, dt in enumerate(dts_in):
@@ -385,7 +367,7 @@ def cmd_converge(setup: Setup, args: argparse.Namespace) -> None:
             warnings.warn(f"dt={dt} does not divide t={total_time}; using dt={dt_used}",
                           RuntimeWarning)
         dts_used.append((dt_used, steps))
-    initial = setup.field()
+    initial = _field(setup)
     dts = [dt for dt, _ in dts_used]
     values = [[] for _ in setup.schemes]   # one column per --scheme entry, repeats included
     for dt_used, steps in dts_used:
@@ -402,14 +384,14 @@ def cmd_converge(setup: Setup, args: argparse.Namespace) -> None:
         else:
             footer.append(f"# fit scheme={scheme.name} plateau={fmt(fit.plateau)} "
                           f"order={fmt(fit.order)}")
-    header = setup.header("converge") + [
-        f"# tfinal={fmt(total_time)} observable={args.observable}"]
+    header = _header(setup, "converge") + [
+        f"# tfinal={fmt(total_time)} observable={setup.observable}"]
     write_csv(setup.out, header, ["dt"] + [s.name for s in setup.schemes], [dts] + values,
               footer)
 
 
-def cmd_norms(setup: Setup, args: argparse.Namespace) -> None:
-    initial = setup.field()
+def cmd_norms(setup: argparse.Namespace) -> None:
+    initial = _field(setup)
     reference = grid.norm(initial)
     if reference == 0.0:
         raise DegenerateFieldError("relative norm errors of a zero-norm initial profile")
@@ -420,23 +402,23 @@ def cmd_norms(setup: Setup, args: argparse.Namespace) -> None:
             (_finite((grid.norm(f) - reference) / reference, scheme, step) for step, f in stops),
             float, count=setup.steps))
     times = np.arange(1, setup.steps + 1) * setup.dt
-    write_csv(setup.out, setup.header("norms"), ["t"] + [s.name for s in setup.schemes],
+    write_csv(setup.out, _header(setup, "norms"), ["t"] + [s.name for s in setup.schemes],
               [times] + traces)
 
 
-def cmd_phase(setup: Setup, args: argparse.Namespace) -> None:
+def cmd_phase(setup: argparse.Namespace) -> None:
     if setup.equation is not Equation.ADVECTION:
         raise UsageError("phase errors are defined for --equation advection")
     thetas, _, curves = _curves(
-        setup, args.ntheta, lambda s, t, h: spectral.phase_curve(s, setup.params, t) - h.imag)
-    write_csv(setup.out, setup.header("phase"), ["theta"] + [s.name for s in setup.schemes],
+        setup, lambda s, t, h: spectral.phase_curve(s, setup.params, t) - h.imag)
+    write_csv(setup.out, _header(setup, "phase"), ["theta"] + [s.name for s in setup.schemes],
               [thetas] + curves)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.cmd(_resolve_setup(args), args)
+        args.cmd(_resolve_setup(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -218,7 +218,11 @@ def pair_update(variant: Variant, r: float, eta: float, direction: SweepDirectio
     (matched CN, matched AD2C).  Diffusion variants read only r and
     advection variants only eta.
     """
-    if not (math.isfinite(r) and math.isfinite(eta)):
+    try:
+        finite = math.isfinite(r) and math.isfinite(eta)
+    except OverflowError:   # an int with no float value, such as 10**400 (too long to print)
+        raise ParameterError("r and eta must be finite, got one beyond the float range") from None
+    if not finite:
         raise ParameterError(f"r and eta must be finite, got r = {r}, eta = {eta}")
     if half and variant not in (AdvectionVariant.MATCHED_CN, AdvDiffVariant.MATCHED_AD2C):
         r, eta = 0.5 * r, 0.5 * eta

@@ -87,7 +87,11 @@ class StepParams:
                      velocity: float = 0.0) -> "StepParams":
         if dx * dx == 0.0:   # r = dt*D/dx^2 would divide by zero
             raise ParameterError(f"dx = {dx} is too small: dx^2 underflows to 0")
-        r, eta = dt * diffusivity / (dx * dx), velocity * dt / dx
+        try:
+            r, eta = dt * diffusivity / (dx * dx), velocity * dt / dx
+        except OverflowError:   # an int with no float value, such as 10**400 (too long to print)
+            raise ParameterError("dt, dx, diffusivity and velocity give no finite step: one is "
+                                 "beyond the float range") from None
         if not (math.isfinite(r) and math.isfinite(eta)):
             raise ParameterError(f"r = {r}, eta = {eta}: dt = {dt}, dx = {dx}, diffusivity = "
                                  f"{diffusivity} and velocity = {velocity} give no finite step")

@@ -42,6 +42,7 @@ class PowerLawFit:
     order: float
 
 
+@np.errstate(all="ignore")   # an overflow or a zero divisor ends in a check that raises
 def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
     """Fit plateau and order of a converging observable sequence.
 
@@ -49,6 +50,9 @@ def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
     extrapolation at the current order estimate and the two are iterated
     to consistency.  Residuals at the rounding floor are excluded.  The dts
     must be finite, positive and strictly decreasing, and the values finite.
+    A fit with no finite plateau or order (a Richardson ratio of 1, an
+    overflow) or whose log dts are too close to fit a slope is a
+    ParameterError.
     """
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -69,7 +73,7 @@ def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
         usable = diffs > floor
     if np.sum(usable) < 2:
         raise ParameterError("values are already converged; no order to fit")
-    order = float(np.polyfit(np.log(dts[:-1][usable]), np.log(diffs[usable]), 1)[0])
+    order = _slope(np.log(dts[:-1][usable]), np.log(diffs[usable]))
 
     plateau = values[-1]
     for _ in range(FIT_ITERATIONS):
@@ -80,9 +84,22 @@ def fit_power_law(dts: Sequence[float], values: Sequence[float]) -> PowerLawFit:
         if np.sum(keep) < 2:
             plateau = plateau_new
             break
-        order_new = float(np.polyfit(np.log(dts[keep]), np.log(residuals[keep]), 1)[0])
+        order_new = _slope(np.log(dts[keep]), np.log(residuals[keep]))
         converged = abs(order_new - order) < 1e-8 * max(1.0, abs(order))
         plateau, order = plateau_new, order_new
         if converged:
             break
+    if not (math.isfinite(plateau) and math.isfinite(order)):
+        raise ParameterError("the fit has no finite plateau and order")
     return PowerLawFit(float(plateau), float(order))
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, for finite y and x that determine one."""
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("the fit has no finite plateau and order")
+    # full=True returns polyfit's rank in place of its RankWarning, with the same slope
+    (slope, _), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    if rank < 2:
+        raise ParameterError("dt values lie too close together to fit an order")
+    return float(slope)

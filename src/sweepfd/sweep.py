@@ -61,7 +61,7 @@ class PairUpdate:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "lam"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise InvalidCoefficientError(f"{name} must be finite")
 
     @property
@@ -172,15 +172,15 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
 
     By default the sweep runs in place.  The keywords fold a multi-term
     step's bookkeeping into its sweeps: the sweep reads source (default
-    f.values; any other source is left untouched), and with a weight w
-    stores offset_j + w*s_j in place of each swept sample s_j, or
+    f.values; any other source is left untouched), and with a finite weight
+    w stores offset_j + w*s_j in place of each swept sample s_j, or
     0.0 + w*s_j without an offset.  Those are the bits of sweeping a copy
     of source and then numpy's multiply and add.  source and offset are
     numpy arrays of f's shape; neither may overlap f.values, except that
     source may be f.values itself.  f.values, source and offset must each
     be a writeable C-contiguous float64 vector of at least 3 samples (a
-    Field1D's own values always are); otherwise the sweep raises
-    ValueError before it writes a sample.
+    Field1D's own values always are); otherwise, or for a weight that is
+    not finite, the sweep raises ValueError before it writes a sample.
 
     The pass runs in the compiled C kernel, built on the first call; while
     it cannot be built, every call raises KernelUnavailable.  On Linux, a
@@ -222,6 +222,8 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
         return
     if weight is None and offset is not None:
         raise TypeError("an offset needs a weight")
+    if weight is not None and not _finite(weight):
+        raise ValueError("weight must be finite")
     if source is v:
         source = None
     for name, x in (("source", source), ("offset", offset)):
@@ -234,6 +236,14 @@ def sweep(f: Field1D, u: PairUpdate, direction: SweepDirection, *,
     run(_pointer(v), None if source is None else _pointer(source),
         None if offset is None else _pointer(offset), v.size, u.alpha, u.beta, u.lam,
         0.0 if weight is None else weight, weight is not None)
+
+
+def _finite(x) -> bool:
+    """math.isfinite(x), and False for a number with no float value, such as 10**400."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 _UNFIT = "{} must be a writeable C-contiguous float64 vector of at least 3 samples"

@@ -369,10 +369,22 @@ class TestDispatch:
         # looked up on each call, not bound once at import
         calls = []
         monkeypatch.setattr(sweepfd.cli, f"cmd_{command}",
-                            lambda setup, args: calls.append(args.command))
+                            lambda setup: calls.append(setup.command))
         argv = [command, "--equation", "advection", "--scheme", "a2c"]
         assert main(argv + (["--dts", "0.1,0.05"] if command == "converge" else [])) == 0
         assert calls == [command]
+
+    def test_resolved_namespace_is_new_and_leaves_the_parsed_one_unchanged(self):
+        args = sweepfd.cli._build_parser().parse_args(
+            ["norms", "--equation", "advection", "--scheme", "a2c,rw2", "--tfinal", "1"])
+        parsed = dict(vars(args))
+        setup = sweepfd.cli._resolve_setup(args)
+        assert setup is not args and vars(args) == parsed
+        assert setup.equation is Equation.ADVECTION
+        assert [s.name for s in setup.schemes] == ["a2c", "rw2"]
+        assert (setup.dcoef, setup.vel, setup.dx, setup.steps) == (0.0, 1.0, 0.1, 10)
+        assert (setup.params.r, setup.params.eta) == (0.0, 1.0)
+        assert setup.cmd is args.cmd and setup.tfinal == 1.0
 
 
 class TestMalformedInput:
@@ -957,7 +969,16 @@ class TestExitCodeContract:
             if code != 0:
                 assert not out.exists()
                 return
-            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            text = out.read_text().splitlines()
+            lines = [line for line in text if not line.startswith("#")]
             values = [float(v) for line in lines[1:] for v in line.split(",")]
+            # the footers' numbers too: each fit's plateau and order, each norm's value;
+            # a fit reported as unavailable carries none
+            for line in text:
+                if line.startswith("# fit ") and " unavailable (" not in line:
+                    fit = dict(word.split("=") for word in line.split()[2:])
+                    values += [float(fit["plateau"]), float(fit["order"])]
+                elif line.startswith("# norm "):
+                    values.append(float(line.split()[-1].split("=")[-1]))
             assert all(map(math.isfinite, values)), argv
 

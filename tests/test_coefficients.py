@@ -443,3 +443,12 @@ class TestPairUpdate:
     def test_non_finite_parameters_rejected(self, variant, r, eta):
         with pytest.raises(ParameterError):
             pair_update(variant, r, eta, ASC)
+
+    @pytest.mark.parametrize("variant", EVERY_VARIANT)
+    @pytest.mark.parametrize("r,eta", [(10**400, 0.0), (0.2, -10**400), (10**5000, 0.0)],
+                             ids=["r", "eta", "r of 5001 digits"])
+    def test_parameter_with_no_float_value_rejected(self, variant, r, eta):
+        # math.isfinite(10**400) raised a bare OverflowError; an int of over 4300 digits
+        # cannot even be printed in the message
+        with pytest.raises(ParameterError, match="^r and eta must be finite"):
+            pair_update(variant, r, eta, ASC)

@@ -926,6 +926,15 @@ class TestStepParams:
         with pytest.raises(ParameterError, match="no finite step"):
             StepParams.from_physics(dt, dx, diffusivity, velocity)
 
+    @pytest.mark.parametrize("position", range(4), ids=["dt", "dx", "diffusivity", "velocity"])
+    @pytest.mark.parametrize("big", [10**400, 10**5000], ids=["10**400", "10**5000"])
+    def test_number_with_no_float_value_rejected(self, big, position):
+        # an int too large for a float made r or eta raise a bare OverflowError
+        physics = [0.1, 0.1, 0.5, 1.0]
+        physics[position] = big
+        with pytest.raises(ParameterError, match="no finite step"):
+            StepParams.from_physics(*physics)
+
     def test_scaled(self):
         p = StepParams(r=1.0, eta=2.0).scaled(0.25)
         assert (p.r, p.eta) == (0.25, 0.5)

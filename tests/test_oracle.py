@@ -2,9 +2,12 @@
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scipy.linalg import expm
 
@@ -21,6 +24,17 @@ from sweepfd.oracle import FLOOR_RELATIVE
 from sweepfd.spectral import exact_factor
 
 from oracles import advection_generator, diffusion_generator
+
+
+@st.composite
+def fit_points(draw):
+    """(dts, values) of one fit: finite, strictly decreasing positive dts and finite values."""
+    n = draw(st.integers(3, 8))
+    dts = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n, max_size=n))
+    return sorted(dts, reverse=True), values
 
 
 def _lattice(n):
@@ -181,6 +195,44 @@ class TestFitPowerLaw:
         with pytest.raises(ParameterError, match="^values must be finite$"):
             fit_power_law([0.4, 0.2, 0.1, 0.05], values)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("values", [[1.0, -1.0, 1.0, -1.0], [1e308, 1e308, -1e308, 1e300]])
+    def test_fit_with_no_finite_plateau_rejected(self, values, capfd):
+        # the initial slope is order 0, so the Richardson ratio is 1: the plateau's
+        # division by zero (or its overflow) fitted plateau=nan order=nan with a
+        # RuntimeWarning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                fit_power_law([0.4, 0.2, 0.1, 0.05], values)
+        assert capfd.readouterr().err == ""
+
+    def test_dts_too_close_to_fit_an_order_rejected(self, capfd):
+        # adjacent floats near 1e300 share one log: polyfit warned of its rank and
+        # the fit came back nan
+        dts = [1e300]
+        for _ in range(3):
+            dts.insert(0, np.nextafter(dts[0], math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="too close together"):
+                fit_power_law(dts, [4.0, 3.0, 2.0, 1.0])
+        assert capfd.readouterr().err == ""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(points=fit_points())
+    def test_fit_is_finite_or_rejected_without_a_warning(self, points, capfd):
+        capfd.readouterr()   # capfd spans every example: start from an empty capture
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a warning fails the example
+            try:
+                fit = fit_power_law(*points)
+            except ParameterError:
+                pass
+            else:
+                assert math.isfinite(fit.plateau) and math.isfinite(fit.order), points
+        assert capfd.readouterr().err == "", points
 
 
 class TestLibrarySurface:

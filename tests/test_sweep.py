@@ -120,6 +120,29 @@ class TestSweepBasics:
         with pytest.raises(InvalidCoefficientError):
             PairUpdate(math.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "lam"])
+    def test_coefficient_with_no_float_value_rejected(self, name):
+        # math.isfinite(10**400) raised a bare OverflowError
+        with pytest.raises(InvalidCoefficientError, match=f"^{name} must be finite$"):
+            PairUpdate(**{"alpha": 1.0, "beta": 0.0, "lam": 0.0, name: 10**400})
+
+    @pytest.mark.parametrize("direction", [ASC, DESC])
+    @pytest.mark.parametrize("form", [f for f in TERM_FORMS if "weight" in f])
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    def test_non_finite_weight_rejected_before_a_write(self, weight, form, direction):
+        # a nan or infinite weight was written into every sample, and 10**400 raised
+        # ctypes.ArgumentError, which is no ValueError
+        f = Field1D(np.arange(1.0, 7.0), dx=1.0)
+        keywords = {"weight": weight}
+        if "source" in form:
+            keywords["source"] = np.full(6, 2.0)
+        if "offset" in form:
+            keywords["offset"] = np.ones(6)
+        with pytest.raises(ValueError, match="^weight must be finite$"):
+            sweep(f, PairUpdate(0.6, 0.2, 0.2), direction, **keywords)
+        assert_same_bits(f.values, np.arange(1.0, 7.0))
+
     def test_term_keywords_validated(self):
         f = Field1D(np.arange(6.0), dx=1.0)
         u = PairUpdate(0.6, 0.2, 0.2)
