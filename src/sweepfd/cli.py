@@ -20,7 +20,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import composition, grid, oracle, spectral
-from .composition import Comparator, Equation, Scheme, StepParams
+from .composition import Equation, Scheme, StepParams
 from .errors import (
     DegenerateFieldError,
     KernelUnavailable,
@@ -224,9 +224,6 @@ def _resolve_setup(args: argparse.Namespace) -> argparse.Namespace:
             scheme = composition.resolve_preset(name, equation)
         except (KeyError, ParameterError) as exc:
             raise UsageError(exc.args[0]) from exc
-        if stepping and Comparator.CRANK_NICOLSON in scheme.layout.stages:
-            raise UsageError(f"{args.command} cannot step {scheme.name}: the implicit comparator "
-                             "has no explicit stepper (ampfactor takes its factor)")
         schemes.append(scheme)
     if args.nx < 3:
         raise UsageError("--nx must be at least 3")

@@ -665,16 +665,20 @@ class TestImplicitScheme:
         ["norms", "--steps", "1"],
         ["converge", "--dts", "0.1,0.05", "--tfinal", "1"],
     ])
-    def test_stepping_an_implicit_scheme_is_usage_error(self, command, schemes, name,
-                                                        tmp_path, capsys):
-        # cn has a closed-form factor but no explicit stepper: these used to exit 1 with
-        # "numerical error: the implicit comparator has no explicit stepper"
+    def test_stepping_an_implicit_scheme_writes_finite_numbers(self, command, schemes, name,
+                                                              tmp_path, capsys):
+        # cn steps as a circulant: these used to exit 2 with "usage error: ... cannot step
+        # cn: the implicit comparator has no explicit stepper (ampfactor takes its factor)"
         out = tmp_path / "out.csv"
         code, err = run_clean(command + ["--scheme", schemes, "--out", str(out)], capsys)
-        assert code == 2
-        assert err == (f"usage error: {command[0]} cannot step {name}: the implicit "
-                       "comparator has no explicit stepper (ampfactor takes its factor)\n")
-        assert not out.exists()
+        assert code == 0, err
+        header, columns, rows = read_csv(out)
+        assert name in [column.split("_")[0] for column in columns]
+        # the footers' numbers too: each norm's value, each available fit's plateau and order
+        values = [float(word.split("=")[-1]) for line in header
+                  if line.startswith(("# norm ", "# fit ")) and " unavailable (" not in line
+                  for word in line.split()[2:] if "=" in word and "scheme=" not in word]
+        assert np.all(np.isfinite(rows)) and all(map(math.isfinite, values))
 
     def test_ampfactor_takes_an_implicit_scheme(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

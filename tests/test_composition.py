@@ -397,10 +397,9 @@ MULTI_TERM = [resolve_preset(prefix + name, equation) for equation, name in
                (Equation.DIFFUSION, "t8"), (Equation.ADV_DIFF, "t4"))
               for prefix in ("", "2x", "3x")]
 
-# every single-term preset with an explicit stepper, and a single-sweep stage run twice
+# every single-term preset, and a single-sweep stage run twice
 SINGLE_TERM = [resolve_preset(prefix + name, equation) for equation in Equation
-               for name in preset_names(equation)
-               if name != "cn" and len(resolve_preset(name, equation).terms) == 1
+               for name in preset_names(equation) if len(resolve_preset(name, equation).terms) == 1
                for prefix in ("", "2x", "3x")] + [Scheme("d1a^2", Equation.DIFFUSION, (
                    (1, 2, (Stage(DiffusionVariant.EXPONENTIAL, BaseStep.SWEEP_1A, 0.5),)),))]
 
@@ -584,11 +583,22 @@ class TestPresets:
         assert "a2c" in preset_names(Equation.ADVECTION)
         assert "ad2c" in preset_names(Equation.ADV_DIFF)
 
-    def test_crank_nicolson_has_no_stepper(self):
-        scheme = resolve_preset("cn", Equation.DIFFUSION)
-        f = gaussian_profile(16, -4.0, 0.5, 0.0, 1.0)
-        with pytest.raises(ParameterError):
-            apply_scheme(f, scheme, StepParams(r=0.5))
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_crank_nicolson_steps_each_lattice_mode_by_its_factor(self, n):
+        # cn used to raise ParameterError: the implicit comparator had no explicit stepper
+        scheme, params = resolve_preset("cn", Equation.DIFFUSION), StepParams(r=2.0)
+        j = np.arange(n)
+        for m in (0, 1, 5, n // 2):
+            theta = 2 * math.pi * m / n
+            f = Field1D(np.cos(theta * j + 0.3), dx=1.0)
+            apply_scheme(f, scheme, params)
+            g = Comparator.CRANK_NICOLSON.factor(params, theta)
+            assert np.allclose(f.values, g.real * np.cos(theta * j + 0.3), rtol=0.0, atol=1e-14)
+        f = gaussian_profile(n, -4.0, 8.0 / n, 0.0, 1.0)
+        total = f.values.sum()
+        for _ in range(100):
+            apply_scheme(f, scheme, params)
+        assert abs(f.values.sum() - total) <= 1e-13 * total
 
 
 def structural_sweeps(scheme):

@@ -818,11 +818,12 @@ class TestKernelChoice:
 
     def test_import_does_not_load_the_build_modules(self):
         # hashlib and subprocess cost about 10 ms of an import without bytecode, and only
-        # building the kernel needs them; ampfactor and phase never sweep
+        # building the kernel needs them; ampfactor and phase never sweep. numpy.fft is
+        # loaded by a Crank-Nicolson step or the exact flow, never by an import
         script = (
             "import sys\n"
-            "import sweepfd\n"
-            "loaded = sorted({'hashlib', 'subprocess'} & set(sys.modules))\n"
+            "import sweepfd, sweepfd.cli\n"
+            "loaded = sorted({'hashlib', 'subprocess', 'numpy.fft'} & set(sys.modules))\n"
             "assert not loaded, f'import sweepfd imported {loaded}'\n"
         )
         src = str(Path(sweep_module.__file__).parents[1])
